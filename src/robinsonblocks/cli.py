@@ -24,14 +24,7 @@ from .complexity import (
     paperfolding_P,
     verify_row,
 )
-from .enumerator import (
-    CountReport,
-    PatternSet,
-    count_report_csv,
-    distinct_patterns,
-    load_pattern_set,
-    save_pattern_set,
-)
+from .enumerator import count_report_csv, load_pattern_set, save_pattern_set
 from .render import RenderStyle, render_ascii, render_svg
 from .supertile import (
     FACING_ROTATIONS,
@@ -40,7 +33,7 @@ from .supertile import (
     TileGrid,
     build_supertile,
 )
-from .tileset import IDENTITY, Prototile
+from .tileset import IDENTITY
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
@@ -52,6 +45,16 @@ def _err(msg: str) -> None:
 
 def _note(msg: str) -> None:
     print(f"note: {msg}", file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_restrict(text: str):
@@ -72,18 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("supertile", help="generate a supertile grid")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--facing", choices=sorted(FACING_ROTATIONS), default="NE")
     p.add_argument("--out", choices=("svg", "json", "ascii"), default="ascii")
     p.add_argument("--output", type=Path, default=None, help="file path (default stdout)")
 
     p = sub.add_parser("count", help="stabilized distinct-block count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK)
     p.add_argument("--restrict", type=_parse_restrict, default=None, metavar="R,C")
     p.add_argument("--csv", type=Path, default=None)
     p.add_argument("--cache", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("formula", help="evaluate a closed form exactly")
     p.add_argument("--n", type=int, required=True)
@@ -91,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs recurrence vs oracle")
     p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
+    p.add_argument("--n-max", type=_positive_int, required=True)
+    p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK)
     p.add_argument("--csv", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("render", help="render a grid JSON dump to SVG")
     p.add_argument("--input", type=Path, required=True)
@@ -114,33 +117,23 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _pattern_set_at(n: int, rank: int, cache: Path | None, threads: int) -> PatternSet:
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
+def _cached_pattern_sets(n: int, max_rank: int, cache: Path, threads: int):
+    """Yield ``(rank, PatternSet)`` for each rank the scan probes.  A rank
+    is read from its ``.rbps`` file in ``cache`` where that exists;
+    otherwise the window scan runs as far as that rank and its set is
+    saved there."""
+    ranks = enumerator._ranks(n, max_rank)
+    cache.mkdir(parents=True, exist_ok=True)
+    scan = enumerator._window_scan(n, ranks, IDENTITY, threads)
+    for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
-            return load_pattern_set(path)
-        ps = distinct_patterns(n, rank, IDENTITY, workers=threads)
+            yield rank, load_pattern_set(path)
+            continue
+        windows = next(w for k, w in scan if k == rank)
+        ps = enumerator._pattern_set(n, enumerator._id_rows(windows, n))
         save_pattern_set(ps, path)
-        return ps
-    return distinct_patterns(n, rank, IDENTITY, workers=threads)
-
-
-def _pattern_restricted_count(ps: PatternSet, n: int, corner_pos) -> int:
-    r0 = (corner_pos[0] - 1) % 2
-    c0 = (corner_pos[1] - 1) % 2
-    bumpy_proto = int(Prototile.BUMPY_CORNER)
-    hits = 0
-    for data in ps.members():
-        ok = True
-        for i in range(n * n):
-            bumpy = data[3 * i] == bumpy_proto
-            want = (i // n) % 2 == r0 and (i % n) % 2 == c0
-            if bumpy != want:
-                ok = False
-                break
-        hits += ok
-    return hits
+        yield rank, ps
 
 
 def _cmd_supertile(args) -> int:
@@ -159,33 +152,15 @@ def _cmd_supertile(args) -> int:
     return 0
 
 
-def _count_stabilized_sets(n, max_rank, cache, threads, corner_pos):
-    """Rank scan over pattern sets so both plain and restricted counts can
-    stabilize; mirrors enumerator.count_stabilized's plateau rule."""
-    k_min = 1
-    while (1 << k_min) - 1 < n:
-        k_min += 1
-    counts = []
-    prev = None
-    for rank in range(k_min, max_rank + 1):
-        ps = _pattern_set_at(n, rank, cache, threads)
-        value = (
-            ps.count
-            if corner_pos is None
-            else _pattern_restricted_count(ps, n, corner_pos)
-        )
-        counts.append((rank, value))
-        if prev is not None and value == prev:
-            return CountReport(n, rank, value, True, tuple(counts))
-        prev = value
-    return CountReport(n, max_rank, prev, False, tuple(counts))
-
-
 def _cmd_count(args) -> int:
     cache = _cache_dir(args)
     if cache is not None:
-        report = _count_stabilized_sets(
-            args.n, args.max_rank, cache, args.threads, args.restrict
+        sets = _cached_pattern_sets(args.n, args.max_rank, cache, args.threads)
+        report = enumerator._stabilize(
+            args.n,
+            args.max_rank,
+            sets,
+            lambda ps: enumerator._pattern_set_value(ps, args.restrict),
         )
     elif args.restrict is not None:
         report = enumerator.restricted_count_stabilized(

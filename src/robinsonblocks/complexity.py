@@ -74,21 +74,26 @@ class RecurrenceTable:
         return got
 
     def check(self) -> None:
-        """Re-assert every memoised value against its defining recurrence."""
+        """Re-check every memoised value against its defining recurrence.
+        Raises ValueError naming the memo and n of a value that breaks it."""
         for n, value in self.memo_A.items():
             if n == 1:
-                assert value == A1
+                want = A1
             elif n % 2:
-                assert value == self.A(n // 2) + self.A(n // 2 + 1) + 2 * self.B(n // 2)
+                want = self.A(n // 2) + self.A(n // 2 + 1) + 2 * self.B(n // 2)
             else:
-                assert value == 4 * self.A(n // 2)
+                want = 4 * self.A(n // 2)
+            if value != want:
+                raise ValueError(f"memo_A[{n}] = {value}, the recurrence gives {want}")
         for n, value in self.memo_B.items():
             if n == 1:
-                assert value == B1
+                want = B1
             elif n % 2:
-                assert value == 2 * self.A(n // 2 + 1) + 2 * self.B(n // 2)
+                want = 2 * self.A(n // 2 + 1) + 2 * self.B(n // 2)
             else:
-                assert value == 2 * self.A(n // 2) + 2 * self.B(n // 2)
+                want = 2 * self.A(n // 2) + 2 * self.B(n // 2)
+            if value != want:
+                raise ValueError(f"memo_B[{n}] = {value}, the recurrence gives {want}")
 
 
 def recurrence_A(n: int, table: RecurrenceTable | None = None) -> int:

@@ -11,6 +11,8 @@ way.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .supertile import SupertileSpec, TileGrid, build_supertile
-from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose, tile_id
+from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose, Prototile
 
 MAGIC = b"RBLOCKPS"
 FORMAT_VERSION = 1
@@ -183,20 +185,17 @@ def _window_array(n: int, rank: int, facing: Pose, workers: int) -> np.ndarray:
     return _unique_windows(grid.ids, n, workers)
 
 
+def _pattern_set(n: int, rows: np.ndarray) -> PatternSet:
+    """The Patterns of tile-id windows given one n*n-byte row each."""
+    triples = _TRIPLE_LUT[rows].reshape(len(rows), -1)
+    return PatternSet(n, (t.tobytes() for t in triples))
+
+
 def distinct_patterns(
     n: int, rank: int, facing: Pose = IDENTITY, workers: int = 1
 ) -> PatternSet:
     """All distinct n-by-n windows of the rank-``rank`` supertile."""
-    rows = _window_array(n, rank, facing, workers)
-    ps = PatternSet(n)
-    for row in rows:
-        ps.add(_TRIPLE_LUT[row].tobytes())
-    return ps
-
-
-def count_distinct(n: int, rank: int, facing: Pose = IDENTITY, workers: int = 1) -> int:
-    """Exact distinct-window count without materialising Patterns."""
-    return int(_window_array(n, rank, facing, workers).shape[0])
+    return _pattern_set(n, _window_array(n, rank, facing, workers))
 
 
 def _cross_band_unique(ids: np.ndarray, n: int, workers: int) -> np.ndarray:
@@ -213,92 +212,100 @@ def _cross_band_unique(ids: np.ndarray, n: int, workers: int) -> np.ndarray:
 _FACINGS = tuple(Pose(r, False) for r in range(4))
 
 
+def _ranks(n: int, k_max: int) -> range:
+    """The ranks a stabilization scan probes: from the first whose
+    supertile can host an n-by-n block, through ``k_max``."""
+    _check_block_size(n, k_max)
+    return range(n.bit_length(), k_max + 1)
+
+
+def _window_scan(n: int, ranks: range, facing: Pose, workers: int):
+    """Yield ``(rank, windows)`` for each of ``ranks``, where ``windows``
+    is the set of distinct n-by-n windows of the ``facing`` supertile, as
+    tile-id row bytes.
+
+    Only the first rank is extracted whole.  A rank-(k+1) window either
+    touches the central cross or lies inside a quadrant, and the four
+    quadrants are exactly the four facings of rank k.  So the union over
+    facings of rank k plus this facing's own cross-touching windows is
+    the rank-(k+1) set, while only cross-touching windows are extracted.
+    """
+    own = _FACINGS.index(facing)
+    union: set = set()
+    for k in ranks:
+        extract = _unique_windows if k == ranks.start else _cross_band_unique
+        per_facing = [
+            extract(build_supertile(SupertileSpec(k, f)).ids, n, workers)
+            for f in _FACINGS
+        ]
+        yield k, union | {row.tobytes() for row in per_facing[own]}
+        for rows in per_facing:
+            union.update(row.tobytes() for row in rows)
+
+
+def _id_rows(windows, n: int) -> np.ndarray:
+    """A window set from ``_window_scan`` as one n*n-byte row per window."""
+    return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
+
+
+def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
+    """Report ``value`` of each ``(rank, windows)`` pair of a rank scan,
+    stopping at the first rank whose value equals the previous rank's.
+
+    The stop rule is a heuristic plateau, not a proven bound.
+    Non-stabilization within k_max is reported, not raised.
+    """
+    counts = []
+    for k, windows in scan:
+        counts.append((k, value(windows)))
+        if len(counts) > 1 and counts[-2][1] == counts[-1][1]:
+            return CountReport(n, k, counts[-1][1], True, tuple(counts))
+    return CountReport(n, k_max, counts[-1][1], False, tuple(counts))
+
+
 def count_stabilized(
     n: int, k_max: int, facing: Pose = IDENTITY, workers: int = 1
 ) -> CountReport:
     """Increase the rank until two consecutive ranks agree on the
     distinct-window count of the fixed-facing supertile.
 
-    Counts are computed incrementally: a rank-(k+1) window either
-    touches the central cross or lies inside a quadrant, and the four
-    quadrants are exactly the four facings of rank k.  Accumulating the
-    union over facings therefore reproduces the plain per-rank counts
-    while only ever extracting cross-touching windows.
-
     Non-stabilization within k_max is reported, not raised.
     """
-    k_min = 1
-    while (1 << k_min) - 1 < n:
-        k_min += 1
-    if k_max < k_min:
-        raise BlockTooLarge(
-            f"k_max={k_max} cannot host an n={n} block (needs rank >= {k_min})"
-        )
-
-    union: set = set()
-    counts = []
-    prev = None
-    for k in range(k_min, k_max + 1):
-        if k == k_min:
-            per_facing = [
-                _unique_windows(
-                    build_supertile(SupertileSpec(k, f)).ids, n, workers
-                )
-                for f in _FACINGS
-            ]
-            got = int(per_facing[_FACINGS.index(facing)].shape[0])
-            for rows in per_facing:
-                union.update(r.tobytes() for r in rows)
-        else:
-            bands = {
-                f: _cross_band_unique(
-                    build_supertile(SupertileSpec(k, f)).ids, n, workers
-                )
-                for f in _FACINGS
-            }
-            # Fixed-facing count: all quadrant windows (the rank-(k-1)
-            # union) plus this facing's own cross-touching windows.
-            facing_band = {row.tobytes() for row in bands[facing]}
-            got = len(union | facing_band)
-            for rows in bands.values():
-                union.update(r.tobytes() for r in rows)
-        counts.append((k, got))
-        if prev is not None and got == prev:
-            return CountReport(n, k, got, True, tuple(counts))
-        prev = got
-    return CountReport(n, k_max, prev, False, tuple(counts))
+    scan = _window_scan(n, _ranks(n, k_max), facing, workers)
+    return _stabilize(n, k_max, scan, len)
 
 
 def restricted_count_stabilized(
     m: int, corner_pos, k_max: int, facing: Pose = IDENTITY, workers: int = 1
 ) -> CountReport:
     """Stabilization scan for a position-restricted count."""
-    k_min = 1
-    while (1 << k_min) - 1 < m:
-        k_min += 1
-    if k_max < k_min:
-        raise BlockTooLarge(
-            f"k_max={k_max} cannot host an m={m} block (needs rank >= {k_min})"
-        )
-    counts = []
-    prev = None
-    for k in range(k_min, k_max + 1):
-        got = restricted_count(m, corner_pos, k, facing, workers)
-        counts.append((k, got))
-        if prev is not None and got == prev:
-            return CountReport(m, k, got, True, tuple(counts))
-        prev = got
-    return CountReport(m, k_max, prev, False, tuple(counts))
+    scan = _window_scan(m, _ranks(m, k_max), facing, workers)
+    return _stabilize(
+        m,
+        k_max,
+        scan,
+        lambda w: _restricted_hits(BUMPY_IDS[_id_rows(w, m)], m, corner_pos),
+    )
 
 
-def _restricted_mask(rows: np.ndarray, m: int, corner_pos) -> np.ndarray:
-    r0 = (corner_pos[0] - 1) % 2
-    c0 = (corner_pos[1] - 1) % 2
-    bumpy = BUMPY_IDS[rows.reshape(-1, m, m)]
-    rr = np.arange(m) % 2 == r0
-    cc = np.arange(m) % 2 == c0
-    want = rr[:, None] & cc[None, :]
-    return (bumpy == want[None, :, :]).all(axis=(1, 2))
+def _restricted_hits(bumpy: np.ndarray, m: int, corner_pos) -> int:
+    """How many m-by-m windows, given as rows of per-cell bumpy-corner
+    flags, have their bumpy-corner lattice start exactly at
+    ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
+    r, c = corner_pos
+    if not (1 <= r <= min(2, m) and 1 <= c <= min(2, m)):
+        raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
+    parity = np.arange(m) % 2
+    want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
+    return int((bumpy.reshape(-1, m, m) == want).all(axis=(1, 2)).sum())
+
+
+def _pattern_set_value(ps: PatternSet, corner_pos) -> int:
+    """A cached rank's count, or with ``corner_pos`` its restricted count."""
+    if corner_pos is None:
+        return ps.count
+    prototiles = np.frombuffer(b"".join(ps.members()), dtype=np.uint8)[::3]
+    return _restricted_hits(prototiles == Prototile.BUMPY_CORNER, ps.n, corner_pos)
 
 
 def restricted_count(
@@ -310,22 +317,31 @@ def restricted_count(
 ) -> int:
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    r, c = corner_pos
-    if not (1 <= r <= min(2, m) and 1 <= c <= min(2, m)):
-        raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
     rows = _window_array(m, rank, facing, workers)
-    return int(_restricted_mask(rows, m, corner_pos).sum())
+    return _restricted_hits(BUMPY_IDS[rows], m, corner_pos)
 
 
 def save_pattern_set(ps: PatternSet, path) -> None:
     """Write the bit-exact cache format: magic, version, n, count, then
-    length-prefixed members in lexicographic order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(">HIQ", FORMAT_VERSION, ps.n, ps.count))
-        for member in ps.members():
-            fh.write(struct.pack(">I", len(member)))
-            fh.write(member)
+    length-prefixed members in lexicographic order.
+
+    The file is written under a temporary name in the same directory and
+    renamed over ``path``, so a writer killed midway never leaves a
+    truncated file at ``path``.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack(">HIQ", FORMAT_VERSION, ps.n, ps.count))
+            for member in ps.members():
+                fh.write(struct.pack(">I", len(member)))
+                fh.write(member)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_pattern_set(path) -> PatternSet:

@@ -213,28 +213,24 @@ def _candidates(ids: np.ndarray, r: int, c: int) -> list:
     return [int(i) for i in np.nonzero(ok)[0]]
 
 
+def _solve(ids: np.ndarray, r: int, c: int) -> int:
+    """The one tile id fitting 0-based cell (r, c).  Errors carry the
+    1-based position."""
+    cands = _candidates(ids, r, c)
+    if not cands:
+        raise CrossUnsolvable((r + 1, c + 1))
+    if len(cands) > 1:
+        raise CrossAmbiguous((r + 1, c + 1), cands)
+    return cands[0]
+
+
 def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
     """The unique tile fitting ``pos`` (1-based [row, col]) given the
     already-placed neighbours.  Raises CrossUnsolvable / CrossAmbiguous."""
-    r, c = pos[0] - 1, pos[1] - 1
-    cands = _candidates(partial.ids, r, c)
-    if not cands:
-        raise CrossUnsolvable((pos[0], pos[1]))
-    if len(cands) > 1:
-        raise CrossAmbiguous((pos[0], pos[1]), cands)
-    return tile_from_id(cands[0])
+    return tile_from_id(_solve(partial.ids, pos[0] - 1, pos[1] - 1))
 
 
 _BUILD_MEMO: dict = {}
-
-
-def _solve_into(ids: np.ndarray, r: int, c: int, offset) -> None:
-    cands = _candidates(ids, r, c)
-    if not cands:
-        raise CrossUnsolvable((offset[0] + r + 1, offset[1] + c + 1))
-    if len(cands) > 1:
-        raise CrossAmbiguous((offset[0] + r + 1, offset[1] + c + 1), cands)
-    ids[r, c] = cands[0]
 
 
 def _build_ids(rank: int, facing: int) -> np.ndarray:
@@ -263,7 +259,7 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
         # every cross cell sees at least two placed neighbours.
         for d in range(1, m):
             for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
-                _solve_into(ids, r, c, (0, 0))
+                ids[r, c] = _solve(ids, r, c)
 
     ids.setflags(write=False)
     _BUILD_MEMO[key] = ids

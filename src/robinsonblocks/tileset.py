@@ -185,21 +185,14 @@ _POSE_LABELS = {
 
 # Canonical representative per (prototile, label 4-tuple): the
 # lexicographically smallest (rotation, mirror) among equal-label poses.
+# Labels are tuples of frozen Arrows, so they serve as keys directly.
 _CANONICAL_POSE: dict = {}
 for proto in Prototile:
     by_labels: dict = {}
     for pose in sorted(_ALL_POSES, key=lambda p: (p.rotation, p.mirror)):
-        key = tuple(
-            tuple(a.char if a else "." for a in lab)
-            for lab in _POSE_LABELS[(proto, pose)]
-        )
-        by_labels.setdefault(key, pose)
+        by_labels.setdefault(_POSE_LABELS[(proto, pose)], pose)
     for pose in _ALL_POSES:
-        key = tuple(
-            tuple(a.char if a else "." for a in lab)
-            for lab in _POSE_LABELS[(proto, pose)]
-        )
-        _CANONICAL_POSE[(proto, pose)] = by_labels[key]
+        _CANONICAL_POSE[(proto, pose)] = by_labels[_POSE_LABELS[(proto, pose)]]
 
 
 @dataclass(frozen=True, order=True)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from robinsonblocks.cli import main
+from robinsonblocks.enumerator import PatternSet
 from robinsonblocks.render import parse_ascii
 from robinsonblocks.supertile import build
 
@@ -48,6 +49,18 @@ def test_bad_flags_exit_2(capsys):
     assert run_cli(capsys, "count")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "count", "--n", "2", "--restrict", "5,5")[0] == 2
+    for argv in (
+        ("count", "--n", "0"),
+        ("count", "--n", "-3"),
+        ("count", "--n", "2", "--max-rank", "0"),
+        ("count", "--n", "2", "--threads", "0"),
+        ("supertile", "--rank", "0"),
+        ("verify", "--n-max", "0"),
+        ("verify", "--n-max", "3", "--threads", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be >= 1" in err, argv
 
 
 def test_count_plain(capsys):
@@ -89,6 +102,46 @@ def test_count_cache_round_trip(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, "count", "--n", "2", "--cache", str(cache))
     assert (code1, out1) == (code2, out2)
     assert out1 == "224\n"
+
+
+def test_cached_count_matches_uncached(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for n in ("2", "3"):
+        for extra in ((), ("--restrict", "1,1"), ("--restrict", "1,2"),
+                      ("--restrict", "2,1"), ("--restrict", "2,2")):
+            argv = ("count", "--n", n, *extra, "--csv")
+            plain = run_cli(capsys, *argv, str(tmp_path / "plain.csv"))
+            cached = run_cli(capsys, *argv, str(tmp_path / "cached.csv"), "--cache", str(cache))
+            assert plain[:2] == cached[:2]
+            assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "cached.csv").read_bytes()
+
+
+def test_cache_recreates_a_missing_middle_rank(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for extra in ((), ("--restrict", "1,2")):
+        argv = ("count", "--n", "3", *extra, "--cache", str(cache))
+        first = run_cli(capsys, *argv)
+        middle = cache / "patterns_n3_rank5.rbps"
+        blob = middle.read_bytes()
+        middle.unlink()
+        assert run_cli(capsys, *argv)[:2] == first[:2]
+        assert middle.read_bytes() == blob
+
+
+def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+
+    def first_member_then_fail(self):
+        yield min(self._members)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(PatternSet, "members", first_member_then_fail)
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert "disk full" in err
+    assert list(cache.iterdir()) == []
+    monkeypatch.undo()
+    assert run_cli(capsys, "count", "--n", "2", "--cache", str(cache))[:2] == (0, "224\n")
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -98,6 +98,16 @@ def test_sibling_identities_posthoc_on_memo():
     table.check()
 
 
+def test_check_raises_on_a_corrupt_memo_entry():
+    for memo in ("memo_A", "memo_B"):
+        table = RecurrenceTable()
+        table.A(40)
+        table.B(40)
+        getattr(table, memo)[10] += 1
+        with pytest.raises(ValueError, match=rf"{memo}\[10\]"):
+            table.check()
+
+
 def test_coeff_examples():
     assert (coeff_a(1), coeff_b(1)) == (1, 0)
     assert (coeff_a(2), coeff_b(2)) == (4, 0)

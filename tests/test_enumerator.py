@@ -13,7 +13,6 @@ from robinsonblocks.enumerator import (
     PatternSet,
     PatternVersionMismatch,
     canonical_encode,
-    count_distinct,
     count_report_csv,
     count_stabilized,
     distinct_patterns,
@@ -26,6 +25,7 @@ from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import OrientedTile, Prototile
 
 FACINGS = [Pose(r, False) for r in range(4)]
+POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_small_grid_window_bound():
@@ -58,7 +58,11 @@ def test_incremental_counts_equal_plain_extraction():
     for n in (2, 3, 5):
         rep = count_stabilized(n, 8)
         for rank, count in rep.counts_by_rank:
-            assert count == count_distinct(n, rank)
+            assert count == distinct_patterns(n, rank).count
+        for pos in POSITIONS:
+            rep = restricted_count_stabilized(n, pos, 8)
+            for rank, count in rep.counts_by_rank:
+                assert count == restricted_count(n, pos, rank)
 
 
 def test_non_stabilization_is_reported_not_raised():
@@ -74,7 +78,7 @@ def test_restricted_base_counts():
 
 
 def test_restricted_partition_of_total():
-    total = sum(restricted_count(2, pos, 7) for pos in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    total = sum(restricted_count(2, pos, 7) for pos in POSITIONS)
     assert total == 224 == distinct_patterns(2, 7).count
 
 
