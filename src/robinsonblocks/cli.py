@@ -117,23 +117,26 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _cached_pattern_sets(n: int, max_rank: int, cache: Path, threads: int):
-    """Yield ``(rank, PatternSet)`` for each rank the scan probes.  A rank
-    is read from its ``.rbps`` file in ``cache`` where that exists;
-    otherwise the window scan runs as far as that rank and its set is
-    saved there."""
+def _cached_window_scan(n: int, max_rank: int, cache: Path, threads: int):
+    """Yield ``(rank, windows)`` for each rank the scan probes, as
+    ``enumerator._window_scan`` does.  A rank is read from its ``.rbps``
+    file in ``cache`` where that exists; otherwise the window scan runs
+    as far as that rank and its set is saved there."""
     ranks = enumerator._ranks(n, max_rank)
     cache.mkdir(parents=True, exist_ok=True)
     scan = enumerator._window_scan(n, ranks, IDENTITY, threads)
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
-            yield rank, load_pattern_set(path)
+            ps = load_pattern_set(path)
+            if ps.n != n:  # n is the header field after the magic and version
+                offset = len(enumerator.MAGIC) + 2
+                raise enumerator.CorruptPatternFile(offset, f"holds n={ps.n} blocks, not n={n}")
+            yield rank, enumerator._windows(ps)
             continue
         windows = next(w for k, w in scan if k == rank)
-        ps = enumerator._pattern_set(n, enumerator._id_rows(windows, n))
-        save_pattern_set(ps, path)
-        yield rank, ps
+        save_pattern_set(enumerator._pattern_set(n, enumerator._id_rows(windows, n)), path)
+        yield rank, windows
 
 
 def _cmd_supertile(args) -> int:
@@ -153,23 +156,14 @@ def _cmd_supertile(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cache = _cache_dir(args)
-    if cache is not None:
-        sets = _cached_pattern_sets(args.n, args.max_rank, cache, args.threads)
-        report = enumerator._stabilize(
-            args.n,
-            args.max_rank,
-            sets,
-            lambda ps: enumerator._pattern_set_value(ps, args.restrict),
-        )
-    elif args.restrict is not None:
-        report = enumerator.restricted_count_stabilized(
-            args.n, args.restrict, args.max_rank, workers=args.threads
-        )
+    n, cache = args.n, _cache_dir(args)
+    if cache is None:
+        ranks = enumerator._ranks(n, args.max_rank)
+        scan = enumerator._window_scan(n, ranks, IDENTITY, args.threads)
     else:
-        report = enumerator.count_stabilized(
-            args.n, args.max_rank, workers=args.threads
-        )
+        scan = _cached_window_scan(n, args.max_rank, cache, args.threads)
+    value = enumerator._scan_value(n, args.restrict)
+    report = enumerator._stabilize(n, args.max_rank, scan, value)
     if args.csv is not None:
         args.csv.write_text(count_report_csv(report))
         _note(f"wrote {args.csv}")
@@ -205,6 +199,9 @@ def _cmd_formula(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_min < 2:
         _err("verify needs --n-min >= 2 (the closed form excludes n=1)")
+        return 2
+    if args.n_max < args.n_min:
+        _err(f"verify needs --n-max >= --n-min, got {args.n_min}..{args.n_max}")
         return 2
     table = RecurrenceTable()
     rows = [VERIFY_CSV_HEADER]

@@ -66,34 +66,23 @@ class RecurrenceTable:
         got = self.memo_B.get(n)
         if got is None:
             h, odd = divmod(n, 2)
-            if odd:
-                got = 2 * self.A(h + 1) + 2 * self.B(h)
-            else:
-                got = 2 * self.A(h) + 2 * self.B(h)
+            got = 2 * self.A(h + odd) + 2 * self.B(h)
             self.memo_B[n] = got
         return got
 
     def check(self) -> None:
-        """Re-check every memoised value against its defining recurrence.
-        Raises ValueError naming the memo and n of a value that breaks it."""
-        for n, value in self.memo_A.items():
-            if n == 1:
-                want = A1
-            elif n % 2:
-                want = self.A(n // 2) + self.A(n // 2 + 1) + 2 * self.B(n // 2)
-            else:
-                want = 4 * self.A(n // 2)
-            if value != want:
-                raise ValueError(f"memo_A[{n}] = {value}, the recurrence gives {want}")
-        for n, value in self.memo_B.items():
-            if n == 1:
-                want = B1
-            elif n % 2:
-                want = 2 * self.A(n // 2 + 1) + 2 * self.B(n // 2)
-            else:
-                want = 2 * self.A(n // 2) + 2 * self.B(n // 2)
-            if value != want:
-                raise ValueError(f"memo_B[{n}] = {value}, the recurrence gives {want}")
+        """Re-check every memoised value, base entries included, against a
+        fresh table.  Raises ValueError naming the memo and n of a value
+        that differs."""
+        fresh = RecurrenceTable()
+        for name, memo, rule in (
+            ("memo_A", self.memo_A, fresh.A),
+            ("memo_B", self.memo_B, fresh.B),
+        ):
+            for n, value in memo.items():
+                want = rule(n)
+                if value != want:
+                    raise ValueError(f"{name}[{n}] = {value}, the recurrence gives {want}")
 
 
 def recurrence_A(n: int, table: RecurrenceTable | None = None) -> int:
@@ -135,43 +124,19 @@ class DecompositionTrace:
         return self.a_leaves * A1 + self.b_leaves * B1
 
 
-class _TraceTable:
-    def __init__(self):
-        self.memo_A = {1: (1, 0)}
-        self.memo_B = {1: (0, 1)}
+def decomposition_trace(n: int) -> DecompositionTrace:
+    """Unroll the recurrence tree, counting with multiplicity how many
+    leaves resolve to A_1 and to B_1.
 
-    def A(self, n):
-        got = self.memo_A.get(n)
-        if got is None:
-            h, odd = divmod(n, 2)
-            if odd:
-                xa, xb = self.A(h)
-                ya, yb = self.A(h + 1)
-                za, zb = self.B(h)
-                got = (xa + ya + 2 * za, xb + yb + 2 * zb)
-            else:
-                xa, xb = self.A(h)
-                got = (4 * xa, 4 * xb)
-            self.memo_A[n] = got
-        return got
-
-    def B(self, n):
-        got = self.memo_B.get(n)
-        if got is None:
-            h, odd = divmod(n, 2)
-            za, zb = self.B(h)
-            xa, xb = self.A(h + 1) if odd else self.A(h)
-            got = (2 * xa + 2 * za, 2 * xb + 2 * zb)
-            self.memo_B[n] = got
-        return got
-
-
-def decomposition_trace(n: int, _table: _TraceTable | None = None) -> DecompositionTrace:
-    """Unroll the recurrence tree symbolically, counting with multiplicity
-    how many leaves resolve to A_1 and to B_1."""
+    The recurrences are linear and homogeneous, so every A_n and B_n is
+    a_n * A_1 + b_n * B_1 for integer multiplicities fixed by the tree
+    alone.  Evaluating them with unit bases, (A_1, B_1) = (1, 0) and then
+    (0, 1), therefore yields a_n and b_n.
+    """
     if n < 1:
         raise DomainError(f"decomposition_trace needs n >= 1, got {n}")
-    a, b = (_table or _TraceTable()).A(n)
+    a = RecurrenceTable({1: 1}, {1: 0}).A(n)
+    b = RecurrenceTable({1: 0}, {1: 1}).A(n)
     return DecompositionTrace(n, a, b)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .supertile import SupertileSpec, TileGrid, build_supertile
-from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose, Prototile
+from .supertile import EMPTY, SupertileSpec, TileGrid, build_supertile
+from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
 FORMAT_VERSION = 1
@@ -34,6 +34,10 @@ _TRIPLE_LUT = np.array(
     ],
     dtype=np.uint8,
 )
+# Its inverse, keyed by p*8 + r*2 + m: the tile id of each canonical
+# (prototile, rotation, mirror) triple, EMPTY for every other uint8 key.
+_TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
+_TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 
 # Rows of windows processed per dedup band; bounds peak memory while
 # keeping numpy batches large.
@@ -139,7 +143,7 @@ def canonical_encode(window: TileGrid) -> Pattern:
     if window.width != window.height:
         raise ValueError("canonical_encode needs a square window")
     ids = window.ids
-    if (ids == 255).any():
+    if (ids == EMPTY).any():
         raise ValueError("cannot encode a window with empty cells")
     return Pattern(window.width, _TRIPLE_LUT[ids.reshape(-1)].tobytes())
 
@@ -189,6 +193,23 @@ def _pattern_set(n: int, rows: np.ndarray) -> PatternSet:
     """The Patterns of tile-id windows given one n*n-byte row each."""
     triples = _TRIPLE_LUT[rows].reshape(len(rows), -1)
     return PatternSet(n, (t.tobytes() for t in triples))
+
+
+def _tile_ids(data: bytes) -> np.ndarray:
+    """Inverse of ``_TRIPLE_LUT``: the tile id of each 3-byte triple in
+    ``data``, EMPTY where a triple names no canonical tile."""
+    p, r, m = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).T
+    ids = _TRIPLE_IDS[p * 8 + r * 2 + m]
+    # The uint8 key names its triple only while it cannot wrap or alias.
+    ids[(p >= 32) | (r >= 4) | (m >= 2)] = EMPTY
+    return ids
+
+
+def _windows(ps: PatternSet) -> set:
+    """Inverse of ``_pattern_set``: the tile-id row bytes of each member,
+    the window-set form ``_window_scan`` yields."""
+    rows = _tile_ids(b"".join(ps.members())).reshape(-1, ps.n * ps.n)
+    return {row.tobytes() for row in rows}
 
 
 def distinct_patterns(
@@ -280,12 +301,15 @@ def restricted_count_stabilized(
 ) -> CountReport:
     """Stabilization scan for a position-restricted count."""
     scan = _window_scan(m, _ranks(m, k_max), facing, workers)
-    return _stabilize(
-        m,
-        k_max,
-        scan,
-        lambda w: _restricted_hits(BUMPY_IDS[_id_rows(w, m)], m, corner_pos),
-    )
+    return _stabilize(m, k_max, scan, _scan_value(m, corner_pos))
+
+
+def _scan_value(n: int, corner_pos):
+    """What a stabilization scan reports for each window set: its size,
+    or with ``corner_pos`` its restricted count."""
+    if corner_pos is None:
+        return len
+    return lambda w: _restricted_hits(BUMPY_IDS[_id_rows(w, n)], n, corner_pos)
 
 
 def _restricted_hits(bumpy: np.ndarray, m: int, corner_pos) -> int:
@@ -298,14 +322,6 @@ def _restricted_hits(bumpy: np.ndarray, m: int, corner_pos) -> int:
     parity = np.arange(m) % 2
     want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
     return int((bumpy.reshape(-1, m, m) == want).all(axis=(1, 2)).sum())
-
-
-def _pattern_set_value(ps: PatternSet, corner_pos) -> int:
-    """A cached rank's count, or with ``corner_pos`` its restricted count."""
-    if corner_pos is None:
-        return ps.count
-    prototiles = np.frombuffer(b"".join(ps.members()), dtype=np.uint8)[::3]
-    return _restricted_hits(prototiles == Prototile.BUMPY_CORNER, ps.n, corner_pos)
 
 
 def restricted_count(
@@ -345,7 +361,12 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
 
 def load_pattern_set(path) -> PatternSet:
-    """Inverse of save_pattern_set; load(save(ps)) == ps."""
+    """Inverse of save_pattern_set; load(save(ps)) == ps.
+
+    Every member must be a 3n^2-byte string of canonical triples, and
+    members must come in strictly increasing order; otherwise
+    CorruptPatternFile names the offset of the first bad record.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize(">HIQ")
@@ -356,22 +377,26 @@ def load_pattern_set(path) -> PatternSet:
     version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise PatternVersionMismatch(version)
-    offset = len(MAGIC) + header
+    size = 3 * n * n
+    offset = first = len(MAGIC) + header
     members = []
     for _ in range(count):
         if offset + 4 > len(blob):
             raise CorruptPatternFile(offset, "truncated record length")
         (length,) = struct.unpack_from(">I", blob, offset)
-        offset += 4
-        if offset + length > len(blob):
-            raise CorruptPatternFile(offset, "truncated record")
-        members.append(blob[offset : offset + length])
-        offset += length
+        if length != size:
+            raise CorruptPatternFile(offset, f"record length {length}, expected {size}")
+        if offset + 4 + length > len(blob):
+            raise CorruptPatternFile(offset + 4, "truncated record")
+        member = blob[offset + 4 : offset + 4 + length]
+        if members and member <= members[-1]:
+            raise CorruptPatternFile(offset, "records not in strictly increasing order")
+        members.append(member)
+        offset += 4 + length
     if offset != len(blob):
         raise CorruptPatternFile(offset, "trailing bytes")
-    ps = PatternSet(n)
-    for m in members:
-        ps.add(m)
-    if ps.count != count:
-        raise CorruptPatternFile(offset, "duplicate records")
-    return ps
+    bad = (_tile_ids(b"".join(members)) == EMPTY).reshape(count, n * n).any(axis=1)
+    if bad.any():
+        offset = first + int(bad.argmax()) * (4 + size)
+        raise CorruptPatternFile(offset, "triple names no canonical tile")
+    return PatternSet(n, members)

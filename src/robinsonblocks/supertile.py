@@ -79,14 +79,17 @@ class TileGrid:
 
     Coordinates are [row, col], 1-based, row 1 at top.  Cells may be
     empty (None) in partially built grids.  Grids are immutable after
-    construction.
+    construction; ids other than tile ids and EMPTY raise ValueError.
     """
 
     def __init__(self, ids: np.ndarray):
-        ids = np.asarray(ids, dtype=np.uint8)
+        ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("grid ids must be 2-dimensional")
-        self._ids = ids.copy()
+        tiles = np.count_nonzero((0 <= ids) & (ids < len(ALL_TILES)))
+        if tiles + np.count_nonzero(ids == EMPTY) != ids.size:
+            raise ValueError(f"grid ids must be tile ids below {len(ALL_TILES)} or EMPTY ({EMPTY})")
+        self._ids = ids.astype(np.uint8)
         self._ids.setflags(write=False)
 
     @classmethod
@@ -299,25 +302,23 @@ def validate(grid: TileGrid) -> ValidationReport:
     Violations are reported as data; empty cells are skipped (pairs and
     2x2 windows touching an empty cell are vacuously fine).
     """
-    ids = grid.ids
+    placed = grid.ids != EMPTY
+    ids = np.where(placed, grid.ids, 0)  # EMPTY reads as tile 0; ``placed`` masks it
     h, w = ids.shape
     violations = []
 
     if w > 1:
         a, b = ids[:, :-1], ids[:, 1:]
-        placed = (a != EMPTY) & (b != EMPTY)
-        bad = placed & ~EAST_OK[np.minimum(a, 31), np.minimum(b, 31)]
+        bad = placed[:, :-1] & placed[:, 1:] & ~EAST_OK[a, b]
         for r, c in zip(*np.nonzero(bad)):
             violations.append(Violation("adjacency", int(r) + 1, int(c) + 1, "east"))
     if h > 1:
         a, b = ids[:-1, :], ids[1:, :]
-        placed = (a != EMPTY) & (b != EMPTY)
-        bad = placed & ~SOUTH_OK[np.minimum(a, 31), np.minimum(b, 31)]
+        bad = placed[:-1, :] & placed[1:, :] & ~SOUTH_OK[a, b]
         for r, c in zip(*np.nonzero(bad)):
             violations.append(Violation("adjacency", int(r) + 1, int(c) + 1, "south"))
     if h > 1 and w > 1:
-        bumpy = BUMPY_IDS[np.minimum(ids, 31)] & (ids != EMPTY)
-        placed = ids != EMPTY
+        bumpy = BUMPY_IDS[ids] & placed
         window_placed = (
             placed[:-1, :-1] & placed[:-1, 1:] & placed[1:, :-1] & placed[1:, 1:]
         )

@@ -61,6 +61,9 @@ def test_bad_flags_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be >= 1" in err, argv
+    code, out, err = run_cli(capsys, "verify", "--n-min", "5", "--n-max", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_count_plain(capsys):
@@ -126,6 +129,15 @@ def test_cache_recreates_a_missing_middle_rank(capsys, tmp_path):
         middle.unlink()
         assert run_cli(capsys, *argv)[:2] == first[:2]
         assert middle.read_bytes() == blob
+
+
+def test_cache_file_for_another_n_exit_1(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    run_cli(capsys, "count", "--n", "2", "--cache", str(cache))
+    (cache / "patterns_n2_rank2.rbps").rename(cache / "patterns_n3_rank2.rbps")
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--restrict", "1,2", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err == "error: corrupt pattern-set file at byte 10: holds n=2 blocks, not n=3\n"
 
 
 def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):

@@ -100,12 +100,13 @@ def test_sibling_identities_posthoc_on_memo():
 
 def test_check_raises_on_a_corrupt_memo_entry():
     for memo in ("memo_A", "memo_B"):
-        table = RecurrenceTable()
-        table.A(40)
-        table.B(40)
-        getattr(table, memo)[10] += 1
-        with pytest.raises(ValueError, match=rf"{memo}\[10\]"):
-            table.check()
+        for n in (10, 1):
+            table = RecurrenceTable()
+            table.A(40)
+            table.B(40)
+            getattr(table, memo)[n] += 1
+            with pytest.raises(ValueError, match=rf"{memo}\[{n}\]"):
+                table.check()
 
 
 def test_coeff_examples():

@@ -1,8 +1,12 @@
 """Brute-force oracle tests: window dedup, stabilization, restricted
 counts, and the cache file format."""
 
+import itertools
+import struct
+
 import pytest
 
+from robinsonblocks.cli import main
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     BlockTooLarge,
@@ -22,7 +26,7 @@ from robinsonblocks.enumerator import (
     save_pattern_set,
 )
 from robinsonblocks.supertile import Pose, TileGrid, build
-from robinsonblocks.tileset import OrientedTile, Prototile
+from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
 
 FACINGS = [Pose(r, False) for r in range(4)]
 POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -193,6 +197,63 @@ def test_load_newer_version(tmp_path):
     with pytest.raises(PatternVersionMismatch) as exc:
         load_pattern_set(path)
     assert exc.value.found == FORMAT_VERSION + 1
+
+
+_CANONICAL = {(t.prototile, t.pose.rotation, int(t.pose.mirror)) for t in ALL_TILES}
+_STRAY_TRIPLE = next(
+    t for t in itertools.product(range(6), range(4), range(2)) if t not in _CANONICAL
+)
+
+
+# Each corrupts a sorted member list in place and returns the index of
+# the first record the loader must reject.
+def _short_member(members):
+    members[1] = members[1][:-3]
+    return 1
+
+
+def _swapped_members(members):
+    members[1], members[2] = members[2], members[1]
+    return 2
+
+
+def _triple(triple):
+    def put(members):
+        bad = bytes(triple) + members[1][3:]
+        members[1] = bad
+        members.sort()
+        return members.index(bad)
+
+    return put
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _short_member,
+        _swapped_members,
+        _triple((32, 0, 0)),
+        _triple((0, 4, 0)),
+        _triple((0, 0, 2)),
+        _triple(_STRAY_TRIPLE),
+    ],
+    ids=["length", "order", "prototile-range", "rotation-range", "mirror-range", "non-canonical"],
+)
+def test_load_rejects_bad_members(tmp_path, capsys, corrupt):
+    members = distinct_patterns(2, 2).members()
+    bad = corrupt(members)
+    header = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, 2, len(members))
+    path = tmp_path / "cache" / "patterns_n2_rank2.rbps"
+    path.parent.mkdir()
+    path.write_bytes(header + b"".join(struct.pack(">I", len(m)) + m for m in members))
+    with pytest.raises(CorruptPatternFile) as exc:
+        load_pattern_set(path)
+    assert exc.value.offset == len(header) + sum(4 + len(m) for m in members[:bad])
+    assert main(["count", "--n", "2", "--cache", str(path.parent)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: corrupt pattern-set file at byte")
+    assert captured.err.count("\n") == 1
 
 
 def test_count_report_csv_shape():

@@ -255,6 +255,13 @@ def test_json_field_shape_is_normative():
     assert isinstance(mirror, bool)
 
 
+@pytest.mark.parametrize("bad", [32, 40, 254, 256, -1])
+def test_grid_rejects_ids_that_name_no_tile(bad):
+    with pytest.raises(ValueError, match="tile ids"):
+        TileGrid([[0, bad], [2, 3]])
+    assert TileGrid([[0, EMPTY], [2, 31]]).tile_at(1, 2) is None
+
+
 def test_grids_are_immutable():
     g = build(2, "NE")
     with pytest.raises(ValueError):
