@@ -37,6 +37,9 @@ from .tileset import IDENTITY
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
+# The largest rank a flag accepts.  Building one rank-14 supertile peaks
+# at about 630 MB (rank 13: 180 MB), and each rank needs 4x the cells.
+MAX_RANK = 14
 
 
 def _err(msg: str) -> None:
@@ -54,6 +57,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _rank(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_RANK:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_RANK}, got {value}")
     return value
 
 
@@ -75,18 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("supertile", help="generate a supertile grid")
-    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--facing", choices=sorted(FACING_ROTATIONS), default="NE")
     p.add_argument("--out", choices=("svg", "json", "ascii"), default="ascii")
     p.add_argument("--output", type=Path, default=None, help="file path (default stdout)")
 
     p = sub.add_parser("count", help="stabilized distinct-block count")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK)
+    p.add_argument("--max-rank", type=_rank, default=DEFAULT_MAX_RANK)
     p.add_argument("--restrict", type=_parse_restrict, default=None, metavar="R,C")
     p.add_argument("--csv", type=Path, default=None)
     p.add_argument("--cache", type=Path, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="no effect; kept for compatibility"
+    )
 
     p = sub.add_parser("formula", help="evaluate a closed form exactly")
     p.add_argument("--n", type=int, required=True)
@@ -95,9 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs recurrence vs oracle")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK)
+    p.add_argument("--max-rank", type=_rank, default=DEFAULT_MAX_RANK)
     p.add_argument("--csv", type=Path, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="no effect; kept for compatibility"
+    )
 
     p = sub.add_parser("render", help="render a grid JSON dump to SVG")
     p.add_argument("--input", type=Path, required=True)
@@ -117,14 +131,14 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _cached_window_scan(n: int, max_rank: int, cache: Path, threads: int):
+def _cached_window_scan(n: int, max_rank: int, cache: Path):
     """Yield ``(rank, windows)`` for each rank the scan probes, as
     ``enumerator._window_scan`` does.  A rank is read from its ``.rbps``
     file in ``cache`` where that exists; otherwise the window scan runs
     as far as that rank and its set is saved there."""
     ranks = enumerator._ranks(n, max_rank)
     cache.mkdir(parents=True, exist_ok=True)
-    scan = enumerator._window_scan(n, ranks, IDENTITY, threads)
+    scan = enumerator._window_scan(n, ranks, IDENTITY)
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
@@ -159,9 +173,9 @@ def _cmd_count(args) -> int:
     n, cache = args.n, _cache_dir(args)
     if cache is None:
         ranks = enumerator._ranks(n, args.max_rank)
-        scan = enumerator._window_scan(n, ranks, IDENTITY, args.threads)
+        scan = enumerator._window_scan(n, ranks, IDENTITY)
     else:
-        scan = _cached_window_scan(n, args.max_rank, cache, args.threads)
+        scan = _cached_window_scan(n, args.max_rank, cache)
     value = enumerator._scan_value(n, args.restrict)
     report = enumerator._stabilize(n, args.max_rank, scan, value)
     if args.csv is not None:
@@ -209,7 +223,7 @@ def _cmd_verify(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         closed = closed_form_A(n)
         recur = table.A(n)
-        report = enumerator.count_stabilized(n, args.max_rank, workers=args.threads)
+        report = enumerator.count_stabilized(n, args.max_rank)
         oracle = report.count
         ok = report.stabilized and closed == recur == oracle
         all_ok &= ok

@@ -2,11 +2,10 @@
 supertiles, deduplicate the blocks exactly, and detect when the count
 stops growing with rank.
 
-Windows are deduplicated at the tile-id level (one byte per cell, ids
-already canonical); the externally visible Pattern bytes spell each
-cell out as its canonical (prototile, rotation, mirror) triple.  Both
-encodings sort identically, so member order is lexicographic either
-way.
+Windows are deduplicated at the tile-id level, as a set of n*n-byte
+rows (one byte per cell, ids already canonical); the externally visible
+Pattern bytes spell each cell out as its canonical (prototile, rotation,
+mirror) triple.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +37,8 @@ _TRIPLE_LUT = np.array(
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 
-# Rows of windows processed per dedup band; bounds peak memory while
-# keeping numpy batches large.
+# Rows of windows extracted per dedup band; bounds the size of the one
+# window array held at a time.
 _BAND_ROWS = 256
 
 
@@ -158,35 +156,30 @@ def _check_block_size(n: int, rank: int) -> None:
         )
 
 
-def _unique_windows(ids: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
-    """Distinct n-by-n windows of a tile-id array, as sorted unique rows.
+def _unique_windows(ids: np.ndarray, n: int) -> set:
+    """Distinct n-by-n windows of a tile-id array, as a set of n*n-byte
+    rows (the window's tile ids in row-major order).
 
-    Extraction is partitioned into row bands; each band is deduplicated
-    privately and the band results are merged, so the outcome is
-    bit-identical for any worker count.
+    This is the one window-dedup kernel: set membership compares the
+    row bytes for equality, so the dedup is exact.  Windows are
+    extracted one row band at a time, so only one band is ever held as
+    an array.
     """
-    h = ids.shape[0]
-    starts = list(range(0, h - n + 1, _BAND_ROWS))
-
-    def band(start):
-        stop = min(start + _BAND_ROWS + n - 1, h)
-        win = sliding_window_view(ids[start:stop], (n, n)).reshape(-1, n * n)
-        return np.unique(win, axis=0)
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(band, starts))
-    else:
-        parts = [band(s) for s in starts]
-    if len(parts) == 1:
-        return parts[0]
-    return np.unique(np.concatenate(parts), axis=0)
+    windows: set = set()
+    for start in range(0, ids.shape[0] - n + 1, _BAND_ROWS):
+        band = sliding_window_view(ids[start : start + _BAND_ROWS + n - 1], (n, n))
+        windows.update(row.tobytes() for row in band.reshape(-1, n * n))
+    return windows
 
 
-def _window_array(n: int, rank: int, facing: Pose, workers: int) -> np.ndarray:
+def _window_set(n: int, rank: int, facing: Pose) -> set:
     _check_block_size(n, rank)
-    grid = build_supertile(SupertileSpec(rank, facing))
-    return _unique_windows(grid.ids, n, workers)
+    return _unique_windows(build_supertile(SupertileSpec(rank, facing)).ids, n)
+
+
+def _id_rows(windows, n: int) -> np.ndarray:
+    """A window set from ``_unique_windows`` as one n*n-byte row per window."""
+    return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
 
 
 def _pattern_set(n: int, rows: np.ndarray) -> PatternSet:
@@ -212,22 +205,18 @@ def _windows(ps: PatternSet) -> set:
     return {row.tobytes() for row in rows}
 
 
-def distinct_patterns(
-    n: int, rank: int, facing: Pose = IDENTITY, workers: int = 1
-) -> PatternSet:
+def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
     """All distinct n-by-n windows of the rank-``rank`` supertile."""
-    return _pattern_set(n, _window_array(n, rank, facing, workers))
+    return _pattern_set(n, _id_rows(_window_set(n, rank, facing), n))
 
 
-def _cross_band_unique(ids: np.ndarray, n: int, workers: int) -> np.ndarray:
+def _cross_band_unique(ids: np.ndarray, n: int) -> set:
     """Distinct windows that touch the central row or central column."""
     s = ids.shape[0]
     c = (s - 1) // 2
     lo = max(0, c - n + 1)
     hi = min(c, s - n)
-    horiz = _unique_windows(ids[lo : hi + n, :], n, workers)
-    vert = _unique_windows(ids[:, lo : hi + n].copy(), n, workers)
-    return np.unique(np.concatenate([horiz, vert]), axis=0)
+    return _unique_windows(ids[lo : hi + n, :], n) | _unique_windows(ids[:, lo : hi + n], n)
 
 
 _FACINGS = tuple(Pose(r, False) for r in range(4))
@@ -240,7 +229,7 @@ def _ranks(n: int, k_max: int) -> range:
     return range(n.bit_length(), k_max + 1)
 
 
-def _window_scan(n: int, ranks: range, facing: Pose, workers: int):
+def _window_scan(n: int, ranks: range, facing: Pose):
     """Yield ``(rank, windows)`` for each of ``ranks``, where ``windows``
     is the set of distinct n-by-n windows of the ``facing`` supertile, as
     tile-id row bytes.
@@ -255,18 +244,10 @@ def _window_scan(n: int, ranks: range, facing: Pose, workers: int):
     union: set = set()
     for k in ranks:
         extract = _unique_windows if k == ranks.start else _cross_band_unique
-        per_facing = [
-            extract(build_supertile(SupertileSpec(k, f)).ids, n, workers)
-            for f in _FACINGS
-        ]
-        yield k, union | {row.tobytes() for row in per_facing[own]}
-        for rows in per_facing:
-            union.update(row.tobytes() for row in rows)
-
-
-def _id_rows(windows, n: int) -> np.ndarray:
-    """A window set from ``_window_scan`` as one n*n-byte row per window."""
-    return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
+        per_facing = [extract(build_supertile(SupertileSpec(k, f)).ids, n) for f in _FACINGS]
+        yield k, union | per_facing[own]
+        for windows in per_facing:
+            union |= windows
 
 
 def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
@@ -284,23 +265,21 @@ def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
     return CountReport(n, k_max, counts[-1][1], False, tuple(counts))
 
 
-def count_stabilized(
-    n: int, k_max: int, facing: Pose = IDENTITY, workers: int = 1
-) -> CountReport:
+def count_stabilized(n: int, k_max: int, facing: Pose = IDENTITY) -> CountReport:
     """Increase the rank until two consecutive ranks agree on the
     distinct-window count of the fixed-facing supertile.
 
     Non-stabilization within k_max is reported, not raised.
     """
-    scan = _window_scan(n, _ranks(n, k_max), facing, workers)
+    scan = _window_scan(n, _ranks(n, k_max), facing)
     return _stabilize(n, k_max, scan, len)
 
 
 def restricted_count_stabilized(
-    m: int, corner_pos, k_max: int, facing: Pose = IDENTITY, workers: int = 1
+    m: int, corner_pos, k_max: int, facing: Pose = IDENTITY
 ) -> CountReport:
     """Stabilization scan for a position-restricted count."""
-    scan = _window_scan(m, _ranks(m, k_max), facing, workers)
+    scan = _window_scan(m, _ranks(m, k_max), facing)
     return _stabilize(m, k_max, scan, _scan_value(m, corner_pos))
 
 
@@ -324,16 +303,10 @@ def _restricted_hits(bumpy: np.ndarray, m: int, corner_pos) -> int:
     return int((bumpy.reshape(-1, m, m) == want).all(axis=(1, 2)).sum())
 
 
-def restricted_count(
-    m: int,
-    corner_pos,
-    rank: int,
-    facing: Pose = IDENTITY,
-    workers: int = 1,
-) -> int:
+def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> int:
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    rows = _window_array(m, rank, facing, workers)
+    rows = _id_rows(_window_set(m, rank, facing), m)
     return _restricted_hits(BUMPY_IDS[rows], m, corner_pos)
 
 

@@ -156,10 +156,14 @@ class TileGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "TileGrid":
+        """Inverse of ``to_json``; a malformed document raises ValueError."""
         doc = json.loads(text)
-        width, height = doc["width"], doc["height"]
-        cells = doc["cells"]
-        if len(cells) != width * height:
+        if not isinstance(doc, dict) or not {"width", "height", "cells"} <= doc.keys():
+            raise ValueError("grid JSON must be an object with width, height and cells")
+        width, height, cells = doc["width"], doc["height"], doc["cells"]
+        if not (isinstance(width, int) and isinstance(height, int) and min(width, height) >= 0):
+            raise ValueError("grid JSON width and height must be non-negative integers")
+        if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
         key_to_proto = {p.key: p for p in Prototile}
         rows = []
@@ -169,9 +173,15 @@ class TileGrid:
                 entry = cells[r * width + c]
                 if entry is None:
                     row.append(None)
-                else:
+                    continue
+                try:
                     name, rot, mirror = entry
                     row.append(OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror))))
+                except (KeyError, TypeError, ValueError):
+                    raise ValueError(
+                        f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "
+                        f"triple naming a prototile: {entry!r}"
+                    ) from None
             rows.append(row)
         return cls.from_tiles(rows)
 

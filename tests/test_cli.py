@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from robinsonblocks.cli import main
+from robinsonblocks.cli import MAX_RANK, main
 from robinsonblocks.enumerator import PatternSet
 from robinsonblocks.render import parse_ascii
 from robinsonblocks.supertile import build
@@ -61,6 +61,16 @@ def test_bad_flags_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be >= 1" in err, argv
+    for flag in (
+        ("supertile", "--rank"),
+        ("count", "--n", "2", "--max-rank"),
+        ("verify", "--n-max", "3", "--max-rank"),
+    ):
+        for value in (MAX_RANK + 1, 10**9):
+            argv = (*flag, str(value))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"must be <= {MAX_RANK}" in err, argv
     code, out, err = run_cli(capsys, "verify", "--n-min", "5", "--n-max", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
@@ -230,6 +240,27 @@ def test_render_from_json(capsys, tmp_path):
     assert code == 0
     text = svg_path.read_text()
     assert "</svg>" in text and "<rect" in text
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"width":1,"height":1,"cells":[["zz",0,false]]}',
+        '{"width":1,"height":1}',
+        '[["bumpy_corner",0,false]]',
+        '{"width":1,"height":1,"cells":[7]}',
+        '{"width":1,"height":1,"cells":[["bumpy_corner",[1],false]]}',
+    ],
+    ids=["unknown-prototile", "no-cells", "top-level-array", "cell-not-a-list", "rotation-not-int"],
+)
+def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(doc)
+    svg_path = tmp_path / "grid.svg"
+    code, out, err = run_cli(capsys, "render", "--input", str(grid_path), "--out", str(svg_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: grid JSON") and err.count("\n") == 1
+    assert not svg_path.exists()
 
 
 def test_stdout_byte_identical_across_runs_and_threads(capsys):

@@ -4,7 +4,9 @@ counts, and the cache file format."""
 import itertools
 import struct
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from robinsonblocks.cli import main
 from robinsonblocks.complexity import closed_form_A
@@ -25,6 +27,7 @@ from robinsonblocks.enumerator import (
     restricted_count_stabilized,
     save_pattern_set,
 )
+from robinsonblocks.enumerator import _BAND_ROWS, _unique_windows
 from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
 
@@ -67,6 +70,39 @@ def test_incremental_counts_equal_plain_extraction():
             rep = restricted_count_stabilized(n, pos, 8)
             for rank, count in rep.counts_by_rank:
                 assert count == restricted_count(n, pos, rank)
+
+
+def _reference_rows(ids, n):
+    """Distinct n-by-n windows of ``ids`` by an independent method: one
+    sort over every window row at once, no bands, no sets."""
+    return np.unique(sliding_window_view(ids, (n, n)).reshape(-1, n * n), axis=0)
+
+
+def test_dedup_kernel_matches_a_sort_over_all_windows():
+    triples = np.array(
+        [[t.prototile, t.pose.rotation, int(t.pose.mirror)] for t in ALL_TILES], dtype=np.uint8
+    )
+    ids = build(9).ids
+    for n in (2, 3):
+        assert ids.shape[0] - n + 1 > _BAND_ROWS  # a band boundary is crossed
+        expected = sorted(triples[row].tobytes() for row in _reference_rows(ids, n))
+        assert distinct_patterns(n, 9).members() == expected
+    # Nearly every window of random ids is distinct, so a window lost at
+    # any band boundary shows.
+    rng = np.random.default_rng(0)
+    noise = rng.integers(0, len(ALL_TILES), (2 * _BAND_ROWS + 7, 40), dtype=np.uint8)
+    for n in (1, 2, 3):
+        assert _unique_windows(noise, n) == {row.tobytes() for row in _reference_rows(noise, n)}
+
+
+def test_dedup_kernel_on_a_non_contiguous_cross_strip():
+    n = 3
+    ids = build(9).ids
+    c = (ids.shape[0] - 1) // 2
+    strip = ids[:, c - n + 1 : c + n]
+    assert not strip.flags.c_contiguous
+    expected = {row.tobytes() for row in _reference_rows(strip, n)}
+    assert _unique_windows(strip, n) == expected
 
 
 def test_non_stabilization_is_reported_not_raised():
@@ -263,13 +299,6 @@ def test_count_report_csv_shape():
     assert lines[0] == "n,rank,count,stabilized"
     assert lines[-1].endswith("true")
     assert len(lines) == len(rep.counts_by_rank) + 1
-
-
-def test_worker_count_does_not_change_results():
-    single = count_stabilized(3, 9, workers=1)
-    multi = count_stabilized(3, 9, workers=4)
-    assert single == multi
-    assert distinct_patterns(3, 6, workers=1) == distinct_patterns(3, 6, workers=3)
 
 
 def test_pattern_rejects_wrong_length():
