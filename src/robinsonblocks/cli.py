@@ -282,6 +282,9 @@ def main(argv=None) -> int:
     ) as exc:
         _err(str(exc))
         return 1
+    except MemoryError:
+        _err(f"{args.command}: out of memory")
+        return 1
 
 
 if __name__ == "__main__":

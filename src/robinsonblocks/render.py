@@ -20,6 +20,9 @@ from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
 _CHAR_TO_ID = {c: i for i, c in enumerate(ASCII_ALPHABET)}
+# ``bytes.translate`` table from a uint8 id to its character; "." for
+# EMPTY (ids above the alphabet never occur in a TileGrid).
+_ID_TO_CHAR = (ASCII_ALPHABET + "." * (256 - len(ASCII_ALPHABET))).encode("ascii")
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
@@ -38,13 +41,9 @@ class RenderStyle:
 
 def render_ascii(grid: TileGrid) -> str:
     """One character per cell, row per line; lossless w.r.t. tile identity."""
-    lines = []
-    for r in range(grid.height):
-        row = grid.ids[r]
-        lines.append(
-            "".join("." if v == EMPTY else ASCII_ALPHABET[v] for v in row)
-        )
-    return "\n".join(lines) + "\n"
+    text = grid.ids.tobytes().translate(_ID_TO_CHAR).decode("ascii")
+    w = grid.width
+    return "\n".join(text[r * w : (r + 1) * w] for r in range(grid.height)) + "\n"
 
 
 def parse_ascii(text: str) -> TileGrid:

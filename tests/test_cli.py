@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from robinsonblocks import cli
 from robinsonblocks.cli import MAX_RANK, main
 from robinsonblocks.enumerator import PatternSet
 from robinsonblocks.render import parse_ascii
@@ -228,6 +229,19 @@ def test_supertile_svg(capsys):
     code, out, _ = run_cli(capsys, "supertile", "--rank", "2", "--out", "svg")
     assert code == 0
     assert out.startswith("<?xml") and "</svg>" in out
+
+
+@pytest.mark.parametrize("out", ["ascii", "json", "svg"])
+def test_supertile_out_of_memory_is_one_error_line(capsys, monkeypatch, out):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "render_ascii", exhausted)
+    monkeypatch.setattr(cli, "render_svg", exhausted)
+    monkeypatch.setattr(cli.TileGrid, "to_json", exhausted)
+    code, stdout, err = run_cli(capsys, "supertile", "--rank", "2", "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == "error: supertile: out of memory\n"
 
 
 def test_render_from_json(capsys, tmp_path):

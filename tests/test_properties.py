@@ -1,0 +1,74 @@
+"""Property tests: grid JSON and ASCII codecs and the .rbps cache round
+trip on random inputs."""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+from robinsonblocks.enumerator import _pattern_set, _windows, load_pattern_set, save_pattern_set
+from robinsonblocks.render import ASCII_ALPHABET, parse_ascii, render_ascii
+from robinsonblocks.supertile import EMPTY, TileGrid
+from robinsonblocks.tileset import ALL_TILES
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+CELL_IDS = st.sampled_from([*range(len(ALL_TILES)), EMPTY])
+
+
+@st.composite
+def grids(draw, min_side=1):
+    h = draw(st.integers(min_side, 9))
+    w = draw(st.integers(min_side, 9))
+    cells = draw(st.lists(CELL_IDS, min_size=h * w, max_size=h * w))
+    return TileGrid(np.array(cells, dtype=np.uint8).reshape(h, w))
+
+
+@given(grids(min_side=0))
+def test_json_matches_json_dumps_of_the_cell_list(grid):
+    cells = [
+        None if t is None else [t.prototile.key, t.pose.rotation, t.pose.mirror]
+        for t in grid.cells()
+    ]
+    doc = {"width": grid.width, "height": grid.height, "cells": cells}
+    assert grid.to_json() == json.dumps(doc, separators=(",", ":"))
+
+
+@given(grids())
+def test_json_round_trip(grid):
+    assert TileGrid.from_json(grid.to_json()) == grid
+
+
+@given(grids())
+def test_ascii_matches_one_character_per_cell_and_round_trips(grid):
+    lines = ("".join("." if v == EMPTY else ASCII_ALPHABET[v] for v in row) for row in grid.ids)
+    text = render_ascii(grid)
+    assert text == "\n".join(lines) + "\n"
+    assert parse_ascii(text) == grid
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(0, len(ALL_TILES) - 1), min_size=n * n, max_size=n * n),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_rbps_save_load_round_trip(case):
+    n, windows = case
+    rows = np.array(windows, dtype=np.uint8).reshape(-1, n * n)
+    ps = _pattern_set(n, rows)
+    assert ps.count == len({row.tobytes() for row in rows})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.rbps")
+        save_pattern_set(ps, path)
+        loaded = load_pattern_set(path)
+    assert loaded == ps
+    assert _windows(loaded) == {row.tobytes() for row in rows}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_layouts
+from robinsonblocks import supertile
 from robinsonblocks.supertile import (
     EMPTY,
     CrossAmbiguous,
@@ -14,12 +15,17 @@ from robinsonblocks.supertile import (
     Pose,
     SupertileSpec,
     TileGrid,
+    _candidates,
     build,
     build_supertile,
     solve_cross_cell,
     validate,
 )
 from robinsonblocks.tileset import (
+    ALL_TILES,
+    BUMPY_IDS,
+    EAST_OK,
+    SOUTH_OK,
     OrientedTile,
     Prototile,
     Side,
@@ -266,3 +272,100 @@ def test_grids_are_immutable():
     g = build(2, "NE")
     with pytest.raises(ValueError):
         g.ids[0, 0] = 3
+
+
+def _reference_candidates(ids, r, c):
+    """The matching rules evaluated directly on the grid, one neighbour
+    at a time, with no memo: the per-cell form the rule memo replaced."""
+    h, w = ids.shape
+    ok = np.ones(len(ALL_TILES), dtype=bool)
+    if r > 0 and ids[r - 1, c] != EMPTY:
+        ok &= SOUTH_OK[ids[r - 1, c], :]
+    if r < h - 1 and ids[r + 1, c] != EMPTY:
+        ok &= SOUTH_OK[:, ids[r + 1, c]]
+    if c > 0 and ids[r, c - 1] != EMPTY:
+        ok &= EAST_OK[ids[r, c - 1], :]
+    if c < w - 1 and ids[r, c + 1] != EMPTY:
+        ok &= EAST_OK[:, ids[r, c + 1]]
+    for r0 in (r - 1, r):
+        for c0 in (c - 1, c):
+            if not (0 <= r0 and r0 + 1 < h and 0 <= c0 and c0 + 1 < w):
+                continue
+            others = [
+                ids[rr, cc] for rr in (r0, r0 + 1) for cc in (c0, c0 + 1) if (rr, cc) != (r, c)
+            ]
+            if EMPTY in others:
+                continue
+            bumpy = sum(bool(BUMPY_IDS[i]) for i in others)
+            ok &= BUMPY_IDS if bumpy == 0 else ~BUMPY_IDS if bumpy == 1 else False
+    return tuple(int(i) for i in np.nonzero(ok)[0])
+
+
+def _cross_cells(rank):
+    """Cross cells of a rank-``rank`` supertile in build order, 0-based."""
+    cc = (1 << (rank - 1)) - 1
+    for d in range(1, cc + 1):
+        yield from ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d))
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+def test_rule_memo_matches_a_direct_evaluation(facing, monkeypatch):
+    # Re-solve every cross cell of ranks <= 6 in build order, from the
+    # neighbourhood the build saw (outer cross cells still empty), and in
+    # the finished grid (every neighbour placed).
+    for rank in range(2, 7):
+        done = build(rank, facing).ids
+        ids = np.array(done)
+        cross = list(_cross_cells(rank))
+        for r, c in cross:
+            ids[r, c] = EMPTY
+        for state in ("build order", "finished"):
+            for r, c in cross:
+                memoised = _candidates(ids, r, c)
+                with monkeypatch.context() as m:
+                    m.setattr(supertile, "_RULE_MEMO", {})
+                    fresh = _candidates(ids, r, c)
+                assert memoised == fresh == _reference_candidates(ids, r, c), (state, r, c)
+                assert memoised == (done[r, c],), (state, r, c)
+                ids[r, c] = done[r, c]
+            assert np.array_equal(ids, done)
+
+
+def test_rule_memo_on_random_partial_grids(monkeypatch):
+    # Every cell of small random grids, half their cells empty: the memo
+    # key must carry every neighbour the rule reads, the grid border
+    # included, and a second lookup (a memo hit) must agree.
+    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        h, w = rng.integers(1, 5, size=2)
+        ids = rng.integers(0, len(ALL_TILES), (h, w)).astype(np.uint8)
+        ids[rng.random((h, w)) < 0.5] = EMPTY
+        for r in range(h):
+            for c in range(w):
+                expected = _reference_candidates(ids, r, c)
+                assert _candidates(ids, r, c) == expected == _candidates(ids, r, c)
+
+
+def test_builds_with_cleared_memos_match_the_reference_layouts(monkeypatch):
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    for facing in FACINGS:
+        assert build(2, facing) == grid_from_literals(reference_layouts.RANK2[facing])
+    assert build(3, "NE") == grid_from_literals(reference_layouts.rank3_ne())
+    for rank in range(1, 7):
+        for facing in FACINGS:
+            assert validate(build(rank, facing)).ok
+
+
+def test_a_memo_hit_never_hides_a_cross_error():
+    b = OrientedTile(Prototile.BUMPY_CORNER, Pose(0, False))
+    unsolvable = TileGrid.from_tiles([[None, b, None], [b, None, b], [None, b, None]])
+    ambiguous = TileGrid.from_tiles([[OrientedTile(Prototile.CORNER), None]])
+    for _ in range(2):
+        with pytest.raises(CrossUnsolvable) as exc:
+            solve_cross_cell(unsolvable, (2, 2))
+        assert exc.value.pos == (2, 2)
+        with pytest.raises(CrossAmbiguous) as exc:
+            solve_cross_cell(ambiguous, (1, 2))
+        assert exc.value.pos == (1, 2) and len(exc.value.candidates) > 1
