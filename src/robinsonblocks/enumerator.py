@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .supertile import EMPTY, SupertileSpec, TileGrid, build_supertile
+from .supertile import EMPTY, FACING_ROTATIONS, SupertileSpec, TileGrid, _build_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -37,13 +37,13 @@ _TRIPLE_LUT = np.array(
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 
-# Rows of windows extracted per dedup band; bounds the size of the one
-# window array held at a time.
-_BAND_ROWS = 256
-# Rows turned into bytes objects per ``tolist`` call.  Bounds the transient
+# Columns of windows extracted per dedup band; bounds the size of the one
+# band array held at a time.
+_BAND_COLS = 256
+# Keys turned into bytes objects per ``tolist`` call.  Bounds the transient
 # list, which would otherwise double a band's footprint; the n=2..16 sweep
 # peaks 1 MB higher with 4096 and runs no faster.
-_BYTES_ROWS = 256
+_BYTES_KEYS = 256
 
 
 class BlockTooLarge(ValueError):
@@ -160,15 +160,23 @@ def _check_block_size(n: int, rank: int) -> None:
         )
 
 
+def _add_keys(out: set, keys: np.ndarray) -> set:
+    """Add each element of a 2-D void array to ``out`` as a ``bytes``
+    object and return ``out``.  ``tolist`` builds the bytes in C, on
+    slices of at most ``_BYTES_KEYS`` keys."""
+    rows, cols = keys.shape
+    step = max(1, _BYTES_KEYS // max(cols, 1))  # whole rows per slice
+    for r in range(0, rows, step):
+        for c in range(0, cols, _BYTES_KEYS):
+            out.update(*keys[r : r + step, c : c + _BYTES_KEYS].tolist())
+    return out
+
+
 def _add_rows(out: set, rows: np.ndarray) -> set:
     """Add each row of a 2-D uint8 array to ``out`` as a ``bytes`` object
-    and return ``out``.  Viewing a row as one void scalar lets ``tolist``
-    build the bytes in C, ``_BYTES_ROWS`` rows at a time."""
+    and return ``out``, viewing each row as one void scalar."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
-    for start in range(0, len(keys), _BYTES_ROWS):
-        out.update(keys[start : start + _BYTES_ROWS].tolist())
-    return out
+    return _add_keys(out, rows.view(np.dtype((np.void, rows.shape[1]))).reshape(1, -1))
 
 
 def _unique_windows(ids: np.ndarray, n: int) -> set:
@@ -176,20 +184,34 @@ def _unique_windows(ids: np.ndarray, n: int) -> set:
     rows (the window's tile ids in row-major order).
 
     This is the one window-dedup kernel: set membership compares the
-    row bytes for equality, so the dedup is exact.  Windows are
-    extracted one row band at a time, so only one band is ever held as
-    an array.
+    row bytes for equality, so the dedup is exact.  Windows are keyed in
+    place: for each band of columns, ``runs[c]`` holds the n-wide column
+    strip starting at column c, row-major, so window (r, c) is the n*n
+    contiguous bytes starting at ``runs[c, r]``, and a strided void view
+    hands those bytes to ``tolist`` without copying each window.  Only
+    one band (n bytes per cell) is held at a time.
     """
     windows: set = set()
-    for start in range(0, ids.shape[0] - n + 1, _BAND_ROWS):
-        band = sliding_window_view(ids[start : start + _BAND_ROWS + n - 1], (n, n))
-        _add_rows(windows, band.reshape(-1, n * n))
+    height = ids.shape[0]
+    if height < n:
+        return windows
+    for start in range(0, ids.shape[1] - n + 1, _BAND_COLS):
+        cols = ids[:, start : start + _BAND_COLS + n - 1]
+        runs = np.ascontiguousarray(sliding_window_view(cols, n, axis=1).transpose(1, 0, 2))
+        keys = np.ndarray(
+            (runs.shape[0], height - n + 1),
+            dtype=np.dtype((np.void, n * n)),
+            buffer=runs,
+            strides=(runs.strides[0], n),
+        )
+        _add_keys(windows, keys)
     return windows
 
 
 def _window_set(n: int, rank: int, facing: Pose) -> set:
     _check_block_size(n, rank)
-    return _unique_windows(build_supertile(SupertileSpec(rank, facing)).ids, n)
+    spec = SupertileSpec(rank, facing)  # rejects a mirrored facing
+    return _unique_windows(_build_ids(rank, spec.pose.rotation), n)
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -234,9 +256,6 @@ def _cross_band_unique(ids: np.ndarray, n: int) -> set:
     return _unique_windows(ids[lo : hi + n, :], n) | _unique_windows(ids[:, lo : hi + n], n)
 
 
-_FACINGS = tuple(Pose(r, False) for r in range(4))
-
-
 def _ranks(n: int, k_max: int) -> range:
     """The ranks a stabilization scan probes: from the first whose
     supertile can host an n-by-n block, through ``k_max``."""
@@ -254,15 +273,22 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     quadrants are exactly the four facings of rank k.  So the union over
     facings of rank k plus this facing's own cross-touching windows is
     the rank-(k+1) set, while only cross-touching windows are extracted.
+
+    Rank k is yielded as soon as its own facing is extracted.  The other
+    three facings are built and extracted only when the scan is resumed,
+    each folded into the union as it comes, so a scan that stops at its
+    plateau never builds them at its last rank.
     """
-    own = _FACINGS.index(facing)
+    own = SupertileSpec(ranks.start, facing).pose.rotation
     union: set = set()
     for k in ranks:
         extract = _unique_windows if k == ranks.start else _cross_band_unique
-        per_facing = [extract(build_supertile(SupertileSpec(k, f)).ids, n) for f in _FACINGS]
-        yield k, union | per_facing[own]
-        for windows in per_facing:
-            union |= windows
+        windows = extract(_build_ids(k, own), n)
+        yield k, union | windows
+        union |= windows
+        for f in FACING_ROTATIONS.values():
+            if f != own:
+                union |= extract(_build_ids(k, f), n)
 
 
 def _stabilize(n: int, k_max: int, scan, value) -> CountReport:

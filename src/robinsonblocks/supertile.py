@@ -34,6 +34,7 @@ from .tileset import (
 )
 
 EMPTY = 255
+_EMPTY_BYTE = bytes([EMPTY])
 
 # Facing = the diagonal the corner decoration points at, as a rotation of
 # the identity (north-east) orientation, counter-clockwise.
@@ -167,45 +168,40 @@ class TileGrid:
         if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
         key_to_proto = {p.key: p for p in Prototile}
-        rows = []
-        for r in range(height):
-            row = []
-            for c in range(width):
-                entry = cells[r * width + c]
-                if entry is None:
-                    row.append(None)
-                    continue
-                try:
-                    name, rot, mirror = entry
-                    row.append(OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror))))
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(
-                        f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "
-                        f"triple naming a prototile: {entry!r}"
-                    ) from None
-            rows.append(row)
-        return cls.from_tiles(rows)
+        ids = np.full((height, width), EMPTY, dtype=np.uint8)
+        for i, entry in enumerate(cells):
+            if entry is None:
+                continue
+            r, c = divmod(i, width)
+            try:
+                name, rot, mirror = entry
+                tile = OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror)))
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "
+                    f"triple naming a prototile: {entry!r}"
+                ) from None
+            ids[r, c] = tile_id(tile)
+        return cls(ids)
 
 
-def _candidates(ids: np.ndarray, r: int, c: int) -> tuple:
-    """Tile ids compatible with every placed neighbour of cell (r, c), 0-based.
+def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
+    """Tile ids compatible with every placed neighbour of cell (r, c),
+    0-based, of a grid given as ``padded``, the grid inside a one-cell
+    EMPTY border (so the cell sits at ``padded[r + 1, c + 1]``).
 
     Applies both local rules: arrow matching against the four neighbours
     and the exactly-one-bumpy-corner parity over every fully placed 2x2
     window through the cell (the rule that separates bumpy corners from
     plain ones, whose arrows agree).  The rules read only the cell's 3x3
     neighbourhood, taken as 9 bytes in which the cell itself and cells
-    outside the grid read as EMPTY: an EMPTY neighbour adds no arrow
-    constraint, and a 2x2 window touching one is skipped.  So the rules
-    run once per distinct neighbourhood, and ``_RULE_MEMO`` keeps the
-    result.
+    outside the grid (the border) read as EMPTY: an EMPTY neighbour adds
+    no arrow constraint, and a 2x2 window touching one is skipped.  So
+    the rules run once per distinct neighbourhood, and ``_RULE_MEMO``
+    keeps the result.
     """
-    h, w = ids.shape
-    r0, r1, c0, c1 = max(r - 1, 0), min(r + 2, h), max(c - 1, 0), min(c + 2, w)
-    block = np.full((3, 3), EMPTY, dtype=np.uint8)
-    block[r0 - r + 1 : r1 - r + 1, c0 - c + 1 : c1 - c + 1] = ids[r0:r1, c0:c1]
-    block[1, 1] = EMPTY
-    nb = block.tobytes()
+    block = padded[r : r + 3, c : c + 3].tobytes()
+    nb = block[:4] + _EMPTY_BYTE + block[5:]
     cands = _RULE_MEMO.get(nb)
     if cands is not None:
         return cands
@@ -235,10 +231,10 @@ def _candidates(ids: np.ndarray, r: int, c: int) -> tuple:
     return cands
 
 
-def _solve(ids: np.ndarray, r: int, c: int) -> int:
-    """The one tile id fitting 0-based cell (r, c).  Errors carry the
-    1-based position."""
-    cands = _candidates(ids, r, c)
+def _solve(padded: np.ndarray, r: int, c: int) -> int:
+    """The one tile id fitting 0-based cell (r, c), read from ``padded``
+    as ``_candidates`` does.  Errors carry the 1-based position."""
+    cands = _candidates(padded, r, c)
     if not cands:
         raise CrossUnsolvable((r + 1, c + 1))
     if len(cands) > 1:
@@ -249,7 +245,11 @@ def _solve(ids: np.ndarray, r: int, c: int) -> int:
 def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
     """The unique tile fitting ``pos`` (1-based [row, col]) given the
     already-placed neighbours.  Raises CrossUnsolvable / CrossAmbiguous."""
-    return tile_from_id(_solve(partial.ids, pos[0] - 1, pos[1] - 1))
+    row, col = pos
+    if not (1 <= row <= partial.height and 1 <= col <= partial.width):
+        raise ValueError(f"cell {list(pos)} lies outside {partial!r}")
+    padded = np.pad(partial.ids, 1, constant_values=EMPTY)
+    return tile_from_id(_solve(padded, row - 1, col - 1))
 
 
 _BUILD_MEMO: dict = {}
@@ -265,29 +265,28 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
     if memo is not None:
         return memo
 
+    # Built with a one-cell EMPTY border, so every cross cell's 3x3
+    # neighbourhood is one slice; the memo keeps the interior view.
+    side = (1 << rank) - 1
+    padded = np.full((side + 2, side + 2), EMPTY, dtype=np.uint8)
     if rank == 1:
-        ids = np.array(
-            [[tile_id(OrientedTile(Prototile.BUMPY_CORNER, Pose(facing, False)))]],
-            dtype=np.uint8,
-        )
+        padded[1, 1] = tile_id(OrientedTile(Prototile.BUMPY_CORNER, Pose(facing, False)))
     else:
-        side = (1 << rank) - 1
-        m = 1 << (rank - 1)  # 1-based center index; 0-based is m-1
-        ids = np.full((side, side), EMPTY, dtype=np.uint8)
+        m = 1 << (rank - 1)  # 1-based center index, and its index in ``padded``
         # Quadrants always face the center, regardless of the outer facing.
-        ids[: m - 1, : m - 1] = _build_ids(rank - 1, FACING_ROTATIONS["SE"])
-        ids[: m - 1, m:] = _build_ids(rank - 1, FACING_ROTATIONS["SW"])
-        ids[m:, : m - 1] = _build_ids(rank - 1, FACING_ROTATIONS["NE"])
-        ids[m:, m:] = _build_ids(rank - 1, FACING_ROTATIONS["NW"])
+        padded[1:m, 1:m] = _build_ids(rank - 1, FACING_ROTATIONS["SE"])
+        padded[1:m, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["SW"])
+        padded[m + 1 : -1, 1:m] = _build_ids(rank - 1, FACING_ROTATIONS["NE"])
+        padded[m + 1 : -1, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["NW"])
         cc = m - 1
-        ids[cc, cc] = tile_id(OrientedTile(Prototile.CORNER, Pose(facing, False)))
+        padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, Pose(facing, False)))
         # Center first, then outward along each half-row/half-column, so
         # every cross cell sees at least two placed neighbours.
         for d in range(1, m):
             for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
-                ids[r, c] = _solve(ids, r, c)
-
-    ids.setflags(write=False)
+                padded[r + 1, c + 1] = _solve(padded, r, c)
+    padded.setflags(write=False)
+    ids = padded[1:-1, 1:-1]
     _BUILD_MEMO[key] = ids
     return ids
 

@@ -27,7 +27,8 @@ from robinsonblocks.enumerator import (
     restricted_count_stabilized,
     save_pattern_set,
 )
-from robinsonblocks.enumerator import _BAND_ROWS, _unique_windows
+from robinsonblocks import supertile
+from robinsonblocks.enumerator import _BAND_COLS, _unique_windows
 from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
 
@@ -84,15 +85,18 @@ def test_dedup_kernel_matches_a_sort_over_all_windows():
     )
     ids = build(9).ids
     for n in (2, 3):
-        assert ids.shape[0] - n + 1 > _BAND_ROWS  # a band boundary is crossed
+        assert ids.shape[1] - n + 1 > _BAND_COLS  # a band boundary is crossed
         expected = sorted(triples[row].tobytes() for row in _reference_rows(ids, n))
         assert distinct_patterns(n, 9).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
-    # any band boundary shows.
+    # any band boundary, or at either edge of the array, shows.
     rng = np.random.default_rng(0)
-    noise = rng.integers(0, len(ALL_TILES), (2 * _BAND_ROWS + 7, 40), dtype=np.uint8)
-    for n in (1, 2, 3):
-        assert _unique_windows(noise, n) == {row.tobytes() for row in _reference_rows(noise, n)}
+    tall = rng.integers(0, len(ALL_TILES), (2 * _BAND_COLS + 7, 40), dtype=np.uint8)
+    wide = rng.integers(0, len(ALL_TILES), (40, 2 * _BAND_COLS + 7), dtype=np.uint8)
+    for noise in (tall, wide):
+        for n in (1, 2, 3):
+            expected = {row.tobytes() for row in _reference_rows(noise, n)}
+            assert _unique_windows(noise, n) == expected
 
 
 def test_dedup_kernel_on_a_non_contiguous_cross_strip():
@@ -103,6 +107,34 @@ def test_dedup_kernel_on_a_non_contiguous_cross_strip():
     assert not strip.flags.c_contiguous
     expected = {row.tobytes() for row in _reference_rows(strip, n)}
     assert _unique_windows(strip, n) == expected
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+@pytest.mark.parametrize("pos", [None, *POSITIONS])
+def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monkeypatch):
+    # The plateau rank is the largest rank probed, so once the scan stops
+    # there, only its own facing has been built at that rank.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    if pos is None:
+        rep = count_stabilized(8, 11, facing)
+    else:
+        rep = restricted_count_stabilized(8, pos, 11, facing)
+    assert rep.stabilized
+    built = {f for k, f in supertile._BUILD_MEMO if k == rep.rank_used}
+    assert built == {facing.rotation}
+    assert not any(k > rep.rank_used for k, _ in supertile._BUILD_MEMO)
+
+
+def test_mirrored_facing_is_rejected():
+    mirrored = Pose(1, True)
+    for call in (
+        lambda: distinct_patterns(2, 3, mirrored),
+        lambda: restricted_count(2, (1, 1), 3, mirrored),
+        lambda: count_stabilized(2, 5, mirrored),
+        lambda: restricted_count_stabilized(2, (1, 1), 5, mirrored),
+    ):
+        with pytest.raises(ValueError, match="restricted to the 4 rotations"):
+            call()
 
 
 def test_non_stabilization_is_reported_not_raised():

@@ -1,5 +1,5 @@
-"""Property tests: grid JSON and ASCII codecs and the .rbps cache round
-trip on random inputs."""
+"""Property tests: grid JSON and ASCII codecs, the .rbps cache round
+trip and supertile validation on random inputs."""
 
 import json
 import os
@@ -10,11 +10,11 @@ import pytest
 
 from robinsonblocks.enumerator import _pattern_set, _windows, load_pattern_set, save_pattern_set
 from robinsonblocks.render import ASCII_ALPHABET, parse_ascii, render_ascii
-from robinsonblocks.supertile import EMPTY, TileGrid
+from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, TileGrid, build, validate
 from robinsonblocks.tileset import ALL_TILES
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 CELL_IDS = st.sampled_from([*range(len(ALL_TILES)), EMPTY])
 
@@ -37,7 +37,7 @@ def test_json_matches_json_dumps_of_the_cell_list(grid):
     assert grid.to_json() == json.dumps(doc, separators=(",", ":"))
 
 
-@given(grids())
+@given(grids(min_side=0))
 def test_json_round_trip(grid):
     assert TileGrid.from_json(grid.to_json()) == grid
 
@@ -72,3 +72,20 @@ def test_rbps_save_load_round_trip(case):
         loaded = load_pattern_set(path)
     assert loaded == ps
     assert _windows(loaded) == {row.tobytes() for row in rows}
+
+
+@st.composite
+def substitutions(draw):
+    """A supertile of rank 2..5 with one cell swapped for another tile."""
+    grid = build(draw(st.integers(2, 5)), draw(st.sampled_from(sorted(FACING_ROTATIONS))))
+    r = draw(st.integers(0, grid.height - 1))
+    c = draw(st.integers(0, grid.width - 1))
+    ids = np.array(grid.ids)
+    ids[r, c] = draw(st.integers(0, len(ALL_TILES) - 1).filter(lambda t: t != ids[r, c]))
+    return TileGrid(ids)
+
+
+@settings(max_examples=200)
+@given(substitutions())
+def test_validate_flags_every_single_cell_substitution(grid):
+    assert not validate(grid).ok

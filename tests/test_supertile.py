@@ -214,6 +214,13 @@ def test_cross_ambiguous_when_underconstrained():
     assert len(exc.value.candidates) > 1
 
 
+@pytest.mark.parametrize("pos", [(0, 1), (1, 0), (3, 1), (1, 4), (-1, 2)])
+def test_solve_rejects_a_cell_outside_the_grid(pos):
+    partial = TileGrid.from_tiles([[OrientedTile(Prototile.CORNER), None, None]] * 2)
+    with pytest.raises(ValueError, match="outside"):
+        solve_cross_cell(partial, pos)
+
+
 def test_border_side_arrows_concentrate_at_facing_midpoints():
     # The supertile acts as a scaled corner tile: its border shows side
     # arrows only at the midpoint cells of the two facing sides; every
@@ -301,6 +308,11 @@ def _reference_candidates(ids, r, c):
     return tuple(int(i) for i in np.nonzero(ok)[0])
 
 
+def _padded(ids):
+    """``ids`` inside a one-cell EMPTY border, the grid form ``_candidates`` reads."""
+    return np.pad(ids, 1, constant_values=EMPTY)
+
+
 def _cross_cells(rank):
     """Cross cells of a rank-``rank`` supertile in build order, 0-based."""
     cc = (1 << (rank - 1)) - 1
@@ -321,10 +333,10 @@ def test_rule_memo_matches_a_direct_evaluation(facing, monkeypatch):
             ids[r, c] = EMPTY
         for state in ("build order", "finished"):
             for r, c in cross:
-                memoised = _candidates(ids, r, c)
+                memoised = _candidates(_padded(ids), r, c)
                 with monkeypatch.context() as m:
                     m.setattr(supertile, "_RULE_MEMO", {})
-                    fresh = _candidates(ids, r, c)
+                    fresh = _candidates(_padded(ids), r, c)
                 assert memoised == fresh == _reference_candidates(ids, r, c), (state, r, c)
                 assert memoised == (done[r, c],), (state, r, c)
                 ids[r, c] = done[r, c]
@@ -341,10 +353,11 @@ def test_rule_memo_on_random_partial_grids(monkeypatch):
         h, w = rng.integers(1, 5, size=2)
         ids = rng.integers(0, len(ALL_TILES), (h, w)).astype(np.uint8)
         ids[rng.random((h, w)) < 0.5] = EMPTY
+        padded = _padded(ids)
         for r in range(h):
             for c in range(w):
                 expected = _reference_candidates(ids, r, c)
-                assert _candidates(ids, r, c) == expected == _candidates(ids, r, c)
+                assert _candidates(padded, r, c) == expected == _candidates(padded, r, c)
 
 
 def test_builds_with_cleared_memos_match_the_reference_layouts(monkeypatch):
