@@ -10,6 +10,7 @@ single ``error: ...`` / ``note: ...`` lines.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -24,8 +25,8 @@ from .complexity import (
     paperfolding_P,
     verify_row,
 )
-from .enumerator import count_report_csv, load_pattern_set, save_pattern_set
-from .render import RenderStyle, render_ascii, render_svg
+from .enumerator import _atomic_open, count_report_csv, load_pattern_set, save_pattern_set
+from .render import RenderStyle, _ascii_chunks, _svg_chunks
 from .supertile import (
     FACING_ROTATIONS,
     Pose,
@@ -39,6 +40,7 @@ CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
 # The largest rank a flag accepts.  Building one rank-14 supertile peaks
 # at about 630 MB (rank 13: 180 MB), and each rank needs 4x the cells.
+# Writing its document adds one band of output, not a multiple of the grid.
 MAX_RANK = 14
 
 
@@ -153,19 +155,27 @@ def _cached_window_scan(n: int, max_rank: int, cache: Path):
         yield rank, windows
 
 
+def _write_chunks(chunks, path: Path | None) -> None:
+    """Stream a document to ``path``, or to stdout when it is None.  A
+    file is written under a temporary name and renamed into place, so
+    a failure partway leaves no partial file."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    with _atomic_open(path, "w") as fh:
+        fh.writelines(chunks)
+    _note(f"wrote {path}")
+
+
 def _cmd_supertile(args) -> int:
     grid = build_supertile(SupertileSpec(args.rank, Pose(FACING_ROTATIONS[args.facing], False)))
     if args.out == "ascii":
-        text = render_ascii(grid)
+        chunks = _ascii_chunks(grid)
     elif args.out == "json":
-        text = grid.to_json() + "\n"
+        chunks = itertools.chain(grid._json_chunks(), ["\n"])
     else:
-        text = render_svg(grid, RenderStyle())
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        args.output.write_text(text)
-        _note(f"wrote {args.output}")
+        chunks = _svg_chunks(grid, RenderStyle())
+    _write_chunks(chunks, args.output)
     return 0
 
 
@@ -241,9 +251,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     grid = TileGrid.from_json(args.input.read_text())
-    style = RenderStyle(rank_overlay=args.overlay)
-    args.out.write_text(render_svg(grid, style))
-    _note(f"wrote {args.out}")
+    _write_chunks(_svg_chunks(grid, RenderStyle(rank_overlay=args.overlay)), args.out)
     return 0
 
 

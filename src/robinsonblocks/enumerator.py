@@ -351,6 +351,23 @@ def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> 
     return _restricted_hits(BUMPY_IDS[rows], m, corner_pos)
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str):
+    """Open a temporary file beside ``path`` for writing, renamed over
+    ``path`` when the block ends and removed if it raises, so a writer
+    that fails or is killed midway never leaves a partial file at
+    ``path``."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_pattern_set(ps: PatternSet, path) -> None:
     """Write the bit-exact cache format: magic, version, n, count, then
     length-prefixed members in lexicographic order.
@@ -359,19 +376,12 @@ def save_pattern_set(ps: PatternSet, path) -> None:
     renamed over ``path``, so a writer killed midway never leaves a
     truncated file at ``path``.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack(">HIQ", FORMAT_VERSION, ps.n, ps.count))
-            for member in ps.members():
-                fh.write(struct.pack(">I", len(member)))
-                fh.write(member)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with _atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack(">HIQ", FORMAT_VERSION, ps.n, ps.count))
+        for member in ps.members():
+            fh.write(struct.pack(">I", len(member)))
+            fh.write(member)
 
 
 def load_pattern_set(path) -> PatternSet:

@@ -15,14 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .supertile import EMPTY, TileGrid
+import numpy as np
+
+from .supertile import _BAND_CELLS, EMPTY, TileGrid
 from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
 _CHAR_TO_ID = {c: i for i, c in enumerate(ASCII_ALPHABET)}
-# ``bytes.translate`` table from a uint8 id to its character; "." for
-# EMPTY (ids above the alphabet never occur in a TileGrid).
-_ID_TO_CHAR = (ASCII_ALPHABET + "." * (256 - len(ASCII_ALPHABET))).encode("ascii")
+# ``bytes.translate`` table from a uint8 id to its character: "." for
+# EMPTY and "\n" for _NEWLINE, the byte that ends each row (ids above
+# the alphabet never occur in a TileGrid).
+_NEWLINE = 254
+_ID_TO_CHAR = (ASCII_ALPHABET.ljust(_NEWLINE, ".") + "\n.").encode("ascii")
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
@@ -39,17 +43,28 @@ class RenderStyle:
             raise ValueError("style dimensions must be strictly positive")
 
 
+def _ascii_chunks(grid: TileGrid):
+    """Yield ``render_ascii``'s text a band of whole rows at a time."""
+    if grid.height == 0:
+        yield "\n"  # the final newline after no lines
+        return
+    w = grid.width
+    step = max(1, _BAND_CELLS // max(w, 1))
+    for r0 in range(0, grid.height, step):
+        band = grid.ids[r0 : r0 + step]
+        lines = np.empty((band.shape[0], w + 1), dtype=np.uint8)
+        lines[:, :w] = band
+        lines[:, w] = _NEWLINE
+        yield lines.tobytes().translate(_ID_TO_CHAR).decode("ascii")
+
+
 def render_ascii(grid: TileGrid) -> str:
     """One character per cell, row per line; lossless w.r.t. tile identity."""
-    text = grid.ids.tobytes().translate(_ID_TO_CHAR).decode("ascii")
-    w = grid.width
-    return "\n".join(text[r * w : (r + 1) * w] for r in range(grid.height)) + "\n"
+    return "".join(_ascii_chunks(grid))
 
 
 def parse_ascii(text: str) -> TileGrid:
     """Inverse of render_ascii."""
-    import numpy as np
-
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise ValueError("empty grid text")
@@ -83,46 +98,91 @@ _SLOT_POINTS = {
 _INWARD = {Side.N: (0.0, 1.0), Side.E: (-1.0, 0.0), Side.S: (0.0, -1.0), Side.W: (1.0, 0.0)}
 
 
-def _cell_marks(tile, ox: float, oy: float, s: float, style: RenderStyle):
-    parts = []
+def _arrow_axis(o, s, wing, p, d, u, l, out, length):
+    """The five coordinates one arrow's marks write along one axis, in
+    the order they appear: the shaft's two ends, then the head's three
+    points.  ``o`` is the cell's origin on the axis; ``p`` (the slot),
+    ``d`` (inward), ``u`` (where the head points) and ``l`` (the head's
+    left normal) are components on the axis.  The x coordinates depend
+    only on a cell's column and the y coordinates only on its row."""
+    a = o + p * s
+    b = a + d * length
+    h = a if out else b
+    base = h - u * wing
+    return a, b, base + l * wing, h, base - l * wing
+
+
+def _cell_template(tile, style: RenderStyle):
+    """A tile's cell group as a template, with its x and y recipes.
+
+    The template takes the column label and the x coordinates through
+    ``str.format`` (``{}``), then the row label and the y coordinates
+    through ``%`` (``%s``); each recipe holds the ``_arrow_axis``
+    arguments of one arrow.  The shaft is drawn inward from the slot;
+    the arrowhead sits at the edge for heads pointing out, at the inner
+    end for tails entering the tile.
+    """
+    s = style.cell_size
+    parts = ['<g class="cell" data-pos="%s,{}">']
+    xs, ys = [], []
     for side in Side:
-        label = edge_label(tile, side)
         dx, dy = _INWARD[side]
-        for slot, arrow in enumerate(label):
+        for slot, arrow in enumerate(edge_label(tile, side)):
             if arrow is None:
                 continue
             px, py = _SLOT_POINTS[side][slot]
-            x0, y0 = ox + px * s, oy + py * s
             length = (0.5 if arrow.principal else 0.3) * s
-            x1, y1 = x0 + dx * length, y0 + dy * length
+            ux, uy = (-dx, -dy) if arrow.out else (dx, dy)
+            xs.append((px, dx, ux, -uy, arrow.out, length))
+            ys.append((py, dy, uy, ux, arrow.out, length))
             width = style.stroke_width * (
                 1.8 if arrow.principal and style.emphasize_principal else 1.0
             )
             parts.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+                '<line x1="{}" y1="%s" x2="{}" y2="%s" '
                 f'stroke="#222" stroke-width="{_fmt(width)}"/>'
             )
-            # Arrowhead at the edge for heads pointing out, at the inner
-            # end for tails entering the tile.
-            hx, hy = (x0, y0) if arrow.out else (x1, y1)
-            ux, uy = (-dx, -dy) if arrow.out else (dx, dy)
-            wing = 0.12 * s
-            lx, ly = -uy, ux
-            bx, by = hx - ux * wing, hy - uy * wing
             parts.append(
-                f'<path d="M {_fmt(bx + lx * wing)} {_fmt(by + ly * wing)} '
-                f'L {_fmt(hx)} {_fmt(hy)} '
-                f'L {_fmt(bx - lx * wing)} {_fmt(by - ly * wing)}" '
+                '<path d="M {} %s L {} %s L {} %s" '
                 f'fill="none" stroke="#222" stroke-width="{_fmt(style.stroke_width)}"/>'
             )
-    return parts
+    parts.append("</g>\n")
+    return "\n".join(parts), xs, ys
+
+
+def _svg_rows(grid: TileGrid, style: RenderStyle):
+    """Yield each row's cell groups as one string.  A tile's formatted
+    x coordinates are memoised per column for the whole grid, and its
+    y coordinates per row."""
+    s = style.cell_size
+    wing = 0.12 * s
+    templates = [_cell_template(tile, style) for tile in ALL_TILES]
+    by_column = [{} for _ in ALL_TILES]  # per tile id: column -> template with x filled in
+
+    def coords(recipes, o):
+        return [_fmt(v) for recipe in recipes for v in _arrow_axis(o, s, wing, *recipe)]
+
+    for r in range(grid.height):
+        by_tile = {}  # tile id -> this row's label and y coordinates
+        cells = []
+        for c, t in enumerate(grid.ids[r].tolist()):
+            if t == EMPTY:
+                continue
+            text, xs, ys = templates[t]
+            template = by_column[t].get(c)
+            if template is None:
+                template = by_column[t][c] = text.format(c + 1, *coords(xs, c * s))
+            y = by_tile.get(t)
+            if y is None:
+                y = by_tile[t] = (r + 1, *coords(ys, r * s))
+            cells.append(template % y)
+        yield "".join(cells)
 
 
 def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
     """Nested-square overlay for a (2^k - 1)-sized grid: for every
     sub-supertile of rank >= 2, the square through its four quadrant
-    centers, colour-cycled by rank."""
-    parts = []
+    centers, colour-cycled by rank.  Yields one line per square."""
 
     def center_of(origin_r, origin_c, rank):
         half = 1 << (rank - 1)
@@ -143,25 +203,25 @@ def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
         colour = _PALETTE[(rank - 2) % len(_PALETTE)]
         x0, y0 = (c0 + 0.5) * s, (r0 + 0.5) * s
         x1, y1 = (c1 + 0.5) * s, (r1 + 0.5) * s
-        parts.append(
+        yield (
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(y1 - y0)}" fill="none" stroke="{colour}" '
-            f'stroke-width="{_fmt(style.stroke_width * 1.5)}" opacity="0.6"/>'
+            f'stroke-width="{_fmt(style.stroke_width * 1.5)}" opacity="0.6"/>\n'
         )
         for qr, qc in quads:
-            recurse(qr, qc, rank - 1)
+            yield from recurse(qr, qc, rank - 1)
 
     rank = (side_cells + 1).bit_length() - 1
     if (1 << rank) - 1 == side_cells:
-        recurse(0, 0, rank)
-    return parts
+        yield from recurse(0, 0, rank)
 
 
-def render_svg(grid: TileGrid, style: RenderStyle = RenderStyle()) -> str:
-    """Byte-deterministic SVG 1.1 document for a validated grid."""
+def _svg_chunks(grid: TileGrid, style: RenderStyle):
+    """Yield ``render_svg``'s document a band at a time: the header and
+    grid lines, then one row of cells per band, then the overlay."""
     s = style.cell_size
     w, h = grid.width * s, grid.height * s
-    parts = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(w)}" height="{_fmt(h)}" '
@@ -171,25 +231,23 @@ def render_svg(grid: TileGrid, style: RenderStyle = RenderStyle()) -> str:
     grid_stroke = style.stroke_width * 0.5
     for r in range(grid.height + 1):
         y = r * s
-        parts.append(
+        head.append(
             f'<line x1="0" y1="{_fmt(y)}" x2="{_fmt(w)}" y2="{_fmt(y)}" '
             f'stroke="#bbb" stroke-width="{_fmt(grid_stroke)}"/>'
         )
     for c in range(grid.width + 1):
         x = c * s
-        parts.append(
+        head.append(
             f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{_fmt(h)}" '
             f'stroke="#bbb" stroke-width="{_fmt(grid_stroke)}"/>'
         )
-    for r in range(grid.height):
-        for c in range(grid.width):
-            tile = grid.tile_at(r + 1, c + 1)
-            if tile is None:
-                continue
-            parts.append(f'<g class="cell" data-pos="{r + 1},{c + 1}">')
-            parts.extend(_cell_marks(tile, c * s, r * s, s, style))
-            parts.append("</g>")
+    yield "\n".join(head) + "\n"
+    yield from _svg_rows(grid, style)
     if style.rank_overlay and grid.width == grid.height:
-        parts.extend(_overlay_squares(grid.width, s, style))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield from _overlay_squares(grid.width, s, style)
+    yield "</svg>\n"
+
+
+def render_svg(grid: TileGrid, style: RenderStyle = RenderStyle()) -> str:
+    """Byte-deterministic SVG 1.1 document for a validated grid."""
+    return "".join(_svg_chunks(grid, style))

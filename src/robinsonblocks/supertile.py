@@ -35,6 +35,9 @@ from .tileset import (
 
 EMPTY = 255
 _EMPTY_BYTE = bytes([EMPTY])
+# Cells per band of a streamed JSON or ASCII document, so writing one
+# holds a band in memory and not the whole grid.
+_BAND_CELLS = 1 << 14
 
 # Facing = the diagonal the corner decoration points at, as a rotation of
 # the identity (north-east) orientation, counter-clockwise.
@@ -150,11 +153,21 @@ class TileGrid:
     def __repr__(self):
         return f"TileGrid({self.height}x{self.width})"
 
+    def _json_chunks(self):
+        """Yield ``to_json``'s document a band of ``_BAND_CELLS`` cells
+        at a time."""
+        yield f'{{"width":{self.width},"height":{self.height},"cells":['
+        flat = self._ids.reshape(-1)
+        for start in range(0, flat.size, _BAND_CELLS):
+            band = flat[start : start + _BAND_CELLS].tolist()
+            cells = ",".join(map(_JSON_CELLS.__getitem__, band))
+            yield f",{cells}" if start else cells
+        yield "]}"
+
     def to_json(self) -> str:
         """Normative JSON dump: {width, height, cells} with row-major
         [tile, rotation, mirror] triples, null for an empty cell."""
-        cells = ",".join(map(_JSON_CELLS.__getitem__, self._ids.reshape(-1).tolist()))
-        return f'{{"width":{self.width},"height":{self.height},"cells":[{cells}]}}'
+        return "".join(self._json_chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "TileGrid":

@@ -290,13 +290,16 @@ def mirror_tile(tile: OrientedTile) -> OrientedTile:
 
 
 def _compat_tables():
-    n = len(ALL_TILES)
-    east = np.zeros((n, n), dtype=bool)
-    south = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(ALL_TILES):
-        for j, b in enumerate(ALL_TILES):
-            east[i, j] = compatible(a, b, Adjacency.EAST)
-            south[i, j] = compatible(a, b, Adjacency.SOUTH)
+    """EAST_OK and SOUTH_OK, as ``compatible`` gives them for every pair
+    of tiles: which distinct edge labels abut is worked out once, then
+    indexed by each tile's label codes."""
+    codes: dict = {}  # distinct edge label -> its code
+    sides = np.array(
+        [[codes.setdefault(label, len(codes)) for label in t.labels()] for t in ALL_TILES]
+    )
+    abut = np.array([[labels_abut(a, b) for b in codes] for a in codes], dtype=bool)
+    east = abut[sides[:, Side.E, None], sides[None, :, Side.W]]
+    south = abut[sides[:, Side.S, None], sides[None, :, Side.N]]
     return east, south
 
 

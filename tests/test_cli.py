@@ -236,12 +236,43 @@ def test_supertile_out_of_memory_is_one_error_line(capsys, monkeypatch, out):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "render_ascii", exhausted)
-    monkeypatch.setattr(cli, "render_svg", exhausted)
-    monkeypatch.setattr(cli.TileGrid, "to_json", exhausted)
+    monkeypatch.setattr(cli, "_ascii_chunks", exhausted)
+    monkeypatch.setattr(cli, "_svg_chunks", exhausted)
+    monkeypatch.setattr(cli.TileGrid, "_json_chunks", exhausted)
     code, stdout, err = run_cli(capsys, "supertile", "--rank", "2", "--out", out)
     assert (code, stdout) == (1, "")
     assert err == "error: supertile: out of memory\n"
+
+
+def _first_chunk_then_out_of_memory(chunks):
+    def failing(*args, **kwargs):
+        yield next(iter(chunks(*args, **kwargs)))
+        raise MemoryError
+
+    return failing
+
+
+@pytest.mark.parametrize("out", ["ascii", "json", "svg", "render"])
+def test_failed_output_file_leaves_no_file(capsys, monkeypatch, tmp_path, out):
+    grid_path = tmp_path / "grid.json"
+    assert main(["supertile", "--rank", "3", "--out", "json", "--output", str(grid_path)]) == 0
+    for name in ("_ascii_chunks", "_svg_chunks"):
+        monkeypatch.setattr(cli, name, _first_chunk_then_out_of_memory(getattr(cli, name)))
+    monkeypatch.setattr(
+        cli.TileGrid, "_json_chunks", _first_chunk_then_out_of_memory(cli.TileGrid._json_chunks)
+    )
+    target = tmp_path / "doc.out"
+    if out == "render":
+        argv = ("render", "--input", str(grid_path), "--out", str(target), "--overlay")
+        command = "render"
+    else:
+        argv = ("supertile", "--rank", "3", "--out", out, "--output", str(target))
+        command = "supertile"
+    capsys.readouterr()
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {command}: out of memory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
 def test_render_from_json(capsys, tmp_path):

@@ -170,6 +170,16 @@ def test_east_pair_regression_count():
     assert int(SOUTH_OK.sum()) == EAST_PAIR_COUNT
 
 
+def test_compat_tables_match_the_pairwise_loop():
+    # The reference: ``compatible`` called for every ordered pair.
+    for i, a in enumerate(ALL_TILES):
+        for j, b in enumerate(ALL_TILES):
+            assert EAST_OK[i, j] == compatible(a, b, Adjacency.EAST), (a, b)
+            assert SOUTH_OK[i, j] == compatible(a, b, Adjacency.SOUTH), (a, b)
+    assert EAST_OK.shape == SOUTH_OK.shape == (len(ALL_TILES), len(ALL_TILES))
+    assert EAST_OK.dtype == SOUTH_OK.dtype == bool
+
+
 def test_compatibility_equivariance():
     tiles = all_oriented_tiles()
     for a in tiles:
