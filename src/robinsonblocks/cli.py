@@ -157,10 +157,19 @@ def _cached_window_scan(n: int, max_rank: int, cache: Path):
 
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
-    file is written under a temporary name and renamed into place, so
-    a failure partway leaves no partial file."""
+    regular file is written under a temporary name and renamed into
+    place, so a failure partway leaves no partial file.  A reader that
+    closes stdout early (``| head``) ends the write quietly."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Point fd 1 at devnull so that the interpreter's final flush
+            # of what is still buffered does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     with _atomic_open(path, "w") as fh:
         fh.writelines(chunks)

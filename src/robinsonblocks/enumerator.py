@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -353,13 +354,30 @@ def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> 
 
 @contextlib.contextmanager
 def _atomic_open(path, mode: str):
-    """Open a temporary file beside ``path`` for writing, renamed over
-    ``path`` when the block ends and removed if it raises, so a writer
-    that fails or is killed midway never leaves a partial file at
-    ``path``."""
+    """Open ``path`` for writing so that a writer that fails or is killed
+    midway never leaves a partial file there.
+
+    A path that does not exist yet, or names a regular file, is written
+    under a temporary name beside it, renamed over it when the block
+    ends (keeping an existing file's permission bits) and removed if
+    the block raises.  Anything else is opened and written directly, as
+    a plain ``open`` would: a device or FIFO cannot be replaced by a
+    rename, and a symlink may name an open descriptor (/dev/stdout is
+    one) whose file a rename would swap out from under its holder.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, mode) as fh:
+            yield fh
+        return
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             yield fh
         os.replace(tmp, path)
     except BaseException:

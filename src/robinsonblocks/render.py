@@ -113,18 +113,18 @@ def _arrow_axis(o, s, wing, p, d, u, l, out, length):
 
 
 def _cell_template(tile, style: RenderStyle):
-    """A tile's cell group as a template, with its x and y recipes.
+    """A tile's cell group as a ``str.format`` template, with its y and
+    x recipes.
 
-    The template takes the column label and the x coordinates through
-    ``str.format`` (``{}``), then the row label and the y coordinates
-    through ``%`` (``%s``); each recipe holds the ``_arrow_axis``
-    arguments of one arrow.  The shaft is drawn inward from the slot;
-    the arrowhead sits at the edge for heads pointing out, at the inner
-    end for tails entering the tile.
+    The template's fields are numbered in the order ``_svg_rows`` passes
+    them: the row label, the y coordinates, the column label, then the x
+    coordinates.  Each recipe holds the ``_arrow_axis`` arguments of one
+    arrow.  The shaft is drawn inward from the slot; the arrowhead sits
+    at the edge for heads pointing out, at the inner end for tails
+    entering the tile.
     """
     s = style.cell_size
-    parts = ['<g class="cell" data-pos="%s,{}">']
-    xs, ys = [], []
+    xs, ys, widths = [], [], []
     for side in Side:
         dx, dy = _INWARD[side]
         for slot, arrow in enumerate(edge_label(tile, side)):
@@ -135,47 +135,55 @@ def _cell_template(tile, style: RenderStyle):
             ux, uy = (-dx, -dy) if arrow.out else (dx, dy)
             xs.append((px, dx, ux, -uy, arrow.out, length))
             ys.append((py, dy, uy, ux, arrow.out, length))
-            width = style.stroke_width * (
-                1.8 if arrow.principal and style.emphasize_principal else 1.0
+            widths.append(
+                style.stroke_width * (1.8 if arrow.principal and style.emphasize_principal else 1.0)
             )
-            parts.append(
-                '<line x1="{}" y1="%s" x2="{}" y2="%s" '
-                f'stroke="#222" stroke-width="{_fmt(width)}"/>'
-            )
-            parts.append(
-                '<path d="M {} %s L {} %s L {} %s" '
-                f'fill="none" stroke="#222" stroke-width="{_fmt(style.stroke_width)}"/>'
-            )
+    col = 1 + 5 * len(ys)  # the column label's field; the x fields follow it
+    parts = [f'<g class="cell" data-pos="{{0}},{{{col}}}">']
+    for i, width in enumerate(widths):
+        y = [f"{{{1 + 5 * i + j}}}" for j in range(5)]
+        x = [f"{{{col + 1 + 5 * i + j}}}" for j in range(5)]
+        parts.append(
+            f'<line x1="{x[0]}" y1="{y[0]}" x2="{x[1]}" y2="{y[1]}" '
+            f'stroke="#222" stroke-width="{_fmt(width)}"/>'
+        )
+        parts.append(
+            f'<path d="M {x[2]} {y[2]} L {x[3]} {y[3]} L {x[4]} {y[4]}" '
+            f'fill="none" stroke="#222" stroke-width="{_fmt(style.stroke_width)}"/>'
+        )
     parts.append("</g>\n")
     return "\n".join(parts), xs, ys
 
 
 def _svg_rows(grid: TileGrid, style: RenderStyle):
     """Yield each row's cell groups as one string.  A tile's formatted
-    x coordinates are memoised per column for the whole grid, and its
-    y coordinates per row."""
+    y coordinates are memoised for the row, and its x coordinates for a
+    column within a band of about ``_BAND_CELLS`` cells, so the memo
+    holds at most one band."""
     s = style.cell_size
     wing = 0.12 * s
     templates = [_cell_template(tile, style) for tile in ALL_TILES]
-    by_column = [{} for _ in ALL_TILES]  # per tile id: column -> template with x filled in
+    step = max(1, _BAND_CELLS // max(grid.width, 1))
 
-    def coords(recipes, o):
-        return [_fmt(v) for recipe in recipes for v in _arrow_axis(o, s, wing, *recipe)]
+    def coords(label, recipes, o):
+        return (label, *[_fmt(v) for recipe in recipes for v in _arrow_axis(o, s, wing, *recipe)])
 
     for r in range(grid.height):
+        if r % step == 0:
+            by_column = {}  # (tile id, column) -> column label and x coordinates
         by_tile = {}  # tile id -> this row's label and y coordinates
         cells = []
         for c, t in enumerate(grid.ids[r].tolist()):
             if t == EMPTY:
                 continue
             text, xs, ys = templates[t]
-            template = by_column[t].get(c)
-            if template is None:
-                template = by_column[t][c] = text.format(c + 1, *coords(xs, c * s))
             y = by_tile.get(t)
             if y is None:
-                y = by_tile[t] = (r + 1, *coords(ys, r * s))
-            cells.append(template % y)
+                y = by_tile[t] = coords(r + 1, ys, r * s)
+            x = by_column.get((t, c))
+            if x is None:
+                x = by_column[t, c] = coords(c + 1, xs, c * s)
+            cells.append(text.format(*y, *x))
         yield "".join(cells)
 
 

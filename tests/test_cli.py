@@ -1,15 +1,19 @@
 """Command-line front end tests, run in-process."""
 
 import json
+import os
+import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from robinsonblocks import cli
 from robinsonblocks.cli import MAX_RANK, main
 from robinsonblocks.enumerator import PatternSet
-from robinsonblocks.render import parse_ascii
+from robinsonblocks.render import parse_ascii, render_ascii
 from robinsonblocks.supertile import build
 
 
@@ -273,6 +277,72 @@ def test_failed_output_file_leaves_no_file(capsys, monkeypatch, tmp_path, out):
     assert (code, stdout) == (1, "")
     assert err == f"error: {command}: out of memory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_symlinked_output_is_written_through(capsys, tmp_path):
+    plain, real, link = tmp_path / "plain.svg", tmp_path / "real.svg", tmp_path / "link.svg"
+    argv = ("supertile", "--rank", "3", "--out", "svg", "--output")
+    assert run_cli(capsys, *argv, str(plain))[0] == 0
+    real.write_text("old")
+    real.chmod(0o640)
+    link.symlink_to(real.name)
+    code, out, err = run_cli(capsys, *argv, str(link))
+    assert (code, out, err) == (0, "", f"note: wrote {link}\n")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == plain.read_bytes()
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "plain.svg", "real.svg"]
+
+
+def test_existing_output_file_keeps_its_mode(capsys, tmp_path):
+    target = tmp_path / "doc.txt"
+    target.write_text("old")
+    target.chmod(0o640)
+    code, _, _ = run_cli(capsys, "supertile", "--rank", "2", "--output", str(target))
+    assert code == 0
+    assert target.read_text() == render_ascii(build(2))
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_output_is_written_directly(capsys, tmp_path):
+    grid_path, plain, fifo = tmp_path / "grid.json", tmp_path / "plain.svg", tmp_path / "doc.fifo"
+    assert main(["supertile", "--rank", "4", "--out", "json", "--output", str(grid_path)]) == 0
+    argv = ("render", "--input", str(grid_path), "--overlay", "--out")
+    assert main([*argv, str(plain)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv, str(fifo))
+    reader.join(timeout=30)
+    if reader.is_alive():  # nothing opened the FIFO: unblock the reader
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert (code, out, err) == (0, "", f"note: wrote {fifo}\n")
+    assert received == [plain.read_bytes()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.fifo", "grid.json", "plain.svg"]
+
+
+# What the installed ``robinsonblocks`` console script runs.
+CONSOLE_SCRIPT = "import sys; from robinsonblocks.cli import main; sys.exit(main())"
+
+
+@pytest.mark.skipif(shutil.which("head") is None, reason="needs head")
+@pytest.mark.parametrize("out, rank", [("ascii", 9), ("json", 9), ("svg", 6)])
+def test_stdout_closed_early_exits_quietly(out, rank):
+    producer = subprocess.Popen(
+        [sys.executable, "-c", CONSOLE_SCRIPT, "supertile", "--rank", str(rank), "--out", out],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = subprocess.run(["head", "-c", "20"], stdin=producer.stdout, capture_output=True)
+    producer.stdout.close()  # head has gone: the next write meets a closed pipe
+    err = producer.stderr.read()
+    producer.stderr.close()
+    assert (producer.wait(), err) == (0, b"")
+    assert len(head.stdout) == 20
 
 
 def test_render_from_json(capsys, tmp_path):
