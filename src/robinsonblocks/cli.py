@@ -38,9 +38,10 @@ from .tileset import IDENTITY
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
-# The largest rank a flag accepts.  Building one rank-14 supertile peaks
-# at about 630 MB (rank 13: 180 MB), and each rank needs 4x the cells.
-# Writing its document adds one band of output, not a multiple of the grid.
+# The largest rank a flag accepts.  A fresh ``supertile --rank 14`` peaks
+# at about 630 MB (rank 13: 180 MB), the build's own peak: the grid is
+# handed out without a copy, and writing its document adds one band of
+# output, not a multiple of the grid.  Each rank needs 4x the cells.
 MAX_RANK = 14
 
 

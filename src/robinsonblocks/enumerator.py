@@ -38,9 +38,9 @@ _TRIPLE_LUT = np.array(
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 
-# Columns of windows extracted per dedup band; bounds the size of the one
-# band array held at a time.
-_BAND_COLS = 256
+# Bytes gathered per dedup band: the copy of new slabs held at a time
+# while their windows are keyed.
+_GATHER_BYTES = 1 << 16
 # Keys turned into bytes objects per ``tolist`` call.  Bounds the transient
 # list, which would otherwise double a band's footprint; the n=2..16 sweep
 # peaks 1 MB higher with 4096 and runs no faster.
@@ -180,33 +180,95 @@ def _add_rows(out: set, rows: np.ndarray) -> set:
     return _add_keys(out, rows.view(np.dtype((np.void, rows.shape[1]))).reshape(1, -1))
 
 
-def _unique_windows(ids: np.ndarray, n: int) -> set:
-    """Distinct n-by-n windows of a tile-id array, as a set of n*n-byte
-    rows (the window's tile ids in row-major order).
+class _WindowIndex:
+    """What one scan of the dedup kernel has met so far.
+
+    ``windows`` is the set of distinct n-by-n windows, as n*n-byte rows
+    (the window's tile ids in row-major order).  ``lines`` names each
+    line (a whole row or column of an array) by its bytes, and ``slabs``
+    holds the slabs met, per orientation (row lines, column lines), each
+    keyed by the names of its n lines.
+    """
+
+    __slots__ = ("windows", "lines", "slabs")
+
+    def __init__(self):
+        self.windows: set = set()
+        self.lines: dict = {}
+        self.slabs = (set(), set())
+
+
+def _line_names(index: _WindowIndex, lines: np.ndarray) -> np.ndarray:
+    """The name of each row of the 2-D uint8 array ``lines``, as uint32;
+    a row not met before in this index gets the next free name."""
+    keys = np.ascontiguousarray(lines).view(np.dtype((np.void, lines.shape[1])))
+    keys = keys.reshape(-1).tolist()
+    names = index.lines
+    for key in dict.fromkeys(keys):
+        names.setdefault(key, len(names))
+    return np.fromiter(map(names.__getitem__, keys), dtype=np.uint32, count=len(keys))
+
+
+def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) -> set:
+    """Add the distinct n-by-n windows of a tile-id array to ``index``
+    (a fresh one by default) and return its window set.
 
     This is the one window-dedup kernel: set membership compares the
-    row bytes for equality, so the dedup is exact.  Windows are keyed in
-    place: for each band of columns, ``runs[c]`` holds the n-wide column
-    strip starting at column c, row-major, so window (r, c) is the n*n
-    contiguous bytes starting at ``runs[c, r]``, and a strided void view
-    hands those bytes to ``tolist`` without copying each window.  Only
-    one band (n bytes per cell) is held at a time.
+    row bytes for equality, so the dedup is exact.  The array is cut
+    into lines along its long axis (its columns if it is at least as
+    wide as tall, else its rows), and each line is named by its bytes.
+    A run of n consecutive line names is a slab key: two slabs with the
+    same key hold the same cells, so the same windows.  Windows are
+    keyed only for slabs this index has not met in that orientation.
+    A cross strip of a scan holds only a few times n distinct slabs,
+    whatever the rank (112 of 2032 for n = 16 at rank 11), and a scan
+    meets most of them at its lower ranks.
+
+    Each new slab is copied out, in bands of about ``_GATHER_BYTES``.  A
+    column slab is copied row-major, n bytes per cell, so its window at
+    row r is the n*n contiguous bytes starting at byte r*n, and a strided
+    void view hands those bytes to ``tolist`` without copying each
+    window.  A row slab's windows are copied out whole, one after
+    another.
     """
-    windows: set = set()
-    height = ids.shape[0]
-    if height < n:
-        return windows
-    for start in range(0, ids.shape[1] - n + 1, _BAND_COLS):
-        cols = ids[:, start : start + _BAND_COLS + n - 1]
-        runs = np.ascontiguousarray(sliding_window_view(cols, n, axis=1).transpose(1, 0, 2))
+    if index is None:
+        index = _WindowIndex()
+    height, width = ids.shape
+    if min(height, width) < n:
+        return index.windows
+    by_columns = width >= height
+    names = _line_names(index, ids.T if by_columns else ids)
+    slab_keys = np.ndarray(
+        (names.size - n + 1,),
+        dtype=np.dtype((np.void, n * names.itemsize)),
+        buffer=names,
+        strides=names.strides,
+    ).tolist()
+    slabs = dict(zip(slab_keys, range(len(slab_keys))))  # one start per distinct slab
+    met = index.slabs[by_columns]
+    starts = [start for key, start in slabs.items() if key not in met]
+    met.update(slabs)
+
+    if not starts:
+        return index.windows
+    # ``view[i]`` is the slab starting at line i; copied out, its windows
+    # start ``stride`` bytes apart.
+    if by_columns:
+        view, stride = sliding_window_view(ids, n, axis=1).transpose(1, 0, 2), n
+    else:
+        view, stride = sliding_window_view(ids, (n, n)), n * n
+    per_slab = (height if by_columns else width) - n + 1
+    step = max(1, _GATHER_BYTES // view[0].size)
+    for i in range(0, len(starts), step):
+        band = np.ascontiguousarray(view[starts[i : i + step]])
         keys = np.ndarray(
-            (runs.shape[0], height - n + 1),
+            (band.shape[0], per_slab),
             dtype=np.dtype((np.void, n * n)),
-            buffer=runs,
-            strides=(runs.strides[0], n),
+            buffer=band,
+            strides=(band.strides[0], stride),
         )
-        _add_keys(windows, keys)
-    return windows
+        _add_keys(index.windows, keys)
+    return index.windows
 
 
 def _window_set(n: int, rank: int, facing: Pose) -> set:
@@ -248,13 +310,15 @@ def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
     return _pattern_set(n, _id_rows(_window_set(n, rank, facing), n))
 
 
-def _cross_band_unique(ids: np.ndarray, n: int) -> set:
-    """Distinct windows that touch the central row or central column."""
+def _cross_band_unique(ids: np.ndarray, n: int, index: _WindowIndex) -> set:
+    """Add the windows that touch the central row or central column to
+    ``index``, and return its window set."""
     s = ids.shape[0]
     c = (s - 1) // 2
     lo = max(0, c - n + 1)
     hi = min(c, s - n)
-    return _unique_windows(ids[lo : hi + n, :], n) | _unique_windows(ids[:, lo : hi + n], n)
+    _unique_windows(ids[lo : hi + n, :], n, index)
+    return _unique_windows(ids[:, lo : hi + n], n, index)
 
 
 def _ranks(n: int, k_max: int) -> range:
@@ -271,25 +335,26 @@ def _window_scan(n: int, ranks: range, facing: Pose):
 
     Only the first rank is extracted whole.  A rank-(k+1) window either
     touches the central cross or lies inside a quadrant, and the four
-    quadrants are exactly the four facings of rank k.  So the union over
-    facings of rank k plus this facing's own cross-touching windows is
-    the rank-(k+1) set, while only cross-touching windows are extracted.
+    quadrants are exactly the four facings of rank k.  So the windows of
+    every facing of rank k plus this facing's own cross-touching windows
+    are the rank-(k+1) set, while only cross-touching windows are
+    extracted.
 
-    Rank k is yielded as soon as its own facing is extracted.  The other
-    three facings are built and extracted only when the scan is resumed,
-    each folded into the union as it comes, so a scan that stops at its
-    plateau never builds them at its last rank.
+    Every extraction adds into one window index, so the yielded set is
+    the scan's own, live: it is valid until the scan is resumed, which
+    adds to it.  Rank k is yielded as soon as its own facing is
+    extracted.  The other three facings are built and extracted only
+    when the scan is resumed, so a scan that stops at its plateau never
+    builds them at its last rank.
     """
     own = SupertileSpec(ranks.start, facing).pose.rotation
-    union: set = set()
+    index = _WindowIndex()
     for k in ranks:
         extract = _unique_windows if k == ranks.start else _cross_band_unique
-        windows = extract(_build_ids(k, own), n)
-        yield k, union | windows
-        union |= windows
+        yield k, extract(_build_ids(k, own), n, index)
         for f in FACING_ROTATIONS.values():
             if f != own:
-                union |= extract(_build_ids(k, f), n)
+                extract(_build_ids(k, f), n, index)
 
 
 def _stabilize(n: int, k_max: int, scan, value) -> CountReport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supertile import _BAND_CELLS, EMPTY, TileGrid
+from .supertile import EMPTY, TileGrid, _band_rows
 from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
@@ -49,7 +49,7 @@ def _ascii_chunks(grid: TileGrid):
         yield "\n"  # the final newline after no lines
         return
     w = grid.width
-    step = max(1, _BAND_CELLS // max(w, 1))
+    step = _band_rows(w)
     for r0 in range(0, grid.height, step):
         band = grid.ids[r0 : r0 + step]
         lines = np.empty((band.shape[0], w + 1), dtype=np.uint8)
@@ -163,7 +163,7 @@ def _svg_rows(grid: TileGrid, style: RenderStyle):
     s = style.cell_size
     wing = 0.12 * s
     templates = [_cell_template(tile, style) for tile in ALL_TILES]
-    step = max(1, _BAND_CELLS // max(grid.width, 1))
+    step = _band_rows(grid.width)
 
     def coords(label, recipes, o):
         return (label, *[_fmt(v) for recipe in recipes for v in _arrow_axis(o, s, wing, *recipe)])

@@ -39,6 +39,12 @@ _EMPTY_BYTE = bytes([EMPTY])
 # holds a band in memory and not the whole grid.
 _BAND_CELLS = 1 << 14
 
+
+def _band_rows(width: int) -> int:
+    """Rows per band of about ``_BAND_CELLS`` cells, at least one."""
+    return max(1, _BAND_CELLS // max(width, 1))
+
+
 # Facing = the diagonal the corner decoration points at, as a rotation of
 # the identity (north-east) orientation, counter-clockwise.
 FACING_ROTATIONS = {"NE": 0, "NW": 1, "SW": 2, "SE": 3}
@@ -101,11 +107,27 @@ class TileGrid:
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("grid ids must be 2-dimensional")
-        tiles = np.count_nonzero((0 <= ids) & (ids < len(ALL_TILES)))
-        if tiles + np.count_nonzero(ids == EMPTY) != ids.size:
-            raise ValueError(f"grid ids must be tile ids below {len(ALL_TILES)} or EMPTY ({EMPTY})")
+        # Checked a band of rows at a time, so the check's temporaries
+        # are one band, not the size of the grid.
+        step = _band_rows(ids.shape[1])
+        for r in range(0, ids.shape[0], step):
+            band = ids[r : r + step]
+            tiles = np.count_nonzero((0 <= band) & (band < len(ALL_TILES)))
+            if tiles + np.count_nonzero(band == EMPTY) != band.size:
+                raise ValueError(
+                    f"grid ids must be tile ids below {len(ALL_TILES)} or EMPTY ({EMPTY})"
+                )
         self._ids = ids.astype(np.uint8)
         self._ids.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, ids: np.ndarray) -> "TileGrid":
+        """A grid over ``ids`` itself, a read-only uint8 array of tile
+        ids, neither copied nor checked: how ``build_supertile`` hands out
+        the memoised build."""
+        grid = cls.__new__(cls)
+        grid._ids = ids
+        return grid
 
     @classmethod
     def from_tiles(cls, rows) -> "TileGrid":
@@ -154,14 +176,14 @@ class TileGrid:
         return f"TileGrid({self.height}x{self.width})"
 
     def _json_chunks(self):
-        """Yield ``to_json``'s document a band of ``_BAND_CELLS`` cells
-        at a time."""
+        """Yield ``to_json``'s document a band of whole rows, about
+        ``_BAND_CELLS`` cells, at a time."""
         yield f'{{"width":{self.width},"height":{self.height},"cells":['
-        flat = self._ids.reshape(-1)
-        for start in range(0, flat.size, _BAND_CELLS):
-            band = flat[start : start + _BAND_CELLS].tolist()
+        step = _band_rows(self.width)
+        for r in range(0, self.height if self.width else 0, step):
+            band = self._ids[r : r + step].reshape(-1).tolist()
             cells = ",".join(map(_JSON_CELLS.__getitem__, band))
-            yield f",{cells}" if start else cells
+            yield f",{cells}" if r else cells
         yield "]}"
 
     def to_json(self) -> str:
@@ -181,21 +203,35 @@ class TileGrid:
         if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
         key_to_proto = {p.key: p for p in Prototile}
-        ids = np.full((height, width), EMPTY, dtype=np.uint8)
+        flat = bytearray(_EMPTY_BYTE) * len(cells)
+        # Tile id per distinct cell entry.  A hit returns what the code
+        # below returned for an equal entry: its unpacking, ``int`` and
+        # ``bool`` all agree on equal values.
+        memo = {}
         for i, entry in enumerate(cells):
             if entry is None:
                 continue
-            r, c = divmod(i, width)
+            try:
+                key = tuple(entry)
+                flat[i] = memo[key]
+                continue
+            except KeyError:
+                pass
+            except TypeError:  # not iterable, or holds an unhashable value
+                key = None
             try:
                 name, rot, mirror = entry
                 tile = OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror)))
             except (KeyError, TypeError, ValueError):
+                r, c = divmod(i, width)
                 raise ValueError(
                     f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "
                     f"triple naming a prototile: {entry!r}"
                 ) from None
-            ids[r, c] = tile_id(tile)
-        return cls(ids)
+            flat[i] = tile_id(tile)
+            if key is not None:
+                memo[key] = flat[i]
+        return cls(np.frombuffer(flat, dtype=np.uint8).reshape(height, width))
 
 
 def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
@@ -306,7 +342,7 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
 
 def build_supertile(spec: SupertileSpec) -> TileGrid:
     """The validated rank-``spec.rank`` supertile facing ``spec.pose``."""
-    return TileGrid(_build_ids(spec.rank, spec.pose.rotation))
+    return TileGrid._wrap(_build_ids(spec.rank, spec.pose.rotation))
 
 
 def build(rank: int, facing: str = "NE") -> TileGrid:

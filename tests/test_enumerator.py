@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from robinsonblocks.cli import main
-from robinsonblocks.complexity import closed_form_A
+from robinsonblocks.complexity import RecurrenceTable, closed_form_A
 from robinsonblocks.enumerator import (
     BlockTooLarge,
     CorruptPatternFile,
@@ -28,7 +28,8 @@ from robinsonblocks.enumerator import (
     save_pattern_set,
 )
 from robinsonblocks import supertile
-from robinsonblocks.enumerator import _BAND_COLS, _unique_windows
+from robinsonblocks import enumerator
+from robinsonblocks.enumerator import _GATHER_BYTES, _WindowIndex, _unique_windows
 from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
 
@@ -55,6 +56,14 @@ def test_stabilized_counts_match_closed_form():
     assert rep5.stabilized and rep5.count == 1472 == closed_form_A(5)
 
 
+def test_stabilized_counts_past_16_match_both_formulas():
+    table = RecurrenceTable()
+    for n in range(17, 25):
+        rep = count_stabilized(n, 12)
+        assert rep.stabilized
+        assert rep.count == closed_form_A(n) == table.A(n), n
+
+
 def test_counts_by_rank_non_decreasing():
     for n in (2, 3, 4, 6):
         rep = count_stabilized(n, 9)
@@ -79,24 +88,44 @@ def _reference_rows(ids, n):
     return np.unique(sliding_window_view(ids, (n, n)).reshape(-1, n * n), axis=0)
 
 
-def test_dedup_kernel_matches_a_sort_over_all_windows():
+def _count_gather_bands(monkeypatch):
+    """Count the bands of windows the kernel keys from now on."""
+    bands = []
+    real = enumerator._add_keys
+
+    def counting(out, keys):
+        bands.append(keys.shape)
+        return real(out, keys)
+
+    monkeypatch.setattr(enumerator, "_add_keys", counting)
+    return bands
+
+
+def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
     triples = np.array(
         [[t.prototile, t.pose.rotation, int(t.pose.mirror)] for t in ALL_TILES], dtype=np.uint8
     )
     ids = build(9).ids
     for n in (2, 3):
-        assert ids.shape[1] - n + 1 > _BAND_COLS  # a band boundary is crossed
+        bands = _count_gather_bands(monkeypatch)
         expected = sorted(triples[row].tobytes() for row in _reference_rows(ids, n))
         assert distinct_patterns(n, 9).members() == expected
+        assert len(bands) > 1  # a gather band boundary is crossed
     # Nearly every window of random ids is distinct, so a window lost at
-    # any band boundary, or at either edge of the array, shows.
+    # any band boundary, or at either edge of the array, shows.  A tall
+    # array is cut into row slabs, a wide one into column slabs; each
+    # crosses at least two band boundaries.
     rng = np.random.default_rng(0)
-    tall = rng.integers(0, len(ALL_TILES), (2 * _BAND_COLS + 7, 40), dtype=np.uint8)
-    wide = rng.integers(0, len(ALL_TILES), (40, 2 * _BAND_COLS + 7), dtype=np.uint8)
-    for noise in (tall, wide):
-        for n in (1, 2, 3):
+    for n in (1, 2, 3):
+        row_slabs = 2 * _GATHER_BYTES // ((40 - n + 1) * n * n) + 7
+        col_slabs = 2 * _GATHER_BYTES // (40 * n) + 7
+        tall = rng.integers(0, len(ALL_TILES), (row_slabs + n - 1, 40), dtype=np.uint8)
+        wide = rng.integers(0, len(ALL_TILES), (40, col_slabs + n - 1), dtype=np.uint8)
+        for noise in (tall, wide):
+            bands = _count_gather_bands(monkeypatch)
             expected = {row.tobytes() for row in _reference_rows(noise, n)}
             assert _unique_windows(noise, n) == expected
+            assert len(bands) >= 3
 
 
 def test_dedup_kernel_on_a_non_contiguous_cross_strip():
@@ -107,6 +136,59 @@ def test_dedup_kernel_on_a_non_contiguous_cross_strip():
     assert not strip.flags.c_contiguous
     expected = {row.tobytes() for row in _reference_rows(strip, n)}
     assert _unique_windows(strip, n) == expected
+
+
+def test_window_index_keeps_row_and_column_slabs_apart():
+    # An array and its transpose share every line's bytes and so every
+    # line name, but not their slabs' windows: the transpose's row slabs
+    # must not be taken for the column slabs already met.  Lines of
+    # different lengths must never share a name either.
+    rng = np.random.default_rng(1)
+    for shape in ((3, 40), (40, 3), (12, 12), (5, 6)):
+        a = rng.integers(0, 3, shape, dtype=np.uint8)  # few values, many repeated slabs
+        for n in (1, 2, 3):
+            index = _WindowIndex()
+            _unique_windows(a, n, index)
+            assert index.windows == {row.tobytes() for row in _reference_rows(a, n)}
+            _unique_windows(a.T, n, index)
+            expected = {row.tobytes() for row in _reference_rows(a, n)}
+            expected |= {row.tobytes() for row in _reference_rows(a.T, n)}
+            assert index.windows == expected
+    # Every column of the 2x8 array is a prefix of a column of the 3x9
+    # one, so only whole-line names keep the 3x9 array's slabs apart.
+    short = np.zeros((2, 8), dtype=np.uint8)
+    long = np.zeros((3, 9), dtype=np.uint8)
+    long[-1] = 1
+    index = _WindowIndex()
+    _unique_windows(short, 2, index)
+    assert _unique_windows(long, 2, index) == {bytes(4), bytes([0, 0, 1, 1])}
+
+
+def test_window_index_keys_a_strip_once(monkeypatch):
+    ids = build(9).ids
+    c = (ids.shape[0] - 1) // 2
+    for n in (2, 5):
+        for strip in (ids[c - n + 1 : c + n, :], ids[:, c - n + 1 : c + n]):
+            index = _WindowIndex()
+            first = set(_unique_windows(strip, n, index))
+            assert first == {row.tobytes() for row in _reference_rows(strip, n)}
+            bands = _count_gather_bands(monkeypatch)
+            assert _unique_windows(strip, n, index) == first
+            assert bands == []  # every slab was met: no window keyed again
+            monkeypatch.undo()
+
+
+def test_window_index_on_full_grids():
+    # A full grid is one orientation's slabs only; feeding all four
+    # facings of a rank into one index gives the union of their sets.
+    for n in (2, 4):
+        index = _WindowIndex()
+        expected = set()
+        for f in range(4):
+            ids = supertile._build_ids(6, f)
+            expected |= {row.tobytes() for row in _reference_rows(ids, n)}
+            _unique_windows(ids, n, index)
+            assert index.windows == expected
 
 
 @pytest.mark.parametrize("facing", FACINGS)

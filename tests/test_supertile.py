@@ -275,6 +275,40 @@ def test_grid_rejects_ids_that_name_no_tile(bad):
     assert TileGrid([[0, EMPTY], [2, 31]]).tile_at(1, 2) is None
 
 
+def test_build_hands_out_the_memoised_grid_without_a_copy():
+    g = build(5, "SW")
+    memo = supertile._build_ids(5, FACING_ROTATIONS["SW"])
+    assert np.shares_memory(g.ids, memo) and not g.ids.flags.writeable
+    assert TileGrid(memo) == g and not np.shares_memory(TileGrid(memo).ids, memo)
+
+
+def test_from_json_reads_each_cell_as_it_reads_it_alone():
+    # Equal entries of different JSON types share one memo entry, so each
+    # must read as the same tile when read alone; an unhashable entry
+    # is read without the memo.
+    entries = [
+        ["bumpy_corner", 1, False],
+        ["bumpy_corner", 1.0, 0],
+        ["bumpy_corner", True, False],
+        ["corner", 3, [1]],
+        ["corner", 3, [1]],
+        ["corner", 3, True],
+        ["corner", 3, 0],
+        ["bumpy_corner", 1, 1],
+        {"corner": 0, "2": 0, "": 0},
+        None,
+    ]
+    doc = {"width": 5, "height": 2, "cells": entries}
+    grid = TileGrid.from_json(json.dumps(doc))
+    for i, entry in enumerate(entries):
+        alone = TileGrid.from_json(json.dumps({"width": 1, "height": 1, "cells": [entry]}))
+        assert grid.ids[divmod(i, 5)] == alone.ids[0, 0], entry
+    cells = [entries[0]] * 3 + [["bumpy_corner", 9, 0]]
+    bad = json.dumps({"width": 2, "height": 2, "cells": cells})
+    with pytest.raises(ValueError, match=r"cell \[2, 2\]"):
+        TileGrid.from_json(bad)
+
+
 def test_grids_are_immutable():
     g = build(2, "NE")
     with pytest.raises(ValueError):
