@@ -25,7 +25,7 @@ from .complexity import (
     paperfolding_P,
     verify_row,
 )
-from .enumerator import _atomic_open, count_report_csv, load_pattern_set, save_pattern_set
+from .enumerator import _atomic_open, count_report_csv, load_pattern_set
 from .render import RenderStyle, _ascii_chunks, _svg_chunks
 from .supertile import (
     FACING_ROTATIONS,
@@ -145,14 +145,10 @@ def _cached_window_scan(n: int, max_rank: int, cache: Path):
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
-            ps = load_pattern_set(path)
-            if ps.n != n:  # n is the header field after the magic and version
-                offset = len(enumerator.MAGIC) + 2
-                raise enumerator.CorruptPatternFile(offset, f"holds n={ps.n} blocks, not n={n}")
-            yield rank, enumerator._windows(ps)
+            yield rank, enumerator._load_windows(path, n)
             continue
         windows = next(w for k, w in scan if k == rank)
-        save_pattern_set(enumerator._pattern_set(n, enumerator._id_rows(windows, n)), path)
+        enumerator._save_windows(windows, n, path)
         yield rank, windows
 
 
@@ -199,8 +195,7 @@ def _cmd_count(args) -> int:
     value = enumerator._scan_value(n, args.restrict)
     report = enumerator._stabilize(n, args.max_rank, scan, value)
     if args.csv is not None:
-        args.csv.write_text(count_report_csv(report))
-        _note(f"wrote {args.csv}")
+        _write_chunks([count_report_csv(report)], args.csv)
     if not report.stabilized:
         _err(
             f"count for n={args.n} did not stabilize by rank {args.max_rank} "
@@ -251,8 +246,7 @@ def _cmd_verify(args) -> int:
     text = "\n".join(rows) + "\n"
     sys.stdout.write(text)
     if args.csv is not None:
-        args.csv.write_text(text)
-        _note(f"wrote {args.csv}")
+        _write_chunks([text], args.csv)
     if not all_ok:
         _err("verification mismatch or non-stabilization (see match column)")
         return 1
@@ -290,14 +284,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        enumerator.BlockTooLarge,
-        enumerator.CorruptPatternFile,
-        enumerator.PatternVersionMismatch,
-        complexity.DomainError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the library's own errors are ValueErrors
         _err(str(exc))
         return 1
     except MemoryError:

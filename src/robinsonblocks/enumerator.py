@@ -6,6 +6,13 @@ Windows are deduplicated at the tile-id level, as a set of n*n-byte
 rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.
+
+``_window_scan`` is the one route from a rank to its window set: the
+stabilization scans run it to their plateau, while ``distinct_patterns``
+and ``restricted_count`` take the set it yields at their rank and stop
+there.  The ``.rbps`` cache layout is known here alone; the CLI reads
+and writes a scan's window sets through ``_load_windows`` and
+``_save_windows``.
 """
 
 from __future__ import annotations
@@ -271,20 +278,14 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     return index.windows
 
 
-def _window_set(n: int, rank: int, facing: Pose) -> set:
-    _check_block_size(n, rank)
-    spec = SupertileSpec(rank, facing)  # rejects a mirrored facing
-    return _unique_windows(_build_ids(rank, spec.pose.rotation), n)
-
-
 def _id_rows(windows, n: int) -> np.ndarray:
     """A window set from ``_unique_windows`` as one n*n-byte row per window."""
     return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
 
 
-def _pattern_set(n: int, rows: np.ndarray) -> PatternSet:
-    """The Patterns of tile-id windows given one n*n-byte row each."""
-    triples = _TRIPLE_LUT[rows].reshape(len(rows), 3 * n * n)
+def _pattern_set(n: int, windows) -> PatternSet:
+    """The Patterns of a window set from ``_window_scan``."""
+    triples = _TRIPLE_LUT[_id_rows(windows, n)].reshape(len(windows), 3 * n * n)
     return PatternSet(n, _add_rows(set(), triples))
 
 
@@ -296,18 +297,6 @@ def _tile_ids(data: bytes) -> np.ndarray:
     # The uint8 key names its triple only while it cannot wrap or alias.
     ids[(p >= 32) | (r >= 4) | (m >= 2)] = EMPTY
     return ids
-
-
-def _windows(ps: PatternSet) -> set:
-    """Inverse of ``_pattern_set``: the tile-id row bytes of each member,
-    the window-set form ``_window_scan`` yields."""
-    rows = _tile_ids(b"".join(ps.members())).reshape(-1, ps.n * ps.n)
-    return _add_rows(set(), rows)
-
-
-def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
-    """All distinct n-by-n windows of the rank-``rank`` supertile."""
-    return _pattern_set(n, _id_rows(_window_set(n, rank, facing), n))
 
 
 def _cross_band_unique(ids: np.ndarray, n: int, index: _WindowIndex) -> set:
@@ -357,6 +346,19 @@ def _window_scan(n: int, ranks: range, facing: Pose):
                 extract(_build_ids(k, f), n, index)
 
 
+def _windows_at(n: int, rank: int, facing: Pose) -> set:
+    """The window set a scan yields at ``rank``, its last rank.  The
+    scan is never resumed past it, so the other three facings of
+    ``rank`` are never built."""
+    scan = _window_scan(n, _ranks(n, rank), facing)
+    return next(w for k, w in scan if k == rank)
+
+
+def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
+    """All distinct n-by-n windows of the rank-``rank`` supertile."""
+    return _pattern_set(n, _windows_at(n, rank, facing))
+
+
 def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
     """Report ``value`` of each ``(rank, windows)`` pair of a rank scan,
     stopping at the first rank whose value equals the previous rank's.
@@ -392,29 +394,26 @@ def restricted_count_stabilized(
 
 def _scan_value(n: int, corner_pos):
     """What a stabilization scan reports for each window set: its size,
-    or with ``corner_pos`` its restricted count."""
+    or with ``corner_pos`` ([row, col], 1-based, both in 1..2) how many
+    of its windows have their bumpy-corner lattice start exactly there."""
     if corner_pos is None:
         return len
-    return lambda w: _restricted_hits(BUMPY_IDS[_id_rows(w, n)], n, corner_pos)
 
+    def hits(windows) -> int:
+        r, c = corner_pos
+        if not (1 <= r <= min(2, n) and 1 <= c <= min(2, n)):
+            raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
+        parity = np.arange(n) % 2
+        want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
+        return int((BUMPY_IDS[_id_rows(windows, n)] == want.reshape(-1)).all(axis=1).sum())
 
-def _restricted_hits(bumpy: np.ndarray, m: int, corner_pos) -> int:
-    """How many m-by-m windows, given as rows of per-cell bumpy-corner
-    flags, have their bumpy-corner lattice start exactly at
-    ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    r, c = corner_pos
-    if not (1 <= r <= min(2, m) and 1 <= c <= min(2, m)):
-        raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
-    parity = np.arange(m) % 2
-    want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
-    return int((bumpy.reshape(-1, m, m) == want).all(axis=(1, 2)).sum())
+    return hits
 
 
 def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> int:
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    rows = _id_rows(_window_set(m, rank, facing), m)
-    return _restricted_hits(BUMPY_IDS[rows], m, corner_pos)
+    return _scan_value(m, corner_pos)(_windows_at(m, rank, facing))
 
 
 @contextlib.contextmanager
@@ -445,9 +444,11 @@ def _atomic_open(path, mode: str):
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+            exc.filename = os.fspath(path)  # name the file asked for, not the temporary
         raise
 
 
@@ -507,3 +508,17 @@ def load_pattern_set(path) -> PatternSet:
         offset = first + int(bad.argmax()) * (4 + size)
         raise CorruptPatternFile(offset, "triple names no canonical tile")
     return PatternSet(n, members)
+
+
+def _save_windows(windows, n: int, path) -> None:
+    """Write a window set from ``_window_scan`` to ``path`` as ``.rbps``."""
+    save_pattern_set(_pattern_set(n, windows), path)
+
+
+def _load_windows(path, n: int) -> set:
+    """Inverse of ``_save_windows``: the window set of an ``.rbps`` file,
+    which must hold n-by-n blocks."""
+    ps = load_pattern_set(path)
+    if ps.n != n:  # n is the header field after the magic and version
+        raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={ps.n} blocks, not n={n}")
+    return _add_rows(set(), _tile_ids(b"".join(ps.members())).reshape(-1, n * n))

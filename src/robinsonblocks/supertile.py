@@ -194,7 +194,10 @@ class TileGrid:
     @classmethod
     def from_json(cls, text: str) -> "TileGrid":
         """Inverse of ``to_json``; a malformed document raises ValueError."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("grid JSON nests too deeply") from None
         if not isinstance(doc, dict) or not {"width", "height", "cells"} <= doc.keys():
             raise ValueError("grid JSON must be an object with width, height and cells")
         width, height, cells = doc["width"], doc["height"], doc["cells"]
@@ -222,7 +225,7 @@ class TileGrid:
             try:
                 name, rot, mirror = entry
                 tile = OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror)))
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):  # int(Infinity) overflows
                 r, c = divmod(i, width)
                 raise ValueError(
                     f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "

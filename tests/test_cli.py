@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -109,6 +110,48 @@ def test_count_csv(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,rank,count,stabilized"
     assert lines[-1].split(",")[2] == out.strip()
+
+
+# Runs the CLI with regular files capped at 64 bytes, so a longer write
+# fails partway (with EFBIG once SIGXFSZ is ignored).
+UNDER_A_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from robinsonblocks.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("argv", [("count", "--n", "2"), ("verify", "--n-max", "5")])
+def test_failed_csv_write_keeps_the_old_file(tmp_path, argv):
+    csv_path = tmp_path / "old.csv"
+    csv_path.write_text("old\n")
+    csv_path.chmod(0o640)
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", UNDER_A_FILE_SIZE_LIMIT, *argv, "--csv", str(csv_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "File too large" in proc.stderr
+    assert csv_path.read_text() == "old\n"
+    assert stat.S_IMODE(csv_path.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [csv_path]
+
+
+@pytest.mark.parametrize(
+    "argv", [("supertile", "--rank", "2", "--output"), ("count", "--n", "2", "--csv")]
+)
+def test_file_in_a_missing_directory_is_named_in_the_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "doc"
+    code, out, err = run_cli(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_count_cache_round_trip(capsys, tmp_path):
@@ -365,8 +408,20 @@ def test_render_from_json(capsys, tmp_path):
         '[["bumpy_corner",0,false]]',
         '{"width":1,"height":1,"cells":[7]}',
         '{"width":1,"height":1,"cells":[["bumpy_corner",[1],false]]}',
+        '{"width":1,"height":1,"cells":[["corner",Infinity,0]]}',
+        '{"width":1,"height":1,"cells":[["corner",1e400,0]]}',
+        "[" * 200_000 + "]" * 200_000,
     ],
-    ids=["unknown-prototile", "no-cells", "top-level-array", "cell-not-a-list", "rotation-not-int"],
+    ids=[
+        "unknown-prototile",
+        "no-cells",
+        "top-level-array",
+        "cell-not-a-list",
+        "rotation-not-int",
+        "rotation-infinity",
+        "rotation-overflows-a-float",
+        "nested-too-deep",
+    ],
 )
 def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):
     grid_path = tmp_path / "grid.json"

@@ -29,7 +29,13 @@ from robinsonblocks.enumerator import (
 )
 from robinsonblocks import supertile
 from robinsonblocks import enumerator
-from robinsonblocks.enumerator import _GATHER_BYTES, _WindowIndex, _unique_windows
+from robinsonblocks.enumerator import (
+    _GATHER_BYTES,
+    _WindowIndex,
+    _pattern_set,
+    _scan_value,
+    _unique_windows,
+)
 from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
 
@@ -72,14 +78,20 @@ def test_counts_by_rank_non_decreasing():
 
 
 def test_incremental_counts_equal_plain_extraction():
-    for n in (2, 3, 5):
-        rep = count_stabilized(n, 8)
-        for rank, count in rep.counts_by_rank:
-            assert count == distinct_patterns(n, rank).count
-        for pos in POSITIONS:
-            rep = restricted_count_stabilized(n, pos, 8)
+    # Every rank the scan reports, against every window of the full grid.
+    for facing in FACINGS:
+        for n in (2, 3, 5):
+            full = {}
+            rep = count_stabilized(n, 8, facing)
             for rank, count in rep.counts_by_rank:
-                assert count == restricted_count(n, pos, rank)
+                full[rank] = _unique_windows(supertile._build_ids(rank, facing.rotation), n)
+                assert count == len(full[rank])
+                assert distinct_patterns(n, rank, facing) == _pattern_set(n, full[rank])
+            for pos in POSITIONS:
+                rep = restricted_count_stabilized(n, pos, 8, facing)
+                for rank, count in rep.counts_by_rank:
+                    expected = _scan_value(n, pos)(full[rank])
+                    assert count == restricted_count(n, pos, rank, facing) == expected
 
 
 def _reference_rows(ids, n):
@@ -108,9 +120,12 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
     ids = build(9).ids
     for n in (2, 3):
         bands = _count_gather_bands(monkeypatch)
-        expected = sorted(triples[row].tobytes() for row in _reference_rows(ids, n))
-        assert distinct_patterns(n, 9).members() == expected
+        rows = _reference_rows(ids, n)
+        windows = _unique_windows(ids, n)
+        assert windows == {row.tobytes() for row in rows}
         assert len(bands) > 1  # a gather band boundary is crossed
+        expected = sorted(triples[row].tobytes() for row in rows)
+        assert _pattern_set(n, windows).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
     # any band boundary, or at either edge of the array, shows.  A tall
     # array is cut into row slabs, a wide one into column slabs; each
@@ -202,9 +217,20 @@ def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monke
     else:
         rep = restricted_count_stabilized(8, pos, 11, facing)
     assert rep.stabilized
-    built = {f for k, f in supertile._BUILD_MEMO if k == rep.rank_used}
-    assert built == {facing.rotation}
-    assert not any(k > rep.rank_used for k, _ in supertile._BUILD_MEMO)
+    assert _facings_built_at(rep.rank_used) == {facing.rotation}
+    # The one-rank readers take the scan's set at their rank and stop there.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    if pos is None:
+        distinct_patterns(8, rep.rank_used, facing)
+    else:
+        restricted_count(8, pos, rep.rank_used, facing)
+    assert _facings_built_at(rep.rank_used) == {facing.rotation}
+
+
+def _facings_built_at(rank):
+    """The facings built at ``rank``; nothing above it may be built."""
+    assert not any(k > rank for k, _ in supertile._BUILD_MEMO)
+    return {f for k, f in supertile._BUILD_MEMO if k == rank}
 
 
 def test_mirrored_facing_is_rejected():

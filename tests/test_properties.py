@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from robinsonblocks.enumerator import _pattern_set, _windows, load_pattern_set, save_pattern_set
+from robinsonblocks.enumerator import _load_windows, _pattern_set, _save_windows, load_pattern_set
 from robinsonblocks.render import ASCII_ALPHABET, parse_ascii, render_ascii
 from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, TileGrid, build, validate
 from robinsonblocks.tileset import ALL_TILES
@@ -63,15 +63,14 @@ def test_ascii_matches_one_character_per_cell_and_round_trips(grid):
 )
 def test_rbps_save_load_round_trip(case):
     n, windows = case
-    rows = np.array(windows, dtype=np.uint8).reshape(-1, n * n)
-    ps = _pattern_set(n, rows)
-    assert ps.count == len({row.tobytes() for row in rows})
+    windows = {bytes(w) for w in windows}
+    ps = _pattern_set(n, windows)
+    assert ps.count == len(windows)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.rbps")
-        save_pattern_set(ps, path)
-        loaded = load_pattern_set(path)
-    assert loaded == ps
-    assert _windows(loaded) == {row.tobytes() for row in rows}
+        _save_windows(windows, n, path)
+        assert load_pattern_set(path) == ps
+        assert _load_windows(path, n) == windows
 
 
 @st.composite
