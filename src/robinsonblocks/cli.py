@@ -5,6 +5,9 @@ Exit codes are a stable contract: 0 success, 1 verification mismatch or
 non-stabilization, 2 flag errors.  Standard out carries parseable
 values (a single integer or CSV); diagnostics go to standard error as
 single ``error: ...`` / ``note: ...`` lines.
+
+``count`` and ``verify`` each call ``enumerator.count_stabilized``, the
+one plateau scan; ``--restrict`` and ``--cache`` are its arguments.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .supertile import (
     TileGrid,
     build_supertile,
 )
-from .tileset import IDENTITY
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
@@ -134,24 +136,6 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _cached_window_scan(n: int, max_rank: int, cache: Path):
-    """Yield ``(rank, windows)`` for each rank the scan probes, as
-    ``enumerator._window_scan`` does.  A rank is read from its ``.rbps``
-    file in ``cache`` where that exists; otherwise the window scan runs
-    as far as that rank and its set is saved there."""
-    ranks = enumerator._ranks(n, max_rank)
-    cache.mkdir(parents=True, exist_ok=True)
-    scan = enumerator._window_scan(n, ranks, IDENTITY)
-    for rank in ranks:
-        path = cache / f"patterns_n{n}_rank{rank}.rbps"
-        if path.exists():
-            yield rank, enumerator._load_windows(path, n)
-            continue
-        windows = next(w for k, w in scan if k == rank)
-        enumerator._save_windows(windows, n, path)
-        yield rank, windows
-
-
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
     regular file is written under a temporary name and renamed into
@@ -186,14 +170,9 @@ def _cmd_supertile(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    n, cache = args.n, _cache_dir(args)
-    if cache is None:
-        ranks = enumerator._ranks(n, args.max_rank)
-        scan = enumerator._window_scan(n, ranks, IDENTITY)
-    else:
-        scan = _cached_window_scan(n, args.max_rank, cache)
-    value = enumerator._scan_value(n, args.restrict)
-    report = enumerator._stabilize(n, args.max_rank, scan, value)
+    report = enumerator.count_stabilized(
+        args.n, args.max_rank, corner_pos=args.restrict, cache=_cache_dir(args)
+    )
     if args.csv is not None:
         _write_chunks([count_report_csv(report)], args.csv)
     if not report.stabilized:

@@ -7,12 +7,12 @@ rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.
 
-``_window_scan`` is the one route from a rank to its window set: the
-stabilization scans run it to their plateau, while ``distinct_patterns``
-and ``restricted_count`` take the set it yields at their rank and stop
-there.  The ``.rbps`` cache layout is known here alone; the CLI reads
-and writes a scan's window sets through ``_load_windows`` and
-``_save_windows``.
+``_window_scan`` is the one route from a rank to its window set, and
+``count_stabilized`` the one function that runs it to its plateau:
+plain or restricted to a corner position, and with or without a
+``.rbps`` cache directory (NE facing only).  ``distinct_patterns`` and
+``restricted_count`` take the set the scan yields at their rank and
+stop there.  The ``.rbps`` cache layout is known here alone.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -156,16 +157,6 @@ def canonical_encode(window: TileGrid) -> Pattern:
     if (ids == EMPTY).any():
         raise ValueError("cannot encode a window with empty cells")
     return Pattern(window.width, _TRIPLE_LUT[ids.reshape(-1)].tobytes())
-
-
-def _check_block_size(n: int, rank: int) -> None:
-    if n < 1:
-        raise ValueError(f"block side must be >= 1, got {n}")
-    side = (1 << rank) - 1
-    if n > side:
-        raise BlockTooLarge(
-            f"block side {n} exceeds rank-{rank} supertile side {side}"
-        )
 
 
 def _add_keys(out: set, keys: np.ndarray) -> set:
@@ -310,10 +301,17 @@ def _cross_band_unique(ids: np.ndarray, n: int, index: _WindowIndex) -> set:
     return _unique_windows(ids[:, lo : hi + n], n, index)
 
 
-def _ranks(n: int, k_max: int) -> range:
-    """The ranks a stabilization scan probes: from the first whose
-    supertile can host an n-by-n block, through ``k_max``."""
-    _check_block_size(n, k_max)
+def _ranks(n: int, k_max: int, facing: Pose) -> range:
+    """The ranks a scan of the ``facing`` supertile probes: from the
+    first whose supertile can host an n-by-n block, through ``k_max``.
+    Raises ``BlockTooLarge`` if none can, then ``ValueError`` for a
+    mirrored facing, before anything is built."""
+    if n < 1:
+        raise ValueError(f"block side must be >= 1, got {n}")
+    side = (1 << k_max) - 1
+    if n > side:
+        raise BlockTooLarge(f"block side {n} exceeds rank-{k_max} supertile side {side}")
+    SupertileSpec(k_max, facing)
     return range(n.bit_length(), k_max + 1)
 
 
@@ -336,36 +334,65 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     when the scan is resumed, so a scan that stops at its plateau never
     builds them at its last rank.
     """
-    own = SupertileSpec(ranks.start, facing).pose.rotation
     index = _WindowIndex()
     for k in ranks:
         extract = _unique_windows if k == ranks.start else _cross_band_unique
-        yield k, extract(_build_ids(k, own), n, index)
+        yield k, extract(_build_ids(k, facing.rotation), n, index)
         for f in FACING_ROTATIONS.values():
-            if f != own:
+            if f != facing.rotation:
                 extract(_build_ids(k, f), n, index)
 
 
-def _windows_at(n: int, rank: int, facing: Pose) -> set:
-    """The window set a scan yields at ``rank``, its last rank.  The
-    scan is never resumed past it, so the other three facings of
-    ``rank`` are never built."""
-    scan = _window_scan(n, _ranks(n, rank), facing)
-    return next(w for k, w in scan if k == rank)
+def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
+    """Yield ``(rank, windows)`` for each of ``ranks``, as the NE-facing
+    window ``scan`` over them does.  A rank is read from its ``.rbps``
+    file in ``cache`` where that exists; otherwise ``scan`` runs as far
+    as that rank and its set is saved there."""
+    cache.mkdir(parents=True, exist_ok=True)
+    for rank in ranks:
+        path = cache / f"patterns_n{n}_rank{rank}.rbps"
+        if path.exists():
+            yield rank, _load_windows(path, n)
+            continue
+        windows = next(w for k, w in scan if k == rank)
+        _save_windows(windows, n, path)
+        yield rank, windows
+
+
+def _windows_at(n: int, ranks: range, facing: Pose) -> set:
+    """The window set a scan over ``ranks`` yields at its last rank.
+    The scan is never resumed past it, so the other three facings of
+    that rank are never built."""
+    return next(w for k, w in _window_scan(n, ranks, facing) if k == ranks[-1])
 
 
 def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
     """All distinct n-by-n windows of the rank-``rank`` supertile."""
-    return _pattern_set(n, _windows_at(n, rank, facing))
+    return _pattern_set(n, _windows_at(n, _ranks(n, rank, facing), facing))
 
 
-def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
-    """Report ``value`` of each ``(rank, windows)`` pair of a rank scan,
-    stopping at the first rank whose value equals the previous rank's.
+def count_stabilized(
+    n: int, k_max: int, facing: Pose = IDENTITY, corner_pos=None, cache=None
+) -> CountReport:
+    """Increase the rank until two consecutive ranks agree on the
+    distinct-window count of the fixed-facing supertile.
+
+    ``corner_pos`` counts only windows whose bumpy-corner lattice starts
+    there (see ``restricted_count``).  ``cache`` is a directory of one
+    ``.rbps`` file per rank, read where present and written otherwise;
+    the file names carry no facing, so it takes the NE facing only.
+    Every argument is checked before anything is built or written.
 
     The stop rule is a heuristic plateau, not a proven bound.
     Non-stabilization within k_max is reported, not raised.
     """
+    ranks = _ranks(n, k_max, facing)
+    value = _scan_value(n, corner_pos)
+    scan = _window_scan(n, ranks, facing)
+    if cache is not None:
+        if facing != IDENTITY:
+            raise ValueError(f"a pattern cache holds NE-facing sets only, got {facing}")
+        scan = _cached_window_scan(n, ranks, scan, Path(cache))
     counts = []
     for k, windows in scan:
         counts.append((k, value(windows)))
@@ -374,38 +401,21 @@ def _stabilize(n: int, k_max: int, scan, value) -> CountReport:
     return CountReport(n, k_max, counts[-1][1], False, tuple(counts))
 
 
-def count_stabilized(n: int, k_max: int, facing: Pose = IDENTITY) -> CountReport:
-    """Increase the rank until two consecutive ranks agree on the
-    distinct-window count of the fixed-facing supertile.
-
-    Non-stabilization within k_max is reported, not raised.
-    """
-    scan = _window_scan(n, _ranks(n, k_max), facing)
-    return _stabilize(n, k_max, scan, len)
-
-
-def restricted_count_stabilized(
-    m: int, corner_pos, k_max: int, facing: Pose = IDENTITY
-) -> CountReport:
-    """Stabilization scan for a position-restricted count."""
-    scan = _window_scan(m, _ranks(m, k_max), facing)
-    return _stabilize(m, k_max, scan, _scan_value(m, corner_pos))
-
-
 def _scan_value(n: int, corner_pos):
     """What a stabilization scan reports for each window set: its size,
     or with ``corner_pos`` ([row, col], 1-based, both in 1..2) how many
-    of its windows have their bumpy-corner lattice start exactly there."""
+    of its windows have their bumpy-corner lattice start exactly there.
+    A bad ``corner_pos`` raises here, before any window set is made."""
     if corner_pos is None:
         return len
+    r, c = corner_pos
+    if not (1 <= r <= min(2, n) and 1 <= c <= min(2, n)):
+        raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
+    parity = np.arange(n) % 2
+    want = ((parity == r - 1)[:, None] & (parity == c - 1)[None, :]).reshape(-1)
 
     def hits(windows) -> int:
-        r, c = corner_pos
-        if not (1 <= r <= min(2, n) and 1 <= c <= min(2, n)):
-            raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
-        parity = np.arange(n) % 2
-        want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
-        return int((BUMPY_IDS[_id_rows(windows, n)] == want.reshape(-1)).all(axis=1).sum())
+        return int((BUMPY_IDS[_id_rows(windows, n)] == want).all(axis=1).sum())
 
     return hits
 
@@ -413,7 +423,8 @@ def _scan_value(n: int, corner_pos):
 def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> int:
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    return _scan_value(m, corner_pos)(_windows_at(m, rank, facing))
+    ranks = _ranks(m, rank, facing)
+    return _scan_value(m, corner_pos)(_windows_at(m, ranks, facing))
 
 
 @contextlib.contextmanager

@@ -19,7 +19,6 @@ from robinsonblocks.complexity import (
 from robinsonblocks.enumerator import (
     count_stabilized,
     restricted_count,
-    restricted_count_stabilized,
 )
 from robinsonblocks.supertile import Pose, TileGrid, build, validate
 from robinsonblocks.tileset import BUMPY_IDS, OrientedTile, Prototile

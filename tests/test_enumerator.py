@@ -24,7 +24,6 @@ from robinsonblocks.enumerator import (
     distinct_patterns,
     load_pattern_set,
     restricted_count,
-    restricted_count_stabilized,
     save_pattern_set,
 )
 from robinsonblocks import supertile
@@ -88,7 +87,7 @@ def test_incremental_counts_equal_plain_extraction():
                 assert count == len(full[rank])
                 assert distinct_patterns(n, rank, facing) == _pattern_set(n, full[rank])
             for pos in POSITIONS:
-                rep = restricted_count_stabilized(n, pos, 8, facing)
+                rep = count_stabilized(n, 8, facing, corner_pos=pos)
                 for rank, count in rep.counts_by_rank:
                     expected = _scan_value(n, pos)(full[rank])
                     assert count == restricted_count(n, pos, rank, facing) == expected
@@ -212,10 +211,7 @@ def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monke
     # The plateau rank is the largest rank probed, so once the scan stops
     # there, only its own facing has been built at that rank.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
-    if pos is None:
-        rep = count_stabilized(8, 11, facing)
-    else:
-        rep = restricted_count_stabilized(8, pos, 11, facing)
+    rep = count_stabilized(8, 11, facing, corner_pos=pos)
     assert rep.stabilized
     assert _facings_built_at(rep.rank_used) == {facing.rotation}
     # The one-rank readers take the scan's set at their rank and stop there.
@@ -233,16 +229,22 @@ def _facings_built_at(rank):
     return {f for k, f in supertile._BUILD_MEMO if k == rank}
 
 
-def test_mirrored_facing_is_rejected():
+def test_mirrored_facing_is_rejected(tmp_path):
+    # The facing is checked before the position and before any cache
+    # directory is made.
     mirrored = Pose(1, True)
     for call in (
         lambda: distinct_patterns(2, 3, mirrored),
         lambda: restricted_count(2, (1, 1), 3, mirrored),
+        lambda: restricted_count(2, (3, 1), 3, mirrored),
         lambda: count_stabilized(2, 5, mirrored),
-        lambda: restricted_count_stabilized(2, (1, 1), 5, mirrored),
+        lambda: count_stabilized(2, 5, mirrored, corner_pos=(1, 1)),
+        lambda: count_stabilized(2, 5, mirrored, corner_pos=(3, 1)),
+        lambda: count_stabilized(2, 5, mirrored, cache=tmp_path / "c"),
     ):
         with pytest.raises(ValueError, match="restricted to the 4 rotations"):
             call()
+    assert not (tmp_path / "c").exists()
 
 
 def test_non_stabilization_is_reported_not_raised():
@@ -263,15 +265,57 @@ def test_restricted_partition_of_total():
 
 
 def test_restricted_stabilization_scan():
-    rep = restricted_count_stabilized(2, (1, 1), 11)
+    rep = count_stabilized(2, 11, corner_pos=(1, 1))
     assert rep.stabilized and rep.count == 56
 
 
-def test_restricted_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        restricted_count(2, (3, 1), 6)
-    with pytest.raises(ValueError):
-        restricted_count(2, (0, 1), 6)
+def test_restricted_rejects_bad_positions(capsys, monkeypatch, tmp_path):
+    # A bad position is rejected before anything is built or written.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    for call in (
+        lambda: restricted_count(2, (3, 1), 6),
+        lambda: restricted_count(2, (0, 1), 6),
+        lambda: count_stabilized(2, 11, corner_pos=(3, 1)),
+        lambda: count_stabilized(1, 11, corner_pos=(2, 1), cache=tmp_path / "d"),
+    ):
+        with pytest.raises(ValueError, match="corner_pos must lie in the leading 2x2"):
+            call()
+    assert supertile._BUILD_MEMO == {}
+    code = main(["count", "--n", "1", "--restrict", "2,1", "--cache", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: corner_pos must lie in the leading 2x2, got (2, 1)\n"
+    )
+    assert supertile._BUILD_MEMO == {}
+    assert not (tmp_path / "d").exists()
+    # The block size is checked first.
+    for call in (
+        lambda: restricted_count(5, (3, 1), 2),
+        lambda: count_stabilized(5, 2, corner_pos=(3, 1)),
+    ):
+        with pytest.raises(BlockTooLarge):
+            call()
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_library_cache_matches_uncached_and_cli(n, capsys, tmp_path):
+    # The library and the CLI each fill a fresh cache by the same calls;
+    # a second library call reads what the first one wrote.
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    for pos in (None, *POSITIONS):
+        plain = count_stabilized(n, 11, corner_pos=pos)
+        assert count_stabilized(n, 11, corner_pos=pos, cache=lib) == plain
+        assert count_stabilized(n, 11, corner_pos=pos, cache=str(lib)) == plain
+        restrict = () if pos is None else ("--restrict", f"{pos[0]},{pos[1]}")
+        assert main(["count", "--n", str(n), *restrict, "--cache", str(cli)]) == 0
+        assert capsys.readouterr().out == f"{plain.count}\n"
+    files = sorted(p.name for p in lib.iterdir())
+    assert files and files == sorted(p.name for p in cli.iterdir())
+    for name in files:
+        assert (lib / name).read_bytes() == (cli / name).read_bytes()
+    with pytest.raises(ValueError, match="NE-facing sets only, got Pose"):
+        count_stabilized(n, 11, Pose(1, False), cache=tmp_path / "nw")
+    assert not (tmp_path / "nw").exists()
 
 
 def test_facing_independence_of_stabilized_counts():
