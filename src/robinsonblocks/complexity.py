@@ -31,8 +31,34 @@ def closed_form_A(n: int) -> int:
     quantity is not a block count."""
     if n < 2:
         raise DomainError(f"closed_form_A needs n >= 2, got {n}")
-    p = 1 << floor_log2(n)
+    p = 1 << (n.bit_length() - 1)
     return 32 * n * n + 72 * n * p - 48 * p * p
+
+
+def _climb(n: int, depth: int, a: int, b: int, c: int, memo_A=None, memo_B=None) -> tuple:
+    """Step the triple (A(h), B(h), A(h+1)) at level h = n >> depth up
+    n's halving chain to level n, and return the triple there.  With
+    memos, the triple of every level stepped to is stored in them.
+
+    The triple is R(h, h), R(h, h+1) and R(h+1, h+1).  The first rank's
+    lattice, placed at each of the four offsets of ``vacant_places``,
+    leaves the shape h x h four times in a 2h-square and h x h, h x (h+1),
+    (h+1) x h, (h+1) x (h+1) in a (2h+1)-square, so every count one
+    level up is the sum of the counts of its four vacant shapes.
+    """
+    while depth:
+        depth -= 1
+        m = n >> depth  # 2h or 2h+1
+        odd = a + c + 2 * b  # A(2h+1)
+        if m & 1:
+            a, b, c = odd, 2 * (b + c), 4 * c
+        else:
+            a, b, c = 4 * a, 2 * (a + b), odd
+        if memo_A is not None:
+            memo_A[m] = a
+            memo_B[m] = b
+            memo_A[m + 1] = c
+    return a, b, c
 
 
 @dataclass
@@ -42,6 +68,10 @@ class RecurrenceTable:
 
     A_1 = 56 is the restricted 2x2 base quantity, not the number of 1x1
     blocks; closed_form_A guards its own n >= 2 domain accordingly.
+
+    A miss walks down n's halving chain to the first level m whose
+    triple A(m), B(m), A(m+1) is memoised (else to the n = 1 bases),
+    then climbs back up, memoising the triple of every level on the way.
     """
 
     memo_A: dict = field(default_factory=lambda: {1: A1})
@@ -52,12 +82,7 @@ class RecurrenceTable:
             raise DomainError(f"recurrence_A needs n >= 1, got {n}")
         got = self.memo_A.get(n)
         if got is None:
-            h, odd = divmod(n, 2)
-            if odd:
-                got = self.A(h) + self.A(h + 1) + 2 * self.B(h)
-            else:
-                got = 4 * self.A(h)
-            self.memo_A[n] = got
+            got = self._level(n)[0]
         return got
 
     def B(self, n: int) -> int:
@@ -65,10 +90,28 @@ class RecurrenceTable:
             raise DomainError(f"recurrence_B needs n >= 1, got {n}")
         got = self.memo_B.get(n)
         if got is None:
-            h, odd = divmod(n, 2)
-            got = 2 * self.A(h + odd) + 2 * self.B(h)
-            self.memo_B[n] = got
+            got = self._level(n)[1]
         return got
+
+    def _level(self, n: int) -> tuple:
+        """(A(n), B(n), A(n+1)), memoising each level climbed."""
+        memo_A, memo_B = self.memo_A, self.memo_B
+        m, depth = n, 0
+        while m > 1:
+            m >>= 1
+            depth += 1
+            b = memo_B.get(m)
+            if b is not None:
+                a, c = memo_A.get(m), memo_A.get(m + 1)
+                if a is not None and c is not None:
+                    break
+        else:
+            a, b = memo_A.get(1), memo_B.get(1)
+            for name, base in (("memo_A", a), ("memo_B", b)):
+                if base is None:
+                    raise DomainError(f"the table has no base entry {name}[1]")
+            c = 4 * a  # A(2)
+        return _climb(n, depth, a, b, c, memo_A, memo_B)
 
     def check(self) -> None:
         """Re-check every memoised value, base entries included, against a
@@ -99,7 +142,7 @@ def coeff_a(n: int) -> int:
     """Multiplier of the A_1 base in the recurrence solution."""
     if n < 1:
         raise DomainError(f"coeff_a needs n >= 1, got {n}")
-    p = 1 << floor_log2(n)
+    p = 1 << (n.bit_length() - 1)
     return 5 * n * n - 12 * n * p + 8 * p * p
 
 
@@ -107,7 +150,7 @@ def coeff_b(n: int) -> int:
     """Multiplier of the B_1 base in the recurrence solution."""
     if n < 1:
         raise DomainError(f"coeff_b needs n >= 1, got {n}")
-    p = 1 << floor_log2(n)
+    p = 1 << (n.bit_length() - 1)
     return -2 * n * n + 6 * n * p - 4 * p * p
 
 
@@ -130,14 +173,15 @@ def decomposition_trace(n: int) -> DecompositionTrace:
 
     The recurrences are linear and homogeneous, so every A_n and B_n is
     a_n * A_1 + b_n * B_1 for integer multiplicities fixed by the tree
-    alone.  Evaluating them with unit bases, (A_1, B_1) = (1, 0) and then
-    (0, 1), therefore yields a_n and b_n.
+    alone.  Running the halving loop with unit bases, (A_1, B_1) = (1, 0)
+    and then (0, 1), therefore yields a_n and b_n.
     """
     if n < 1:
         raise DomainError(f"decomposition_trace needs n >= 1, got {n}")
-    a = RecurrenceTable({1: 1}, {1: 0}).A(n)
-    b = RecurrenceTable({1: 0}, {1: 1}).A(n)
-    return DecompositionTrace(n, a, b)
+    depth = n.bit_length() - 1
+    a_leaves = _climb(n, depth, 1, 0, 4)[0]
+    b_leaves = _climb(n, depth, 0, 1, 0)[0]
+    return DecompositionTrace(n, a_leaves, b_leaves)
 
 
 @dataclass(frozen=True)
@@ -180,7 +224,7 @@ def paperfolding_P(n: int) -> int:
     formula is a conjecture in its source."""
     if n < 3:
         raise DomainError(f"paperfolding_P needs n >= 3, got {n}")
-    p = 1 << floor_log2(n)
+    p = 1 << (n.bit_length() - 1)
     return 12 * n * n + 24 * n * p - 16 * p * p - 4
 
 

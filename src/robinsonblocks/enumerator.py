@@ -479,13 +479,10 @@ def save_pattern_set(ps: PatternSet, path) -> None:
             fh.write(member)
 
 
-def load_pattern_set(path) -> PatternSet:
-    """Inverse of save_pattern_set; load(save(ps)) == ps.
-
-    Every member must be a 3n^2-byte string of canonical triples, and
-    members must come in strictly increasing order; otherwise
-    CorruptPatternFile names the offset of the first bad record.
-    """
+def _read_pattern_file(path) -> tuple:
+    """Check an ``.rbps`` file as ``load_pattern_set`` states, and return
+    its header n, its members and the tile id of every triple in them,
+    in file order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize(">HIQ")
@@ -514,10 +511,22 @@ def load_pattern_set(path) -> PatternSet:
         offset += 4 + length
     if offset != len(blob):
         raise CorruptPatternFile(offset, "trailing bytes")
-    bad = (_tile_ids(b"".join(members)) == EMPTY).reshape(count, n * n).any(axis=1)
+    ids = _tile_ids(b"".join(members))
+    bad = (ids == EMPTY).reshape(count, n * n).any(axis=1)
     if bad.any():
         offset = first + int(bad.argmax()) * (4 + size)
         raise CorruptPatternFile(offset, "triple names no canonical tile")
+    return n, members, ids
+
+
+def load_pattern_set(path) -> PatternSet:
+    """Inverse of save_pattern_set; load(save(ps)) == ps.
+
+    Every member must be a 3n^2-byte string of canonical triples, and
+    members must come in strictly increasing order; otherwise
+    CorruptPatternFile names the offset of the first bad record.
+    """
+    n, members, _ = _read_pattern_file(path)
     return PatternSet(n, members)
 
 
@@ -529,7 +538,7 @@ def _save_windows(windows, n: int, path) -> None:
 def _load_windows(path, n: int) -> set:
     """Inverse of ``_save_windows``: the window set of an ``.rbps`` file,
     which must hold n-by-n blocks."""
-    ps = load_pattern_set(path)
-    if ps.n != n:  # n is the header field after the magic and version
-        raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={ps.n} blocks, not n={n}")
-    return _add_rows(set(), _tile_ids(b"".join(ps.members())).reshape(-1, n * n))
+    found, _, ids = _read_pattern_file(path)
+    if found != n:  # n is the header field after the magic and version
+        raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
+    return _add_rows(set(), ids.reshape(-1, n * n))

@@ -476,6 +476,18 @@ def test_load_rejects_bad_members(tmp_path, capsys, corrupt):
     assert captured.err.count("\n") == 1
 
 
+def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
+    count_stabilized(3, 11, cache=tmp_path)
+    path = max(tmp_path.glob("*.rbps"))
+    calls = []
+    tile_ids = enumerator._tile_ids
+    monkeypatch.setattr(enumerator, "_tile_ids", lambda data: calls.append(len(data)) or tile_ids(data))
+    got = enumerator._load_windows(path, 3)
+    header = len(MAGIC) + struct.calcsize(">HIQ")
+    assert calls == [path.stat().st_size - header - 4 * len(got)]
+    assert enumerator._pattern_set(3, got) == load_pattern_set(path)
+
+
 def test_count_report_csv_shape():
     rep = count_stabilized(2, 9)
     text = count_report_csv(rep)
