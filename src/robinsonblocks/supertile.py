@@ -4,12 +4,15 @@ A rank-k supertile is a (2^k - 1)-square grid: four rank-(k-1)
 supertiles facing a central corner tile, with the central row and
 column (the cross) filled by arm tiles.  The quadrants are fixed; only
 the center tile and the cross decorations depend on the requested
-facing.  Cross cells are not hard-coded: each one is solved from the
-matching rules and must admit exactly one tile, so every build doubles
-as a consistency check of the tile transcription.  The rules read only a
+facing.  Cross cells are not hard-coded: the NE cross of each rank is
+solved from the matching rules, and each of its cells must admit
+exactly one tile, so every rank doubles as a consistency check of the
+tile transcription.  Each other facing is the NE supertile turned
+(``TURN`` applied to ``np.rot90``) and has the same quadrants, so its
+cross is the NE cross turned, not solved again.  The rules read only a
 cell's 3x3 neighbourhood, so they run once per distinct neighbourhood
-and the result is memoised; every cell is still checked for exactly one
-candidate.
+and the result is memoised; every solved cell is still checked for
+exactly one candidate.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .tileset import (
     ALL_TILES,
     EAST_OK,
     SOUTH_OK,
+    TURN,
     BUMPY_IDS,
     IDENTITY,
     OrientedTile,
@@ -305,10 +309,24 @@ def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
 
 
 _BUILD_MEMO: dict = {}
+# The NE cross of each rank as its (centre row, centre column), keyed by
+# rank alone.  The quadrants do not depend on the facing, so every other
+# facing's cross is this one turned (``_turn_cross``).  A rank is stored
+# only once its whole cross has solved.
+_CROSS_MEMO: dict = {}
 # ``_candidates`` per distinct 3x3 neighbourhood.  Building ranks <= 10
-# in all four facings solves about 16k cross cells, which show only 168
-# distinct neighbourhoods.
+# in all four facings solves 4,052 cross cells, the NE crosses, which
+# show only 52 distinct neighbourhoods.
 _RULE_MEMO: dict = {}
+
+
+def _turn_cross(row: np.ndarray, col: np.ndarray, turns: int):
+    """The centre row and column of a grid whose centre row and column
+    are ``row`` and ``col``, after ``turns`` counter-clockwise quarter
+    turns of the grid (``TURN[np.rot90(ids)]``)."""
+    for _ in range(turns):
+        row, col = TURN[col], TURN[row[::-1]]
+    return row, col
 
 
 def _build_ids(rank: int, facing: int) -> np.ndarray:
@@ -330,13 +348,17 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
         padded[1:m, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["SW"])
         padded[m + 1 : -1, 1:m] = _build_ids(rank - 1, FACING_ROTATIONS["NE"])
         padded[m + 1 : -1, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["NW"])
-        cc = m - 1
-        padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, Pose(facing, False)))
-        # Center first, then outward along each half-row/half-column, so
-        # every cross cell sees at least two placed neighbours.
-        for d in range(1, m):
-            for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
-                padded[r + 1, c + 1] = _solve(padded, r, c)
+        cross = _CROSS_MEMO.get(rank)
+        if cross is None:
+            cc = m - 1
+            padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, IDENTITY))
+            # Center first, then outward along each half-row/half-column,
+            # so every cross cell sees at least two placed neighbours.
+            for d in range(1, m):
+                for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
+                    padded[r + 1, c + 1] = _solve(padded, r, c)
+            cross = _CROSS_MEMO[rank] = (padded[m, 1:-1].copy(), padded[1:-1, m].copy())
+        padded[m, 1:-1], padded[1:-1, m] = _turn_cross(*cross, facing)
     padded.setflags(write=False)
     ids = padded[1:-1, 1:-1]
     _BUILD_MEMO[key] = ids

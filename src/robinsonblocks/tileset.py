@@ -305,4 +305,8 @@ def _compat_tables():
 
 EAST_OK, SOUTH_OK = _compat_tables()
 
+# Each tile id's id after one counter-clockwise quarter turn of the grid,
+# so ``TURN[np.rot90(ids)]`` is the grid ``ids`` turned a quarter.
+TURN = np.array([tile_id(rotate_tile(t, 1)) for t in ALL_TILES], dtype=np.uint8)
+
 BUMPY_IDS = np.array([is_bumpy_corner(t) for t in ALL_TILES], dtype=bool)

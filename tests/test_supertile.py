@@ -396,6 +396,7 @@ def test_rule_memo_on_random_partial_grids(monkeypatch):
 
 def test_builds_with_cleared_memos_match_the_reference_layouts(monkeypatch):
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    monkeypatch.setattr(supertile, "_CROSS_MEMO", {})
     monkeypatch.setattr(supertile, "_RULE_MEMO", {})
     for facing in FACINGS:
         assert build(2, facing) == grid_from_literals(reference_layouts.RANK2[facing])
