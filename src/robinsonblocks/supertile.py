@@ -311,22 +311,13 @@ def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
 _BUILD_MEMO: dict = {}
 # The NE cross of each rank as its (centre row, centre column), keyed by
 # rank alone.  The quadrants do not depend on the facing, so every other
-# facing's cross is this one turned (``_turn_cross``).  A rank is stored
-# only once its whole cross has solved.
+# facing's cross is this one turned.  A rank is stored only once its
+# whole cross has solved.
 _CROSS_MEMO: dict = {}
 # ``_candidates`` per distinct 3x3 neighbourhood.  Building ranks <= 10
 # in all four facings solves 4,052 cross cells, the NE crosses, which
 # show only 52 distinct neighbourhoods.
 _RULE_MEMO: dict = {}
-
-
-def _turn_cross(row: np.ndarray, col: np.ndarray, turns: int):
-    """The centre row and column of a grid whose centre row and column
-    are ``row`` and ``col``, after ``turns`` counter-clockwise quarter
-    turns of the grid (``TURN[np.rot90(ids)]``)."""
-    for _ in range(turns):
-        row, col = TURN[col], TURN[row[::-1]]
-    return row, col
 
 
 def _build_ids(rank: int, facing: int) -> np.ndarray:
@@ -358,7 +349,10 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
                 for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
                     padded[r + 1, c + 1] = _solve(padded, r, c)
             cross = _CROSS_MEMO[rank] = (padded[m, 1:-1].copy(), padded[1:-1, m].copy())
-        padded[m, 1:-1], padded[1:-1, m] = _turn_cross(*cross, facing)
+        row, col = cross
+        for _ in range(facing):  # a quarter turn of the grid, TURN[np.rot90(ids)]
+            row, col = TURN[col], TURN[row[::-1]]
+        padded[m, 1:-1], padded[1:-1, m] = row, col
     padded.setflags(write=False)
     ids = padded[1:-1, 1:-1]
     _BUILD_MEMO[key] = ids
