@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import reference_layouts
+from test_supertile import grid_from_literals
 from robinsonblocks import supertile
 from robinsonblocks.supertile import (
     EMPTY,
     CrossUnsolvable,
     FACING_ROTATIONS,
-    TileGrid,
     _build_ids,
     _candidates,
     build,
@@ -32,7 +32,6 @@ from robinsonblocks.tileset import (
 )
 
 FACINGS = ("NE", "NW", "SW", "SE")
-_KEY_TO_PROTO = {p.key: p for p in Prototile}
 
 
 def _turn_table(turns):
@@ -130,12 +129,6 @@ def test_a_non_ne_build_builds_no_other_facing_of_its_rank(facing, monkeypatch):
     assert np.array_equal(_turned(ids, 4 - FACING_ROTATIONS[facing])[255], row)
 
 
-def _grid_from_literals(cells):
-    return TileGrid.from_tiles(
-        [[OrientedTile(_KEY_TO_PROTO[k], Pose(rot, mir)) for k, rot, mir in row] for row in cells]
-    )
-
-
 @pytest.mark.parametrize("facing", FACINGS)
 def test_a_failed_cross_is_not_memoised(facing, monkeypatch):
     _clear_memos(monkeypatch)
@@ -156,7 +149,7 @@ def test_a_failed_cross_is_not_memoised(facing, monkeypatch):
     assert not any(k == 3 for k, _ in supertile._BUILD_MEMO)
     ids = build(3, facing).ids
     assert np.array_equal(_outward_cross(ids, FACING_ROTATIONS[facing]), ids)
-    assert build(3, "NE") == _grid_from_literals(reference_layouts.rank3_ne())
+    assert build(3, "NE") == grid_from_literals(reference_layouts.rank3_ne())
 
 
 @pytest.mark.slow
