@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .supertile import EMPTY, FACING_ROTATIONS, SupertileSpec, TileGrid, _build_ids
+from .supertile import EMPTY, FACING_ROTATIONS, SupertileSpec, TileGrid, _facing_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -330,17 +330,18 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
     adds to it.  Rank k is yielded as soon as its own facing is
-    extracted.  The other three facings are built and extracted only
-    when the scan is resumed, so a scan that stops at its plateau never
-    builds them at its last rank.
+    extracted.  The other three facings are made (each the NE grid of
+    rank k with its cross turned) and extracted only when the scan is
+    resumed, so a scan that stops at its plateau never makes them at
+    its last rank.
     """
     index = _WindowIndex()
     for k in ranks:
         extract = _unique_windows if k == ranks.start else _cross_band_unique
-        yield k, extract(_build_ids(k, facing.rotation), n, index)
+        yield k, extract(_facing_ids(k, facing.rotation), n, index)
         for f in FACING_ROTATIONS.values():
             if f != facing.rotation:
-                extract(_build_ids(k, f), n, index)
+                extract(_facing_ids(k, f), n, index)
 
 
 def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
@@ -362,7 +363,7 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
 def _windows_at(n: int, ranks: range, facing: Pose) -> set:
     """The window set a scan over ``ranks`` yields at its last rank.
     The scan is never resumed past it, so the other three facings of
-    that rank are never built."""
+    that rank are never made."""
     return next(w for k, w in _window_scan(n, ranks, facing) if k == ranks[-1])
 
 

@@ -4,20 +4,20 @@ A rank-k supertile is a (2^k - 1)-square grid: four rank-(k-1)
 supertiles facing a central corner tile, with the central row and
 column (the cross) filled by arm tiles.  The quadrants are fixed; only
 the center tile and the cross decorations depend on the requested
-facing.  Cross cells are not hard-coded: the NE cross of each rank is
-solved from the matching rules, and each of its cells must admit
-exactly one tile, so every rank doubles as a consistency check of the
-tile transcription.  Each other facing is the NE supertile turned
-(``TURN`` applied to ``np.rot90``) and has the same quadrants, so its
-cross is the NE cross turned, not solved again.  The rules read only a
-cell's 3x3 neighbourhood, so they run once per distinct neighbourhood
-and the result is memoised; every solved cell is still checked for
-exactly one candidate.
+facing.  Only the NE supertile of each rank is built: its cross is
+solved from the matching rules, and each cell must admit exactly one
+tile, so every rank doubles as a consistency check of the tile
+transcription.  Each other facing is the NE supertile turned and has
+the same quadrants, so it is the NE grid with its cross turned
+(``_facing_ids``).  The rules read only a cell's 3x3 neighbourhood, so
+they run once per distinct neighbourhood and the result is memoised;
+every solved cell is still checked for exactly one candidate.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +52,6 @@ def _band_rows(width: int) -> int:
 # Facing = the diagonal the corner decoration points at, as a rotation of
 # the identity (north-east) orientation, counter-clockwise.
 FACING_ROTATIONS = {"NE": 0, "NW": 1, "SW": 2, "SE": 3}
-FACING_NAMES = {v: k for k, v in FACING_ROTATIONS.items()}
 
 # Each uint8 id's cell as ``to_json`` writes it: the compact ``json.dumps``
 # of its [tile, rotation, mirror] triple, or null for EMPTY (ids above the
@@ -104,23 +103,32 @@ class TileGrid:
 
     Coordinates are [row, col], 1-based, row 1 at top.  Cells may be
     empty (None) in partially built grids.  Grids are immutable after
-    construction; ids other than tile ids and EMPTY raise ValueError.
+    construction; ids other than tile ids and EMPTY, non-integer values
+    included, raise ValueError.
     """
 
     def __init__(self, ids: np.ndarray):
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ValueError("grid ids must be 2-dimensional")
+        bad = f"grid ids must be tile ids below {len(ALL_TILES)} or EMPTY ({EMPTY})"
+        if ids.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in ids.flat):
+            try:
+                ids = ids.astype(float)
+            except OverflowError:  # an int too large for a float names no tile
+                raise ValueError(bad) from None
+        if ids.dtype.kind not in "biuf":  # strings, objects, complex numbers
+            raise ValueError(bad)
         # Checked a band of rows at a time, so the check's temporaries
         # are one band, not the size of the grid.
         step = _band_rows(ids.shape[1])
         for r in range(0, ids.shape[0], step):
             band = ids[r : r + step]
-            tiles = np.count_nonzero((0 <= band) & (band < len(ALL_TILES)))
-            if tiles + np.count_nonzero(band == EMPTY) != band.size:
-                raise ValueError(
-                    f"grid ids must be tile ids below {len(ALL_TILES)} or EMPTY ({EMPTY})"
-                )
+            named = (0 <= band) & (band < len(ALL_TILES)) | (band == EMPTY)
+            if ids.dtype.kind == "f":  # a float names a tile only if it is whole
+                named &= band == np.trunc(band)
+            if np.count_nonzero(named) != band.size:
+                raise ValueError(bad)
         self._ids = ids.astype(np.uint8)
         self._ids.setflags(write=False)
 
@@ -308,21 +316,19 @@ def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
     return tile_from_id(_solve(padded, row - 1, col - 1))
 
 
+# The NE supertile of each rank, a read-only uint8 array keyed by rank.
+# Every other facing is read from it by ``_facing_ids``.  A rank is
+# stored only once its whole cross has solved.
 _BUILD_MEMO: dict = {}
-# The NE cross of each rank as its (centre row, centre column), keyed by
-# rank alone.  The quadrants do not depend on the facing, so every other
-# facing's cross is this one turned.  A rank is stored only once its
-# whole cross has solved.
-_CROSS_MEMO: dict = {}
 # ``_candidates`` per distinct 3x3 neighbourhood.  Building ranks <= 10
-# in all four facings solves 4,052 cross cells, the NE crosses, which
-# show only 52 distinct neighbourhoods.
+# solves 4,052 cross cells, the NE crosses, which show only 52 distinct
+# neighbourhoods.
 _RULE_MEMO: dict = {}
 
 
-def _build_ids(rank: int, facing: int) -> np.ndarray:
-    key = (rank, facing)
-    memo = _BUILD_MEMO.get(key)
+def _build_ids(rank: int) -> np.ndarray:
+    """The rank-``rank`` NE supertile's ids, built once and memoised."""
+    memo = _BUILD_MEMO.get(rank)
     if memo is not None:
         return memo
 
@@ -331,37 +337,46 @@ def _build_ids(rank: int, facing: int) -> np.ndarray:
     side = (1 << rank) - 1
     padded = np.full((side + 2, side + 2), EMPTY, dtype=np.uint8)
     if rank == 1:
-        padded[1, 1] = tile_id(OrientedTile(Prototile.BUMPY_CORNER, Pose(facing, False)))
+        padded[1, 1] = tile_id(OrientedTile(Prototile.BUMPY_CORNER, IDENTITY))
     else:
         m = 1 << (rank - 1)  # 1-based center index, and its index in ``padded``
         # Quadrants always face the center, regardless of the outer facing.
-        padded[1:m, 1:m] = _build_ids(rank - 1, FACING_ROTATIONS["SE"])
-        padded[1:m, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["SW"])
-        padded[m + 1 : -1, 1:m] = _build_ids(rank - 1, FACING_ROTATIONS["NE"])
-        padded[m + 1 : -1, m + 1 : -1] = _build_ids(rank - 1, FACING_ROTATIONS["NW"])
-        cross = _CROSS_MEMO.get(rank)
-        if cross is None:
-            cc = m - 1
-            padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, IDENTITY))
-            # Center first, then outward along each half-row/half-column,
-            # so every cross cell sees at least two placed neighbours.
-            for d in range(1, m):
-                for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
-                    padded[r + 1, c + 1] = _solve(padded, r, c)
-            cross = _CROSS_MEMO[rank] = (padded[m, 1:-1].copy(), padded[1:-1, m].copy())
-        row, col = cross
-        for _ in range(facing):  # a quarter turn of the grid, TURN[np.rot90(ids)]
-            row, col = TURN[col], TURN[row[::-1]]
-        padded[m, 1:-1], padded[1:-1, m] = row, col
+        padded[1:m, 1:m] = _facing_ids(rank - 1, FACING_ROTATIONS["SE"])
+        padded[1:m, m + 1 : -1] = _facing_ids(rank - 1, FACING_ROTATIONS["SW"])
+        padded[m + 1 : -1, 1:m] = _facing_ids(rank - 1, FACING_ROTATIONS["NE"])
+        padded[m + 1 : -1, m + 1 : -1] = _facing_ids(rank - 1, FACING_ROTATIONS["NW"])
+        cc = m - 1
+        padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, IDENTITY))
+        # Center first, then outward along each half-row/half-column,
+        # so every cross cell sees at least two placed neighbours.
+        for d in range(1, m):
+            for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
+                padded[r + 1, c + 1] = _solve(padded, r, c)
     padded.setflags(write=False)
-    ids = padded[1:-1, 1:-1]
-    _BUILD_MEMO[key] = ids
+    ids = _BUILD_MEMO[rank] = padded[1:-1, 1:-1]
+    return ids
+
+
+def _facing_ids(rank: int, facing: int) -> np.ndarray:
+    """The rank-``rank`` supertile ``facing`` quarter turns from NE, read-only.
+    Each facing is the NE one turned, ``TURN^facing[np.rot90(ne, facing)]``,
+    and shares its quadrants: a copy of the NE grid with its cross turned."""
+    ne = _build_ids(rank)
+    if facing == 0:
+        return ne
+    c = ne.shape[0] // 2
+    row, col = ne[c], ne[:, c]
+    for _ in range(facing):  # a quarter turn of the grid, TURN[np.rot90(ids)]
+        row, col = TURN[col], TURN[row[::-1]]
+    ids = ne.copy()
+    ids[c], ids[:, c] = row, col
+    ids.setflags(write=False)
     return ids
 
 
 def build_supertile(spec: SupertileSpec) -> TileGrid:
     """The validated rank-``spec.rank`` supertile facing ``spec.pose``."""
-    return TileGrid._wrap(_build_ids(spec.rank, spec.pose.rotation))
+    return TileGrid._wrap(_facing_ids(spec.rank, spec.pose.rotation))
 
 
 def build(rank: int, facing: str = "NE") -> TileGrid:

@@ -1,10 +1,11 @@
-"""One cross per rank: the NE cross is solved, the other facings turn it.
+"""One build per rank: the NE supertile is built, the other facings turn its cross.
 
 The four facings of a rank share their quadrants, and each facing is
-the NE supertile turned: ``_build_ids(k, f) == TURN^f[np.rot90(ne, f)]``.
-So the builder solves and checks only the NE cross of each rank and
-turns its centre row and column for the other three.  These tests keep
-the old per-facing outward solve as the reference for the turned
+the NE supertile turned: ``_facing_ids(k, f) == TURN^f[np.rot90(ne, f)]``.
+So the builder solves, checks and memoises only the NE supertile of
+each rank, and ``_facing_ids`` reads any other facing from it with its
+centre row and column turned.  These tests keep the whole-grid turn and
+the old per-facing outward solve as the references for the turned
 crosses."""
 
 import numpy as np
@@ -19,6 +20,7 @@ from robinsonblocks.supertile import (
     FACING_ROTATIONS,
     _build_ids,
     _candidates,
+    _facing_ids,
     build,
 )
 from robinsonblocks.tileset import (
@@ -67,7 +69,7 @@ def _outward_cross(ids, facing):
 
 
 def _clear_memos(monkeypatch):
-    for name in ("_BUILD_MEMO", "_CROSS_MEMO", "_RULE_MEMO"):
+    for name in ("_BUILD_MEMO", "_RULE_MEMO"):
         monkeypatch.setattr(supertile, name, {})
 
 
@@ -83,9 +85,9 @@ def test_turn_is_rotate_tile_and_has_order_four():
 def test_each_facing_is_the_ne_build_turned(rank, monkeypatch):
     # A copy of the memo, so the largest grids built here are let go.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", dict(supertile._BUILD_MEMO))
-    ne = _build_ids(rank, 0)
+    ne = _build_ids(rank)
     for f in range(4):
-        assert np.array_equal(_build_ids(rank, f), _turned(ne, f)), f
+        assert np.array_equal(_facing_ids(rank, f), _turned(ne, f)), f
 
 
 @pytest.mark.parametrize("facing", FACINGS[1:])
@@ -95,7 +97,7 @@ def test_turned_crosses_are_the_outward_solves(facing, monkeypatch):
     monkeypatch.setattr(supertile, "_RULE_MEMO", {})
     f = FACING_ROTATIONS[facing]
     for rank in range(2, 12):
-        ids = _build_ids(rank, f)
+        ids = _facing_ids(rank, f)
         assert np.array_equal(_outward_cross(ids, f), ids), rank
 
 
@@ -115,18 +117,19 @@ def test_ranks_up_to_10_solve_only_the_ne_crosses(monkeypatch):
     # 4 * (2^(k-1) - 1) cells for each rank k = 2..10, once per rank.
     assert len(calls) == 4052 == sum(4 * ((1 << (k - 1)) - 1) for k in range(2, 11))
     assert len(supertile._RULE_MEMO) == 52
-    assert sorted(supertile._CROSS_MEMO) == list(range(2, 11))
+    assert sorted(supertile._BUILD_MEMO) == list(range(1, 11))
 
 
 @pytest.mark.parametrize("facing", FACINGS[1:])
 def test_a_non_ne_build_builds_no_other_facing_of_its_rank(facing, monkeypatch):
     _clear_memos(monkeypatch)
     ids = build(9, facing).ids
-    assert {f for k, f in supertile._BUILD_MEMO if k == 9} == {FACING_ROTATIONS[facing]}
-    # The cross memo holds the NE centre row and column: 2 * side bytes.
-    row, col = supertile._CROSS_MEMO[9]
-    assert row.nbytes + col.nbytes == 2 * ids.shape[0]
-    assert np.array_equal(_turned(ids, 4 - FACING_ROTATIONS[facing])[255], row)
+    # The memo holds the NE grid of each rank and nothing else; the
+    # facing's grid is a copy of it, not kept.
+    assert sorted(supertile._BUILD_MEMO) == list(range(1, 10))
+    ne = supertile._BUILD_MEMO[9]
+    assert ne.shape == ids.shape and not np.shares_memory(ne, ids)
+    assert np.array_equal(_turned(ids, 4 - FACING_ROTATIONS[facing]), ne)
 
 
 @pytest.mark.parametrize("facing", FACINGS)
@@ -145,8 +148,7 @@ def test_a_failed_cross_is_not_memoised(facing, monkeypatch):
         m.setattr(supertile, "_solve", failing)
         with pytest.raises(CrossUnsolvable):
             build(3, facing)
-    assert 3 not in supertile._CROSS_MEMO
-    assert not any(k == 3 for k, _ in supertile._BUILD_MEMO)
+    assert sorted(supertile._BUILD_MEMO) == [1, 2]
     ids = build(3, facing).ids
     assert np.array_equal(_outward_cross(ids, FACING_ROTATIONS[facing]), ids)
     assert build(3, "NE") == grid_from_literals(reference_layouts.rank3_ne())
@@ -155,15 +157,14 @@ def test_a_failed_cross_is_not_memoised(facing, monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("rank", [13, 14])
 def test_each_facing_is_the_ne_build_turned_at_high_ranks(rank, monkeypatch):
-    # Rank 14 holds the NE grid, its four quadrants and one other facing
-    # at a time: about 0.9 GB.
+    # Rank 14 holds the NE grids of ranks 1..14 and one other facing at
+    # a time.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
-    monkeypatch.setattr(supertile, "_CROSS_MEMO", {})
-    ne = _build_ids(rank, 0)
+    ne = _build_ids(rank)
     step = 1024
     for f in range(1, 4):
         table, turned = _turn_table(f), np.rot90(ne, f)
-        ids = _build_ids(rank, f)
+        ids = _facing_ids(rank, f)
         for r in range(0, ids.shape[0], step):
             assert np.array_equal(ids[r : r + step], table[turned[r : r + step]]), (f, r)
-        del supertile._BUILD_MEMO[rank, f], ids
+        del ids

@@ -83,7 +83,7 @@ def test_incremental_counts_equal_plain_extraction():
             full = {}
             rep = count_stabilized(n, 8, facing)
             for rank, count in rep.counts_by_rank:
-                full[rank] = _unique_windows(supertile._build_ids(rank, facing.rotation), n)
+                full[rank] = _unique_windows(supertile._facing_ids(rank, facing.rotation), n)
                 assert count == len(full[rank])
                 assert distinct_patterns(n, rank, facing) == _pattern_set(n, full[rank])
             for pos in POSITIONS:
@@ -199,7 +199,7 @@ def test_window_index_on_full_grids():
         index = _WindowIndex()
         expected = set()
         for f in range(4):
-            ids = supertile._build_ids(6, f)
+            ids = supertile._facing_ids(6, f)
             expected |= {row.tobytes() for row in _reference_rows(ids, n)}
             _unique_windows(ids, n, index)
             assert index.windows == expected
@@ -209,24 +209,35 @@ def test_window_index_on_full_grids():
 @pytest.mark.parametrize("pos", [None, *POSITIONS])
 def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monkeypatch):
     # The plateau rank is the largest rank probed, so once the scan stops
-    # there, only its own facing has been built at that rank.
+    # there, only its own facing has been asked for at that rank.
+    asked = []
+    facing_ids = enumerator._facing_ids
+
+    def spy(rank, f):
+        asked.append((rank, f))
+        return facing_ids(rank, f)
+
+    monkeypatch.setattr(enumerator, "_facing_ids", spy)
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     rep = count_stabilized(8, 11, facing, corner_pos=pos)
     assert rep.stabilized
-    assert _facings_built_at(rep.rank_used) == {facing.rotation}
+    assert _facings_asked_at(asked, rep.rank_used) == {facing.rotation}
     # The one-rank readers take the scan's set at their rank and stop there.
+    asked.clear()
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     if pos is None:
         distinct_patterns(8, rep.rank_used, facing)
     else:
         restricted_count(8, pos, rep.rank_used, facing)
-    assert _facings_built_at(rep.rank_used) == {facing.rotation}
+    assert _facings_asked_at(asked, rep.rank_used) == {facing.rotation}
 
 
-def _facings_built_at(rank):
-    """The facings built at ``rank``; nothing above it may be built."""
-    assert not any(k > rank for k, _ in supertile._BUILD_MEMO)
-    return {f for k, f in supertile._BUILD_MEMO if k == rank}
+def _facings_asked_at(asked, rank):
+    """The facings of ``rank`` among the ``(rank, facing)`` pairs the
+    scan ``asked`` for.  Nothing above ``rank`` may be asked for or built."""
+    assert not any(k > rank for k, _ in asked)
+    assert max(supertile._BUILD_MEMO) == rank
+    return {f for k, f in asked if k == rank}
 
 
 def test_mirrored_facing_is_rejected(tmp_path):

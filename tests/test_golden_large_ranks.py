@@ -1,10 +1,10 @@
 """Golden ASCII documents of the large supertiles.
 
-The SHA-256 of `supertile --out ascii` at ranks 9..12 in every facing,
+The SHA-256 of `supertile --out ascii` at ranks 9..13 in every facing,
 where three of the four facings' crosses are the NE cross turned and
-run to 4,095 cells.  The documents are hashed in process, a band at a
+run to 8,191 cells.  The documents are hashed in process, a band at a
 time, through the writer the CLI streams (ranks 1..8 are pinned through
-the CLI in test_golden_output.py)."""
+the CLI in test_golden_output.py).  Rank 13 runs with `-m slow`."""
 
 import hashlib
 
@@ -31,12 +31,23 @@ ASCII_SHA256 = {
     (12, "NW"): "1a69b7f84817d34073b35b51bbde8ada09f7b3cb60c1535e6114afab7f9403ea",
     (12, "SW"): "b0fd3d47cd866994d6ae333d8cb80d81f40b796f6eca068c1941eb5a92cd154f",
     (12, "SE"): "efa76e5fa38cdb06e8872d71e2d25ac8a272200ba94f9a1d5f0823851b08b75c",
+    (13, "NE"): "efecdbe107154572179ca9f17d361c3961c00b6968a59fd2061db411f5492206",
+    (13, "NW"): "e4ce46ce697f233df9851740111fe12b496016d9b6015b4b3a5cc6bf3d8486f7",
+    (13, "SW"): "7a3f3014d713c40b8220cea684d446c43cfada20a52f7a0be2531631497fbd31",
+    (13, "SE"): "8aa3b4a68e6f23a0734138a1342e81342eeab5e320ed89578ed5747d404cf116",
 }
+SLOW_RANKS = (13,)
 
 
-@pytest.mark.parametrize("rank,facing", list(ASCII_SHA256))
+@pytest.mark.parametrize(
+    "rank,facing",
+    [
+        pytest.param(*key, marks=[pytest.mark.slow] if key[0] in SLOW_RANKS else [])
+        for key in ASCII_SHA256
+    ],
+)
 def test_large_ascii_documents_are_pinned(rank, facing, monkeypatch):
-    # A copy of the memo, so the rank-12 grids built here are let go.
+    # A copy of the memo, so the largest grids built here are let go.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", dict(supertile._BUILD_MEMO))
     digest = hashlib.sha256()
     for chunk in cli._ascii_chunks(build(rank, facing)):

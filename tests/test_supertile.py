@@ -1,6 +1,7 @@
 """Supertile construction, cross solving, and validation tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_json_field_shape_is_normative():
     assert isinstance(mirror, bool)
 
 
-@pytest.mark.parametrize("bad", [32, 40, 254, 256, -1])
+@pytest.mark.parametrize("bad", [32, 40, 254, 256, -1, 1.5, "3"])
 def test_grid_rejects_ids_that_name_no_tile(bad):
     with pytest.raises(ValueError, match="tile ids"):
         TileGrid([[0, bad], [2, 3]])
@@ -276,10 +277,31 @@ def test_grid_rejects_ids_that_name_no_tile(bad):
 
 
 def test_build_hands_out_the_memoised_grid_without_a_copy():
-    g = build(5, "SW")
-    memo = supertile._build_ids(5, FACING_ROTATIONS["SW"])
+    g = build(5, "NE")
+    memo = supertile._BUILD_MEMO[5]
     assert np.shares_memory(g.ids, memo) and not g.ids.flags.writeable
     assert TileGrid(memo) == g and not np.shares_memory(TileGrid(memo).ids, memo)
+    # Any other facing is a fresh read-only array, which the memo does
+    # not keep.
+    sw = build(5, "SW").ids
+    assert not np.shares_memory(sw, memo) and not sw.flags.writeable
+    assert not np.shares_memory(sw, build(5, "SW").ids)
+
+
+def test_an_ne_build_holds_one_grid_per_rank(monkeypatch):
+    # The rank-11 grid and its border, the NE grids of ranks 1..10 (about
+    # a third of it) and one turned quadrant at a time: about 1.6 grids.
+    # Memoising every facing of every rank peaked at about 2.35 grids.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    tracemalloc.start()
+    try:
+        build(11, "NE")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2047**2
+    assert sorted(supertile._BUILD_MEMO) == list(range(1, 12))
 
 
 def test_from_json_reads_each_cell_as_it_reads_it_alone():
@@ -396,7 +418,6 @@ def test_rule_memo_on_random_partial_grids(monkeypatch):
 
 def test_builds_with_cleared_memos_match_the_reference_layouts(monkeypatch):
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
-    monkeypatch.setattr(supertile, "_CROSS_MEMO", {})
     monkeypatch.setattr(supertile, "_RULE_MEMO", {})
     for facing in FACINGS:
         assert build(2, facing) == grid_from_literals(reference_layouts.RANK2[facing])
