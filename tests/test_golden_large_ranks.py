@@ -36,15 +36,11 @@ ASCII_SHA256 = {
     (13, "SW"): "7a3f3014d713c40b8220cea684d446c43cfada20a52f7a0be2531631497fbd31",
     (13, "SE"): "8aa3b4a68e6f23a0734138a1342e81342eeab5e320ed89578ed5747d404cf116",
 }
-SLOW_RANKS = (13,)
 
 
 @pytest.mark.parametrize(
     "rank,facing",
-    [
-        pytest.param(*key, marks=[pytest.mark.slow] if key[0] in SLOW_RANKS else [])
-        for key in ASCII_SHA256
-    ],
+    [pytest.param(*key, marks=pytest.mark.slow if key[0] == 13 else ()) for key in ASCII_SHA256],
 )
 def test_large_ascii_documents_are_pinned(rank, facing, monkeypatch):
     # A copy of the memo, so the largest grids built here are let go.
