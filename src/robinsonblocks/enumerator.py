@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .supertile import EMPTY, FACING_ROTATIONS, SupertileSpec, TileGrid, _facing_ids
-from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
+from .supertile import EMPTY, SupertileSpec, TileGrid, _facing_ids
+from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, TURN, Pose
 
 MAGIC = b"RBLOCKPS"
 FORMAT_VERSION = 1
@@ -45,6 +45,15 @@ _TRIPLE_LUT = np.array(
 # (prototile, rotation, mirror) triple, EMPTY for every other uint8 key.
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
+
+# ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
+# a byte past the tile ids maps to itself.
+_TURN_BYTES = [bytes(range(256))]
+for _ in range(3):
+    _TURN_BYTES.append(_TURN_BYTES[-1].translate(TURN.tobytes() + _TURN_BYTES[0][len(TURN) :]))
+
+# Marks a line whose turned name is not yet worked out.
+_UNNAMED = np.iinfo(np.uint32).max
 
 # Bytes gathered per dedup band: the copy of new slabs held at a time
 # while their windows are keyed.
@@ -185,15 +194,21 @@ class _WindowIndex:
     (the window's tile ids in row-major order).  ``lines`` names each
     line (a whole row or column of an array) by its bytes, and ``slabs``
     holds the slabs met, per orientation (row lines, column lines), each
-    keyed by the names of its n lines.
+    keyed by the names of its n lines.  ``grown`` holds ``(array,
+    by_columns, names, starts)`` for each array whose new slabs, starting
+    at the lines ``starts``, added windows since ``_add_turned_slabs``
+    last ran.  ``turned`` maps ``(by_columns, t)`` to the name each line
+    takes in its array turned t quarter turns, by the line's name.
     """
 
-    __slots__ = ("windows", "lines", "slabs")
+    __slots__ = ("windows", "lines", "slabs", "grown", "turned")
 
     def __init__(self):
         self.windows: set = set()
         self.lines: dict = {}
         self.slabs = (set(), set())
+        self.grown: list = []
+        self.turned: dict = {}
 
 
 def _line_names(index: _WindowIndex, lines: np.ndarray) -> np.ndarray:
@@ -216,18 +231,15 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     into lines along its long axis (its columns if it is at least as
     wide as tall, else its rows), and each line is named by its bytes.
     A run of n consecutive line names is a slab key: two slabs with the
-    same key hold the same cells, so the same windows.  Windows are
-    keyed only for slabs this index has not met in that orientation.
-    A cross strip of a scan holds only a few times n distinct slabs,
-    whatever the rank (112 of 2032 for n = 16 at rank 11), and a scan
-    meets most of them at its lower ranks.
-
-    Each new slab is copied out, in bands of about ``_GATHER_BYTES``.  A
-    column slab is copied row-major, n bytes per cell, so its window at
-    row r is the n*n contiguous bytes starting at byte r*n, and a strided
-    void view hands those bytes to ``tolist`` without copying each
-    window.  A row slab's windows are copied out whole, one after
-    another.
+    same key hold the same cells, so the same windows.  Every window of
+    the array lies in exactly one slab, at the line it starts on, so
+    the array's windows are its slabs' windows.  Windows are keyed
+    (``_key_slabs``) only for slabs this index has not met in that
+    orientation, and if that added any window, the array, its line
+    names and those slabs' starts go on ``index.grown``.  A cross strip of a scan holds
+    only a few times n distinct slabs, whatever the rank (112 of 2032
+    for n = 16 at rank 11), and a scan meets most of them at its lower
+    ranks.
     """
     if index is None:
         index = _WindowIndex()
@@ -247,8 +259,27 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     starts = [start for key, start in slabs.items() if key not in met]
     met.update(slabs)
 
+    size = len(index.windows)
+    _key_slabs(ids, n, starts, by_columns, index)
+    if len(index.windows) > size:
+        index.grown.append((ids, by_columns, names, starts))
+    return index.windows
+
+
+def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _WindowIndex) -> None:
+    """Add to ``index`` the windows of the slabs of ``ids`` that start at
+    the lines ``starts``: column slabs if ``by_columns``, else row slabs.
+
+    The slabs are copied out in bands of about ``_GATHER_BYTES``.  A
+    column slab is copied row-major, n bytes per cell, so its window at
+    row r is the n*n contiguous bytes starting at byte r*n, and a strided
+    void view hands those bytes to ``tolist`` without copying each
+    window.  A row slab's windows are copied out whole, one after
+    another.
+    """
     if not starts:
-        return index.windows
+        return
+    height, width = ids.shape
     # ``view[i]`` is the slab starting at line i; copied out, its windows
     # start ``stride`` bytes apart.
     if by_columns:
@@ -266,7 +297,88 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
             strides=(band.strides[0], stride),
         )
         _add_keys(index.windows, keys)
-    return index.windows
+
+
+def _turn(ids: np.ndarray, t: int) -> np.ndarray:
+    """The tile-id array ``ids`` turned ``t`` counter-clockwise quarter
+    turns, every tile turned with it: ``TURN^t[np.rot90(ids, t)]``."""
+    turned = (ids, ids.T[::-1], ids[::-1, ::-1], ids.T[:, ::-1])[t]  # np.rot90(ids, t)
+    cells = turned.tobytes().translate(_TURN_BYTES[t])
+    return np.frombuffer(cells, dtype=np.uint8).reshape(turned.shape)
+
+
+def _turn_reverses(by_columns: bool, t: int) -> bool:
+    """Whether ``t`` quarter turns of an array reverse the order of its
+    columns (if ``by_columns``) or of its rows.  A quarter turn makes the
+    column at j of an array L columns wide its row at L - 1 - j, and its
+    row at i a column at i."""
+    return t == 2 or by_columns == (t == 1)
+
+
+def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
+    """Add to ``index`` the windows of the other three quarter turns of
+    each new slab on ``index.grown``, and empty that list.
+
+    Turned ``t`` times (``_turn``), an array's slabs are the turned
+    array's slabs, column slabs becoming row slabs at odd t.  The slab at
+    line i of an array L lines long starts at line L - n - i of the
+    turned array if the turn reverses the lines' order, and at line i if
+    not.  A turned slab is keyed by the names of its lines as the turned
+    array's own slabs would be, and skipped, as in ``_unique_windows``,
+    if that key was met: its windows are in the set already.  The rest
+    are gathered by the same ``_key_slabs``, one call per orientation.
+    """
+    grown, index.grown = index.grown, []
+    arrays, at, ends = ([], []), ([], []), [0, 0]  # per orientation of the turned slabs
+    for ids, by_columns, names, starts in grown:
+        length = len(names)
+        names = names[np.add.outer(starts, np.arange(n))]  # row j: slab starts[j]'s lines
+        for t in (1, 2, 3):
+            flips = _turn_reverses(by_columns, t)
+            turned_by_columns = by_columns != (t % 2 == 1)
+            keys = _turned_names(index, names, by_columns, t)
+            keys = np.ascontiguousarray(keys[:, ::-1] if flips else keys)
+            keys = keys.view(np.dtype((np.void, 4 * n))).ravel().tolist()
+            met = index.slabs[turned_by_columns]
+            fresh = [i for i, key in zip(starts, keys) if key not in met]
+            met.update(keys)
+            if fresh:
+                at[turned_by_columns].extend(
+                    ends[turned_by_columns] + (length - n - i if flips else i) for i in fresh
+                )
+                arrays[turned_by_columns].append(_turn(ids, t))
+                ends[turned_by_columns] += length
+    # One array per orientation: the turned arrays of one rank share their
+    # short side, and no start lies in a part's last n - 1 lines, so no
+    # slab keyed straddles two parts.  The parts are let go before keying.
+    for by_columns in (False, True):
+        if arrays[by_columns]:
+            ids = np.concatenate(arrays[by_columns], axis=int(by_columns))
+            arrays[by_columns].clear()
+            _key_slabs(ids, n, at[by_columns], by_columns, index)
+
+
+def _turned_names(index: _WindowIndex, names: np.ndarray, by_columns: bool, t: int):
+    """The names that lines named ``names``, columns of an array if
+    ``by_columns`` else its rows, take in that array turned ``t`` quarter
+    turns, as an array of the shape of ``names``.  A line's cells run
+    across the lines, so they run the other way when the turn reverses
+    the order of the other orientation's lines.  Each turned name is
+    worked out once per scan and stored in ``index.turned``."""
+    table = index.turned.get((by_columns, t), np.empty(0, dtype=np.uint32))
+    if len(table) < len(index.lines):
+        grow = np.full(len(index.lines) - len(table), _UNNAMED, dtype=np.uint32)
+        table = index.turned[(by_columns, t)] = np.concatenate((table, grow))
+    turned = table[names]
+    unnamed = turned == _UNNAMED
+    if unnamed.any():
+        line_of = list(index.lines)  # names are handed out in insertion order
+        step = -1 if _turn_reverses(not by_columns, t) else 1
+        new = list(set(names[unnamed].tolist()))
+        lines = [line_of[name][::step].translate(_TURN_BYTES[t]) for name in new]
+        table[new] = [index.lines.setdefault(line, len(index.lines)) for line in lines]
+        turned = table[names]
+    return turned
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -290,15 +402,16 @@ def _tile_ids(data: bytes) -> np.ndarray:
     return ids
 
 
-def _cross_band_unique(ids: np.ndarray, n: int, index: _WindowIndex) -> set:
-    """Add the windows that touch the central row or central column to
-    ``index``, and return its window set."""
-    s = ids.shape[0]
+def _cross_band_unique(rank: int, facing: int, n: int, index: _WindowIndex) -> set:
+    """Add the windows of the rank-``rank`` supertile ``facing`` quarter
+    turns from NE that touch its central row or central column to
+    ``index``, and return its window set.  Only the two strips of lines
+    that hold them are cut from the supertile."""
+    s = (1 << rank) - 1
     c = (s - 1) // 2
-    lo = max(0, c - n + 1)
-    hi = min(c, s - n)
-    _unique_windows(ids[lo : hi + n, :], n, index)
-    return _unique_windows(ids[:, lo : hi + n], n, index)
+    band = slice(max(0, c - n + 1), min(c, s - n) + n)
+    _unique_windows(_facing_ids(rank, facing, rows=band), n, index)
+    return _unique_windows(_facing_ids(rank, facing, cols=band), n, index)
 
 
 def _ranks(n: int, k_max: int, facing: Pose) -> range:
@@ -327,21 +440,33 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     are the rank-(k+1) set, while only cross-touching windows are
     extracted.
 
+    Only this facing is ever cut from a supertile.  The facing t quarter
+    turns on is this one turned, ``TURN^t[np.rot90(ids, t)]`` (``_turn``),
+    so its cross strips are this facing's strips turned, the rows strip
+    becoming the columns strip at odd t.  A turned array's windows are
+    its windows turned, and an array's windows are its slabs' windows.
+    So the other facings of rank k add exactly the turns of the windows
+    extracted up to rank k, and those are the turns of the new slabs
+    keyed up to rank k: ``_add_turned_slabs`` adds the three turns of
+    each new slab of an extraction that grew the set.  An extraction
+    that added no window needs no turns: each of its windows came from
+    a slab keyed before, plain or turned, whose turns are all added.
+
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
-    adds to it.  Rank k is yielded as soon as its own facing is
-    extracted.  The other three facings are made (each the NE grid of
-    rank k with its cross turned) and extracted only when the scan is
-    resumed, so a scan that stops at its plateau never makes them at
-    its last rank.
+    adds to it.  Rank k is yielded as soon as this facing is extracted;
+    the turned slabs of rank k belong to rank k+1's set and are added
+    only when the scan is resumed, so a scan that stops at its plateau
+    never turns the slabs of its last rank.
     """
     index = _WindowIndex()
     for k in ranks:
-        extract = _unique_windows if k == ranks.start else _cross_band_unique
-        yield k, extract(_facing_ids(k, facing.rotation), n, index)
-        for f in FACING_ROTATIONS.values():
-            if f != facing.rotation:
-                extract(_facing_ids(k, f), n, index)
+        _add_turned_slabs(index, n)
+        if k == ranks.start:
+            _unique_windows(_facing_ids(k, facing.rotation), n, index)
+        else:
+            _cross_band_unique(k, facing.rotation, n, index)
+        yield k, index.windows
 
 
 def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
@@ -362,8 +487,8 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
 
 def _windows_at(n: int, ranks: range, facing: Pose) -> set:
     """The window set a scan over ``ranks`` yields at its last rank.
-    The scan is never resumed past it, so the other three facings of
-    that rank are never made."""
+    The scan is never resumed past it, so the slabs of that rank are
+    never turned."""
     return next(w for k, w in _window_scan(n, ranks, facing) if k == ranks[-1])
 
 

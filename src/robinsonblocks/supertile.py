@@ -357,19 +357,31 @@ def _build_ids(rank: int) -> np.ndarray:
     return ids
 
 
-def _facing_ids(rank: int, facing: int) -> np.ndarray:
-    """The rank-``rank`` supertile ``facing`` quarter turns from NE, read-only.
+def _facing_ids(
+    rank: int, facing: int, rows: slice = slice(None), cols: slice = slice(None)
+) -> np.ndarray:
+    """The rank-``rank`` supertile ``facing`` quarter turns from NE, or
+    its block of ``rows`` by ``cols`` (unit-step slices), read-only.
+
     Each facing is the NE one turned, ``TURN^facing[np.rot90(ne, facing)]``,
-    and shares its quadrants: a copy of the NE grid with its cross turned."""
+    and shares its quadrants.  So the NE facing's block is a view of the NE
+    grid, and any other facing's is a copy of that block with the part of
+    the facing's centre row and column that it holds written over the NE
+    ones.  A block of a few lines costs a copy of those lines only."""
     ne = _build_ids(rank)
     if facing == 0:
-        return ne
+        return ne[rows, cols]
     c = ne.shape[0] // 2
     row, col = ne[c], ne[:, c]
     for _ in range(facing):  # a quarter turn of the grid, TURN[np.rot90(ids)]
         row, col = TURN[col], TURN[row[::-1]]
-    ids = ne.copy()
-    ids[c], ids[:, c] = row, col
+    ids = ne[rows, cols].copy()
+    top = rows.indices(ne.shape[0])
+    left = cols.indices(ne.shape[1])
+    if c in range(*top):
+        ids[c - top[0]] = row[cols]
+    if c in range(*left):
+        ids[:, c - left[0]] = col[rows]
     ids.setflags(write=False)
     return ids
 

@@ -208,20 +208,21 @@ def test_window_index_on_full_grids():
 @pytest.mark.parametrize("facing", FACINGS)
 @pytest.mark.parametrize("pos", [None, *POSITIONS])
 def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monkeypatch):
-    # The plateau rank is the largest rank probed, so once the scan stops
-    # there, only its own facing has been asked for at that rank.
+    # The scan asks for its own facing only, at every rank: the other
+    # facings' windows are its own slabs turned.  The plateau rank is the
+    # largest rank probed, so nothing above it is asked for or built.
     asked = []
     facing_ids = enumerator._facing_ids
 
-    def spy(rank, f):
+    def spy(rank, f, *block, **kw):
         asked.append((rank, f))
-        return facing_ids(rank, f)
+        return facing_ids(rank, f, *block, **kw)
 
     monkeypatch.setattr(enumerator, "_facing_ids", spy)
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     rep = count_stabilized(8, 11, facing, corner_pos=pos)
     assert rep.stabilized
-    assert _facings_asked_at(asked, rep.rank_used) == {facing.rotation}
+    assert _facings_asked(asked, rep) == {facing.rotation}
     # The one-rank readers take the scan's set at their rank and stop there.
     asked.clear()
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
@@ -229,15 +230,16 @@ def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monke
         distinct_patterns(8, rep.rank_used, facing)
     else:
         restricted_count(8, pos, rep.rank_used, facing)
-    assert _facings_asked_at(asked, rep.rank_used) == {facing.rotation}
+    assert _facings_asked(asked, rep) == {facing.rotation}
 
 
-def _facings_asked_at(asked, rank):
-    """The facings of ``rank`` among the ``(rank, facing)`` pairs the
-    scan ``asked`` for.  Nothing above ``rank`` may be asked for or built."""
-    assert not any(k > rank for k, _ in asked)
-    assert max(supertile._BUILD_MEMO) == rank
-    return {f for k, f in asked if k == rank}
+def _facings_asked(asked, rep):
+    """The facings among the ``(rank, facing)`` pairs the scan behind
+    ``rep`` ``asked`` for, which must name every probed rank and nothing
+    above ``rep.rank_used``."""
+    assert {k for k, _ in asked} == {k for k, _ in rep.counts_by_rank}
+    assert max(supertile._BUILD_MEMO) == rep.rank_used
+    return {f for _, f in asked}
 
 
 def test_mirrored_facing_is_rejected(tmp_path):

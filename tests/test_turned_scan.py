@@ -1,0 +1,185 @@
+"""One facing per scan: the other facings' windows are its slabs turned.
+
+``_window_scan`` cuts only its own facing from each supertile.  Each
+other facing is that facing turned, ``TURN^t[np.rot90(ids, t)]``, so
+when the scan is resumed it adds the three turns of the new slabs of
+the rank it yielded.  These tests keep the scan that extracted all four
+facings' strips into one index as the reference, and check the turn of
+an array and the start of each turned slab on random arrays."""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from test_cross_turn import _turn_table
+from robinsonblocks import supertile
+from robinsonblocks.complexity import closed_form_A
+from robinsonblocks.enumerator import (
+    _TURN_BYTES,
+    _WindowIndex,
+    _add_turned_slabs,
+    _key_slabs,
+    _line_names,
+    _ranks,
+    _scan_value,
+    _turn,
+    _turn_reverses,
+    _unique_windows,
+    _window_scan,
+    count_stabilized,
+)
+from robinsonblocks.supertile import _build_ids, _facing_ids
+from robinsonblocks.tileset import ALL_TILES, IDENTITY, TURN, Pose
+
+FACINGS = [Pose(r, False) for r in range(4)]
+POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _reference_cross_band(ids, n, index):
+    """The windows of the whole grid ``ids`` that touch its central row
+    or column, added to ``index``: both strips cut from ``ids``."""
+    s = ids.shape[0]
+    c = (s - 1) // 2
+    lo, hi = max(0, c - n + 1), min(c, s - n)
+    _unique_windows(ids[lo : hi + n, :], n, index)
+    return _unique_windows(ids[:, lo : hi + n], n, index)
+
+
+def _four_facing_scan(n, ranks, facing):
+    """The scan as it was before it turned slabs: every facing of every
+    rank below the last is made whole and its strips extracted into one
+    index, after the rank is yielded."""
+    index = _WindowIndex()
+    for k in ranks:
+        extract = _unique_windows if k == ranks.start else _reference_cross_band
+        yield k, extract(_facing_ids(k, facing.rotation), n, index)
+        for f in range(4):
+            if f != facing.rotation:
+                extract(_facing_ids(k, f), n, index)
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+def test_each_rank_yields_the_four_facing_set(facing):
+    for n in range(1, 13):
+        ranks = _ranks(n, 9, facing)
+        pairs = zip(_window_scan(n, ranks, facing), _four_facing_scan(n, ranks, facing))
+        for (k, windows), (k_ref, reference) in pairs:
+            assert k == k_ref
+            assert windows == reference, (n, k)
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+def test_restricted_counts_by_rank_match_the_four_facing_scan(facing):
+    for n in range(2, 7):
+        for pos in POSITIONS:
+            value = _scan_value(n, pos)
+            rep = count_stabilized(n, 9, facing, corner_pos=pos)
+            reference = {k: value(w) for k, w in _four_facing_scan(n, _ranks(n, 9, facing), facing)}
+            assert all(count == reference[k] for k, count in rep.counts_by_rank), (n, pos)
+
+
+def test_turn_tables_have_order_four():
+    identity = bytes(range(256))
+    assert _TURN_BYTES[0] == identity
+    for t in range(1, 4):
+        assert _TURN_BYTES[t] == _TURN_BYTES[t - 1].translate(_TURN_BYTES[1])
+        assert np.array_equal(np.frombuffer(_TURN_BYTES[t], np.uint8)[: len(TURN)], _turn_table(t))
+    assert _TURN_BYTES[3].translate(_TURN_BYTES[1]) == identity  # TURN^4, every byte
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_turned_ne_build_is_each_facing(rank):
+    ne = _build_ids(rank)
+    for t in range(4):
+        assert np.array_equal(_turn(ne, t), _facing_ids(rank, t)), t
+        assert np.array_equal(_turn(ne, t), _turn_table(t)[np.rot90(ne, t)]), t
+
+
+def test_a_facing_block_is_cut_from_its_grid():
+    rank, side = 6, 63
+    for f in range(4):
+        whole = _facing_ids(rank, f)
+        for rows, cols in (
+            (slice(25, 38), slice(None)),
+            (slice(None), slice(25, 38)),
+            (slice(0, 10), slice(40, 63)),
+            (slice(31, 32), slice(0, side)),
+        ):
+            block = _facing_ids(rank, f, rows=rows, cols=cols)
+            assert np.array_equal(block, whole[rows, cols]), (f, rows, cols)
+            assert not block.flags.writeable
+
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def slab_cases(draw):
+    """A random tile-id array, wide, tall or square, with n, the
+    orientation of its slabs and some of their starts.  Its cells take
+    four tile ids at most, so slabs and their turns often repeat."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([height, draw(st.integers(1, 12))]))
+    cells = draw(st.lists(st.integers(0, 3), min_size=height * width, max_size=height * width))
+    tiles = draw(st.lists(st.integers(0, len(ALL_TILES) - 1), min_size=4, max_size=4))
+    ids = np.array(tiles, dtype=np.uint8)[np.array(cells).reshape(height, width)]
+    n = draw(st.integers(1, min(height, width)))
+    by_columns = draw(st.booleans())
+    length = ids.shape[by_columns]
+    starts = draw(st.lists(st.integers(0, length - n), min_size=1, unique=True))
+    return ids, n, by_columns, starts
+
+
+def _slab_windows(ids, n, by_columns, starts):
+    """The n-by-n windows, as arrays, of the slabs of ``ids`` at ``starts``."""
+    windows = sliding_window_view(ids, (n, n))
+    return [w for i in starts for w in (windows[:, i] if by_columns else windows[i])]
+
+
+def _turned_windows(ids, n, by_columns, starts, turns):
+    """Each window of those slabs turned on its own, as row bytes."""
+    return {
+        _turn_table(t)[np.rot90(w, t)].tobytes()
+        for t in turns
+        for w in _slab_windows(ids, n, by_columns, starts)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(slab_cases(), st.integers(1, 3))
+def test_key_slabs_at_the_mapped_starts_gives_the_turned_windows(case, t):
+    ids, n, by_columns, starts = case
+    length = ids.shape[by_columns]
+    flips = _turn_reverses(by_columns, t)
+    mapped = [length - n - i if flips else i for i in starts]
+    index = _WindowIndex()
+    _key_slabs(_turn(ids, t), n, mapped, by_columns != (t % 2 == 1), index)
+    assert index.windows == _turned_windows(ids, n, by_columns, starts, [t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(slab_cases())
+def test_turned_slabs_are_keyed_under_their_own_line_names(case):
+    # Through the resume step itself: the three turns of the slabs on
+    # ``grown``, each skipped if the names of its turned lines make a key
+    # already met (another turn of one of them), and keyed otherwise.
+    ids, n, by_columns, starts = case
+    index = _WindowIndex()
+    names = _line_names(index, ids.T if by_columns else ids)
+    index.grown.append((ids, by_columns, names, starts))
+    _add_turned_slabs(index, n)
+    assert index.grown == []
+    assert index.windows == _turned_windows(ids, n, by_columns, starts, (1, 2, 3))
+
+
+@pytest.mark.slow
+def test_the_plateau_holds_through_rank_13(monkeypatch):
+    # One facing per rank keeps rank 13 cheap: the scan cuts two strips
+    # of the NE build and turns only its new slabs.  The memo is the
+    # test's own, so the rank-13 grid is let go afterwards.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    for n in range(2, 9):
+        counts = {k: len(w) for k, w in _window_scan(n, _ranks(n, 13, IDENTITY), IDENTITY)}
+        plateau = count_stabilized(n, 13).rank_used - 1
+        assert all(counts[k] == closed_form_A(n) for k in range(plateau, 14)), (n, counts)
