@@ -138,25 +138,36 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
+def _is_stdout(path: Path) -> bool:
+    """Whether ``path`` names the file standard out is open on:
+    ``/dev/stdout``, or the file a shell redirected it to."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file, or fd 1 is closed
+        return False
+
+
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
     regular file is written under a temporary name and renamed into
-    place, so a failure partway leaves no partial file.  A reader that
-    closes stdout early (``| head``) ends the write quietly."""
-    if path is None:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Point fd 1 at devnull so that the interpreter's final flush
-            # of what is still buffered does not fail a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+    place, so a failure partway leaves no partial file.  A path naming
+    stdout's own file is written through ``sys.stdout``, after what was
+    printed before and without truncating it, as if it were None.  A
+    reader that closes stdout early (``| head``) ends the write quietly."""
+    if path is not None and not _is_stdout(path):
+        with _atomic_open(path, "w") as fh:
+            fh.writelines(chunks)
+        _note(f"wrote {path}")
         return
-    with _atomic_open(path, "w") as fh:
-        fh.writelines(chunks)
-    _note(f"wrote {path}")
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull so that the interpreter's final flush
+        # of what is still buffered does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_supertile(args) -> int:

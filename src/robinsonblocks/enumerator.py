@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .supertile import EMPTY, SupertileSpec, TileGrid, _facing_ids
-from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, TURN, Pose
+from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids, _rot90
+from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
 FORMAT_VERSION = 1
@@ -48,9 +48,7 @@ _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(A
 
 # ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
 # a byte past the tile ids maps to itself.
-_TURN_BYTES = [bytes(range(256))]
-for _ in range(3):
-    _TURN_BYTES.append(_TURN_BYTES[-1].translate(TURN.tobytes() + _TURN_BYTES[0][len(TURN) :]))
+_TURN_BYTES = [table.tobytes() for table in _TURNS]
 
 # Marks a line whose turned name is not yet worked out.
 _UNNAMED = np.iinfo(np.uint32).max
@@ -192,34 +190,44 @@ class _WindowIndex:
 
     ``windows`` is the set of distinct n-by-n windows, as n*n-byte rows
     (the window's tile ids in row-major order).  ``lines`` names each
-    line (a whole row or column of an array) by its bytes, and ``slabs``
-    holds the slabs met, per orientation (row lines, column lines), each
-    keyed by the names of its n lines.  ``grown`` holds ``(array,
+    line (a whole row or column of an array) by its bytes, names being
+    handed out 0, 1, 2, ... in order, and ``line_bytes`` holds each
+    line's bytes at its name.  ``slabs`` holds the slabs met, per
+    orientation (row lines, column lines), each keyed by the names of
+    its n lines.  ``grown`` holds ``(array,
     by_columns, names, starts)`` for each array whose new slabs, starting
     at the lines ``starts``, added windows since ``_add_turned_slabs``
-    last ran.  ``turned`` maps ``(by_columns, t)`` to the name each line
-    takes in its array turned t quarter turns, by the line's name.
+    last ran.  ``turned[by_columns]`` holds, at row ``name``, the names
+    line ``name`` (a column if ``by_columns``, else a row) takes in its
+    array turned 1, 2 and 3 quarter turns, ``_UNNAMED`` until worked
+    out; it grows by doubling.
     """
 
-    __slots__ = ("windows", "lines", "slabs", "grown", "turned")
+    __slots__ = ("windows", "lines", "line_bytes", "slabs", "grown", "turned")
 
     def __init__(self):
         self.windows: set = set()
         self.lines: dict = {}
+        self.line_bytes: list = []
         self.slabs = (set(), set())
         self.grown: list = []
-        self.turned: dict = {}
+        self.turned = [np.empty((0, 3), dtype=np.uint32) for _ in range(2)]
+
+
+def _names_of(index: _WindowIndex, keys: list) -> np.ndarray:
+    """The name of each line in ``keys``, a list of ``bytes``, as uint32;
+    a line not met before in this index gets the next free name."""
+    names = index.lines
+    new = [key for key in dict.fromkeys(keys) if key not in names]
+    names.update(zip(new, range(len(names), len(names) + len(new))))
+    index.line_bytes.extend(new)
+    return np.fromiter(map(names.__getitem__, keys), dtype=np.uint32, count=len(keys))
 
 
 def _line_names(index: _WindowIndex, lines: np.ndarray) -> np.ndarray:
-    """The name of each row of the 2-D uint8 array ``lines``, as uint32;
-    a row not met before in this index gets the next free name."""
+    """The name of each row of the 2-D uint8 array ``lines``, as uint32."""
     keys = np.ascontiguousarray(lines).view(np.dtype((np.void, lines.shape[1])))
-    keys = keys.reshape(-1).tolist()
-    names = index.lines
-    for key in dict.fromkeys(keys):
-        names.setdefault(key, len(names))
-    return np.fromiter(map(names.__getitem__, keys), dtype=np.uint32, count=len(keys))
+    return _names_of(index, keys.reshape(-1).tolist())
 
 
 def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) -> set:
@@ -271,7 +279,7 @@ def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _Window
     the lines ``starts``: column slabs if ``by_columns``, else row slabs.
 
     The slabs are copied out in bands of about ``_GATHER_BYTES``.  A
-    column slab is copied row-major, n bytes per cell, so its window at
+    column slab is copied row-major, n bytes per row, so its window at
     row r is the n*n contiguous bytes starting at byte r*n, and a strided
     void view hands those bytes to ``tolist`` without copying each
     window.  A row slab's windows are copied out whole, one after
@@ -280,12 +288,16 @@ def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _Window
     if not starts:
         return
     height, width = ids.shape
-    # ``view[i]`` is the slab starting at line i; copied out, its windows
-    # start ``stride`` bytes apart.
+    rows, cols = ids.strides
+    # ``view[i]`` is the slab starting at line i, a read-only view of
+    # ``ids``: (height, n) cells for a column slab, its (width - n + 1)
+    # n-by-n windows for a row slab.  Copied out, its windows start
+    # ``stride`` bytes apart.
     if by_columns:
-        view, stride = sliding_window_view(ids, n, axis=1).transpose(1, 0, 2), n
+        shape, strides, stride = (width - n + 1, height, n), (cols, rows, cols), n
     else:
-        view, stride = sliding_window_view(ids, (n, n)), n * n
+        shape, strides, stride = (height - n + 1, width - n + 1, n, n), (rows, cols) * 2, n * n
+    view = as_strided(ids, shape, strides, writeable=False)
     per_slab = (height if by_columns else width) - n + 1
     step = max(1, _GATHER_BYTES // view[0].size)
     for i in range(0, len(starts), step):
@@ -302,7 +314,7 @@ def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _Window
 def _turn(ids: np.ndarray, t: int) -> np.ndarray:
     """The tile-id array ``ids`` turned ``t`` counter-clockwise quarter
     turns, every tile turned with it: ``TURN^t[np.rot90(ids, t)]``."""
-    turned = (ids, ids.T[::-1], ids[::-1, ::-1], ids.T[:, ::-1])[t]  # np.rot90(ids, t)
+    turned = _rot90(ids, t)
     cells = turned.tobytes().translate(_TURN_BYTES[t])
     return np.frombuffer(cells, dtype=np.uint8).reshape(turned.shape)
 
@@ -333,10 +345,11 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     for ids, by_columns, names, starts in grown:
         length = len(names)
         names = names[np.add.outer(starts, np.arange(n))]  # row j: slab starts[j]'s lines
+        turned = _turned_names(index, names, by_columns)
         for t in (1, 2, 3):
             flips = _turn_reverses(by_columns, t)
             turned_by_columns = by_columns != (t % 2 == 1)
-            keys = _turned_names(index, names, by_columns, t)
+            keys = turned[..., t - 1]
             keys = np.ascontiguousarray(keys[:, ::-1] if flips else keys)
             keys = keys.view(np.dtype((np.void, 4 * n))).ravel().tolist()
             met = index.slabs[turned_by_columns]
@@ -358,25 +371,27 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
             _key_slabs(ids, n, at[by_columns], by_columns, index)
 
 
-def _turned_names(index: _WindowIndex, names: np.ndarray, by_columns: bool, t: int):
+def _turned_names(index: _WindowIndex, names: np.ndarray, by_columns: bool) -> np.ndarray:
     """The names that lines named ``names``, columns of an array if
-    ``by_columns`` else its rows, take in that array turned ``t`` quarter
-    turns, as an array of the shape of ``names``.  A line's cells run
-    across the lines, so they run the other way when the turn reverses
-    the order of the other orientation's lines.  Each turned name is
-    worked out once per scan and stored in ``index.turned``."""
-    table = index.turned.get((by_columns, t), np.empty(0, dtype=np.uint32))
+    ``by_columns`` else its rows, take in that array turned 1, 2 and 3
+    quarter turns: an array of the shape of ``names`` plus a last axis
+    of 3, turn t at ``t - 1``.  A line's cells run across the lines, so
+    they run the other way when the turn reverses the order of the other
+    orientation's lines.  The three turned names of a line are worked
+    out together, once per scan, and stored in ``index.turned``."""
+    table = index.turned[by_columns]
     if len(table) < len(index.lines):
-        grow = np.full(len(index.lines) - len(table), _UNNAMED, dtype=np.uint32)
-        table = index.turned[(by_columns, t)] = np.concatenate((table, grow))
+        grown = np.full((max(2 * len(table), len(index.lines)), 3), _UNNAMED, dtype=np.uint32)
+        grown[: len(table)] = table
+        table = index.turned[by_columns] = grown
     turned = table[names]
-    unnamed = turned == _UNNAMED
+    unnamed = turned[..., 0] == _UNNAMED
     if unnamed.any():
-        line_of = list(index.lines)  # names are handed out in insertion order
-        step = -1 if _turn_reverses(not by_columns, t) else 1
         new = list(set(names[unnamed].tolist()))
-        lines = [line_of[name][::step].translate(_TURN_BYTES[t]) for name in new]
-        table[new] = [index.lines.setdefault(line, len(index.lines)) for line in lines]
+        for t in (1, 2, 3):
+            step = -1 if _turn_reverses(not by_columns, t) else 1
+            lines = [index.line_bytes[name][::step].translate(_TURN_BYTES[t]) for name in new]
+            table[new, t - 1] = _names_of(index, lines)
         turned = table[names]
     return turned
 
@@ -565,6 +580,9 @@ def _atomic_open(path, mode: str):
     a plain ``open`` would: a device or FIFO cannot be replaced by a
     rename, and a symlink may name an open descriptor (/dev/stdout is
     one) whose file a rename would swap out from under its holder.
+    Opened with "w", such a symlink truncates the file it names, so the
+    CLI writes a path naming its own standard out through ``sys.stdout``
+    and never opens it here.
     """
     try:
         st = os.lstat(path)

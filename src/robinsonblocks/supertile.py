@@ -316,6 +316,19 @@ def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
     return tile_from_id(_solve(padded, row - 1, col - 1))
 
 
+# ``TURN`` applied t times, for t = 0..3, as one 256-entry lookup table
+# each; an id past the tile ids (EMPTY) maps to itself.
+_TURNS = np.tile(np.arange(256, dtype=np.uint8), (4, 1))
+for _t in range(1, 4):
+    _TURNS[_t, : len(TURN)] = TURN[_TURNS[_t - 1, : len(TURN)]]
+
+
+def _rot90(ids: np.ndarray, t: int) -> np.ndarray:
+    """``np.rot90(ids, t)`` for t = 0..3, a view, without its argument
+    handling."""
+    return (ids, ids.T[::-1], ids[::-1, ::-1], ids.T[:, ::-1])[t]
+
+
 # The NE supertile of each rank, a read-only uint8 array keyed by rank.
 # Every other facing is read from it by ``_facing_ids``.  A rank is
 # stored only once its whole cross has solved.
@@ -372,16 +385,14 @@ def _facing_ids(
     if facing == 0:
         return ne[rows, cols]
     c = ne.shape[0] // 2
-    row, col = ne[c], ne[:, c]
-    for _ in range(facing):  # a quarter turn of the grid, TURN[np.rot90(ids)]
-        row, col = TURN[col], TURN[row[::-1]]
+    turned = _rot90(ne, facing)
     ids = ne[rows, cols].copy()
     top = rows.indices(ne.shape[0])
     left = cols.indices(ne.shape[1])
     if c in range(*top):
-        ids[c - top[0]] = row[cols]
+        ids[c - top[0]] = _TURNS[facing][turned[c, cols]]
     if c in range(*left):
-        ids[:, c - left[0]] = col[rows]
+        ids[:, c - left[0]] = _TURNS[facing][turned[rows, c]]
     ids.setflags(write=False)
     return ids
 

@@ -388,6 +388,41 @@ def test_stdout_closed_early_exits_quietly(out, rank):
     assert len(head.stdout) == 20
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("before", ["", "prev\n"], ids=["truncated", "appended"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "1", "--csv"),
+        ("supertile", "--rank", "2", "--output"),
+        ("render", "--input", "{tmp}/grid.json", "--out"),
+    ],
+    ids=["csv", "output", "out"],
+)
+def test_an_output_path_naming_stdout_is_written_after_what_it_holds(tmp_path, before, argv):
+    # Reopened, /dev/stdout would truncate the file stdout is redirected
+    # to: ``>> log`` would lose the old lines, and a count printed after
+    # the CSV would overwrite its header.
+    main(["supertile", "--rank", "2", "--out", "json", "--output", str(tmp_path / "grid.json")])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+
+    def run(path, stdout):
+        return subprocess.run(
+            [sys.executable, "-c", CONSOLE_SCRIPT, *(a.format(tmp=tmp_path) for a in argv), path],
+            stdout=stdout,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            check=True,
+        )
+
+    printed = run(str(tmp_path / "doc.txt"), subprocess.PIPE).stdout.decode()
+    log = tmp_path / "log"
+    log.write_text(before)
+    with open(log, "a" if before else "w") as stdout:
+        run("/dev/stdout", stdout)
+    assert log.read_text() == before + (tmp_path / "doc.txt").read_text() + printed
+
+
 def test_render_from_json(capsys, tmp_path):
     grid_path = tmp_path / "grid.json"
     svg_path = tmp_path / "grid.svg"

@@ -7,15 +7,18 @@ the rank it yielded.  These tests keep the scan that extracted all four
 facings' strips into one index as the reference, and check the turn of
 an array and the start of each turned slab on random arrays."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from test_cross_turn import _turn_table
-from robinsonblocks import supertile
+from robinsonblocks import enumerator, supertile
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     _TURN_BYTES,
+    _UNNAMED,
     _WindowIndex,
     _add_turned_slabs,
     _key_slabs,
@@ -95,6 +98,42 @@ def test_turned_ne_build_is_each_facing(rank):
         assert np.array_equal(_turn(ne, t), _turn_table(t)[np.rot90(ne, t)]), t
 
 
+# The turns at which a line's cells come out reversed in the turned
+# array, for columns and for rows: ``np.rot90(a)[i, k] == a[k, W - 1 - i]``
+# keeps a column's cells in order and reverses a row's.
+REVERSED_AT = {True: (2, 3), False: (1, 2)}
+
+
+def test_every_turned_name_is_its_line_turned(monkeypatch):
+    indexes = []
+    turned_names = enumerator._turned_names
+
+    def spy(index, names, by_columns):
+        indexes.append(index)
+        return turned_names(index, names, by_columns)
+
+    monkeypatch.setattr(enumerator, "_turned_names", spy)
+    for n in range(2, 17):
+        for facing in FACINGS:
+            indexes.clear()
+            count_stabilized(n, 11, facing)
+            index = indexes[0]
+            assert all(i is index for i in indexes)
+            assert all(index.lines[line] == name for name, line in enumerate(index.line_bytes))
+            assert len(index.line_bytes) == len(index.lines)
+            for by_columns in (False, True):
+                table = index.turned[by_columns]
+                named = np.flatnonzero(table[:, 0] != _UNNAMED)
+                assert named.size, (n, facing, by_columns)
+                assert (table[named] != _UNNAMED).all() and (table[len(index.lines) :] == _UNNAMED).all()
+                for name in named.tolist():
+                    line = index.line_bytes[name]
+                    for t in (1, 2, 3):
+                        step = -1 if t in REVERSED_AT[by_columns] else 1
+                        turned = line[::step].translate(_TURN_BYTES[t])
+                        assert index.lines[turned] == table[name, t - 1], (n, facing, name, t)
+
+
 def test_a_facing_block_is_cut_from_its_grid():
     rank, side = 6, 63
     for f in range(4):
@@ -129,6 +168,69 @@ def slab_cases(draw):
     length = ids.shape[by_columns]
     starts = draw(st.lists(st.integers(0, length - n), min_size=1, unique=True))
     return ids, n, by_columns, starts
+
+
+@st.composite
+def viewed_slab_cases(draw):
+    """A tile-id array as the scan may hand it to ``_key_slabs``: a random
+    array seen whole, transposed, cut to a block, reversed or every other
+    row, writeable or read-only, or a cross strip of an NE supertile (a
+    read-only view of the memoised build); with n, the orientation of
+    its slabs and some of their starts."""
+    kind = draw(st.sampled_from(["whole", "T", "block", "reversed", "step", "ne-rows", "ne-cols"]))
+    if kind.startswith("ne"):
+        rank = draw(st.integers(2, 6))
+        side = (1 << rank) - 1
+        c = side // 2
+        width = draw(st.integers(1, side))
+        band = slice(max(0, c - width + 1), min(c, side - width) + width)
+        ids = _facing_ids(rank, 0, **{"rows" if kind == "ne-rows" else "cols": band})
+    else:
+        height, width = draw(st.integers(2, 14)), draw(st.integers(2, 14))
+        cells = draw(st.lists(st.integers(0, 3), min_size=height * width, max_size=height * width))
+        base = np.array(cells, dtype=np.uint8).reshape(height, width)
+        ids = {
+            "whole": base,
+            "T": base.T,
+            "block": base[1:, 1:],
+            "reversed": base[::-1, ::-1],
+            "step": base[::2],
+        }[kind]
+        if draw(st.booleans()):
+            ids = ids.view()
+            ids.setflags(write=False)
+    n = draw(st.integers(1, min(ids.shape)))
+    by_columns = draw(st.booleans())
+    starts = draw(st.lists(st.integers(0, ids.shape[by_columns] - n), min_size=1, unique=True))
+    return ids, n, by_columns, starts
+
+
+def _gathered_by_sliding_window_view(ids, n, starts, by_columns):
+    """The windows of the slabs of ``ids`` at ``starts``, gathered as
+    ``_key_slabs`` gathered them through ``sliding_window_view``."""
+    if by_columns:
+        view, stride = sliding_window_view(ids, n, axis=1).transpose(1, 0, 2), n
+    else:
+        view, stride = sliding_window_view(ids, (n, n)), n * n
+    band = np.ascontiguousarray(view[starts])
+    per_slab = ids.shape[not by_columns] - n + 1
+    keys = np.ndarray(
+        (band.shape[0], per_slab),
+        dtype=np.dtype((np.void, n * n)),
+        buffer=band,
+        strides=(band.strides[0], stride),
+    )
+    return {key.tobytes() for key in keys.reshape(-1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(viewed_slab_cases(), st.sampled_from([1, 7, 64, enumerator._GATHER_BYTES]))
+def test_key_slabs_keys_what_sliding_window_view_gathers(case, gather_bytes):
+    ids, n, by_columns, starts = case
+    index = _WindowIndex()
+    with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):  # one slab a band, or more
+        _key_slabs(ids, n, starts, by_columns, index)
+    assert index.windows == _gathered_by_sliding_window_view(ids, n, starts, by_columns)
 
 
 def _slab_windows(ids, n, by_columns, starts):
