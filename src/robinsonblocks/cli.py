@@ -13,6 +13,7 @@ one plateau scan; ``--restrict`` and ``--cache`` are its arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -138,35 +139,39 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _is_stdout(path: Path) -> bool:
-    """Whether ``path`` names the file standard out is open on:
-    ``/dev/stdout``, or the file a shell redirected it to."""
-    try:
-        return os.path.samestat(os.stat(path), os.fstat(1))
-    except OSError:  # no such file, or fd 1 is closed
-        return False
+def _std_stream(path: Path):
+    """The standard stream, ``sys.stdout`` or ``sys.stderr``, open on the
+    file ``path`` names (``/dev/stdout``, ``/dev/stderr``, or the file a
+    shell redirected fd 1 or 2 to); None if neither is."""
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with contextlib.suppress(OSError):  # no such file, or fd closed
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return stream
+    return None
 
 
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
     regular file is written under a temporary name and renamed into
     place, so a failure partway leaves no partial file.  A path naming
-    stdout's own file is written through ``sys.stdout``, after what was
-    printed before and without truncating it, as if it were None.  A
-    reader that closes stdout early (``| head``) ends the write quietly."""
-    if path is not None and not _is_stdout(path):
+    the file stdout or stderr is open on is written through that stream,
+    after what was written to it before and without truncating it.  A
+    reader that closes the stream early (``| head``) ends the write
+    quietly."""
+    stream = sys.stdout if path is None else _std_stream(path)
+    if stream is None:
         with _atomic_open(path, "w") as fh:
             fh.writelines(chunks)
         _note(f"wrote {path}")
         return
     try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        stream.writelines(chunks)
+        stream.flush()
     except BrokenPipeError:
-        # Point fd 1 at devnull so that the interpreter's final flush
-        # of what is still buffered does not fail a second time.
+        # Point its descriptor at devnull so that the interpreter's
+        # final flush of what is still buffered does not fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 

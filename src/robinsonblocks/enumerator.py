@@ -5,7 +5,9 @@ stops growing with rank.
 Windows are deduplicated at the tile-id level, as a set of n*n-byte
 rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
-mirror) triple.
+mirror) triple.  A scan reaches its windows through slabs, runs of n
+whole rows or columns, each keyed by its own cells: a slab met before,
+cut from a supertile or turned from one, is skipped whole.
 
 ``_window_scan`` is the one route from a rank to its window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids, _rot90
+from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -49,9 +51,6 @@ _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(A
 # ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
 # a byte past the tile ids maps to itself.
 _TURN_BYTES = [table.tobytes() for table in _TURNS]
-
-# Marks a line whose turned name is not yet worked out.
-_UNNAMED = np.iinfo(np.uint32).max
 
 # Bytes gathered per dedup band: the copy of new slabs held at a time
 # while their windows are keyed.
@@ -189,45 +188,19 @@ class _WindowIndex:
     """What one scan of the dedup kernel has met so far.
 
     ``windows`` is the set of distinct n-by-n windows, as n*n-byte rows
-    (the window's tile ids in row-major order).  ``lines`` names each
-    line (a whole row or column of an array) by its bytes, names being
-    handed out 0, 1, 2, ... in order, and ``line_bytes`` holds each
-    line's bytes at its name.  ``slabs`` holds the slabs met, per
-    orientation (row lines, column lines), each keyed by the names of
-    its n lines.  ``grown`` holds ``(array,
-    by_columns, names, starts)`` for each array whose new slabs, starting
-    at the lines ``starts``, added windows since ``_add_turned_slabs``
-    last ran.  ``turned[by_columns]`` holds, at row ``name``, the names
-    line ``name`` (a column if ``by_columns``, else a row) takes in its
-    array turned 1, 2 and 3 quarter turns, ``_UNNAMED`` until worked
-    out; it grows by doubling.
+    (the window's tile ids in row-major order).  ``slabs`` holds the
+    slabs met, per orientation (row slabs, column slabs), each keyed by
+    its cells: the bytes of its n lines, one after another.  ``grown``
+    holds ``(blocks, by_columns)`` for each extraction whose new slabs
+    ``blocks`` added windows since ``_add_turned_slabs`` last ran.
     """
 
-    __slots__ = ("windows", "lines", "line_bytes", "slabs", "grown", "turned")
+    __slots__ = ("windows", "slabs", "grown")
 
     def __init__(self):
         self.windows: set = set()
-        self.lines: dict = {}
-        self.line_bytes: list = []
         self.slabs = (set(), set())
         self.grown: list = []
-        self.turned = [np.empty((0, 3), dtype=np.uint32) for _ in range(2)]
-
-
-def _names_of(index: _WindowIndex, keys: list) -> np.ndarray:
-    """The name of each line in ``keys``, a list of ``bytes``, as uint32;
-    a line not met before in this index gets the next free name."""
-    names = index.lines
-    new = [key for key in dict.fromkeys(keys) if key not in names]
-    names.update(zip(new, range(len(names), len(names) + len(new))))
-    index.line_bytes.extend(new)
-    return np.fromiter(map(names.__getitem__, keys), dtype=np.uint32, count=len(keys))
-
-
-def _line_names(index: _WindowIndex, lines: np.ndarray) -> np.ndarray:
-    """The name of each row of the 2-D uint8 array ``lines``, as uint32."""
-    keys = np.ascontiguousarray(lines).view(np.dtype((np.void, lines.shape[1])))
-    return _names_of(index, keys.reshape(-1).tolist())
 
 
 def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) -> set:
@@ -237,17 +210,17 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     This is the one window-dedup kernel: set membership compares the
     row bytes for equality, so the dedup is exact.  The array is cut
     into lines along its long axis (its columns if it is at least as
-    wide as tall, else its rows), and each line is named by its bytes.
-    A run of n consecutive line names is a slab key: two slabs with the
-    same key hold the same cells, so the same windows.  Every window of
-    the array lies in exactly one slab, at the line it starts on, so
-    the array's windows are its slabs' windows.  Windows are keyed
-    (``_key_slabs``) only for slabs this index has not met in that
-    orientation, and if that added any window, the array, its line
-    names and those slabs' starts go on ``index.grown``.  A cross strip of a scan holds
-    only a few times n distinct slabs, whatever the rank (112 of 2032
-    for n = 16 at rank 11), and a scan meets most of them at its lower
-    ranks.
+    wide as tall, else its rows), and n consecutive lines make a slab,
+    keyed by their bytes.  Every window of the array lies in exactly
+    one slab, at the line it starts on, so the array's windows are its
+    slabs' windows.  Windows are keyed (``_key_blocks``) only for slabs
+    this index has not met in that orientation, and if that added any
+    window, those slabs go on ``index.grown``.  A cross strip of a scan
+    holds only a few times n distinct slabs, whatever the rank (112 of
+    2032 for n = 16 at rank 11), and a scan meets most of them at its
+    lower ranks.  In a scan a slab holds at most n*(2n - 1) cells: the
+    scan's first rank is at most 2n - 1 wide, and so are its cross
+    strips.
     """
     if index is None:
         index = _WindowIndex()
@@ -255,28 +228,35 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     if min(height, width) < n:
         return index.windows
     by_columns = width >= height
-    names = _line_names(index, ids.T if by_columns else ids)
-    slab_keys = np.ndarray(
-        (names.size - n + 1,),
-        dtype=np.dtype((np.void, n * names.itemsize)),
-        buffer=names,
-        strides=names.strides,
-    ).tolist()
-    slabs = dict(zip(slab_keys, range(len(slab_keys))))  # one start per distinct slab
-    met = index.slabs[by_columns]
-    starts = [start for key, start in slabs.items() if key not in met]
-    met.update(slabs)
-
+    lines = np.ascontiguousarray(ids.T if by_columns else ids)
+    count, cells = lines.shape
+    keys = np.ndarray((count - n + 1,), np.dtype((np.void, n * cells)), lines, strides=(cells,))
+    blocks = _new_blocks(keys, n, index.slabs[by_columns])
     size = len(index.windows)
-    _key_slabs(ids, n, starts, by_columns, index)
+    _key_blocks(blocks, by_columns, index)
     if len(index.windows) > size:
-        index.grown.append((ids, by_columns, names, starts))
+        index.grown.append((blocks, by_columns))
     return index.windows
 
 
-def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _WindowIndex) -> None:
-    """Add to ``index`` the windows of the slabs of ``ids`` that start at
-    the lines ``starts``: column slabs if ``by_columns``, else row slabs.
+def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
+    """The slabs keyed by the 1-D void array ``keys`` that ``met`` lacks,
+    each once, as one ``(slabs, n, cells)`` uint8 array; they are added
+    to ``met``.  Keys become ``bytes`` in slices of ``_BYTES_KEYS``."""
+    fresh = dict.fromkeys(
+        key
+        for i in range(0, len(keys), _BYTES_KEYS)
+        for key in keys[i : i + _BYTES_KEYS].tolist()
+        if key not in met
+    )
+    met.update(fresh)
+    return np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(len(fresh), n, keys.itemsize // n)
+
+
+def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> None:
+    """Add to ``index`` the windows of the slabs ``blocks``, an array of
+    shape ``(slabs, n, cells)`` holding each slab's n lines: columns if
+    ``by_columns``, else rows.
 
     The slabs are copied out in bands of about ``_GATHER_BYTES``.  A
     column slab is copied row-major, n bytes per row, so its window at
@@ -285,23 +265,21 @@ def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _Window
     window.  A row slab's windows are copied out whole, one after
     another.
     """
-    if not starts:
+    count, n, cells = blocks.shape
+    if not count:
         return
-    height, width = ids.shape
-    rows, cols = ids.strides
-    # ``view[i]`` is the slab starting at line i, a read-only view of
-    # ``ids``: (height, n) cells for a column slab, its (width - n + 1)
-    # n-by-n windows for a row slab.  Copied out, its windows start
-    # ``stride`` bytes apart.
+    per_slab = cells - n + 1
+    # ``view[i]`` is slab i as it is copied out: (cells, n) for a column
+    # slab, its ``per_slab`` n-by-n windows for a row slab.
     if by_columns:
-        shape, strides, stride = (width - n + 1, height, n), (cols, rows, cols), n
+        view, stride = blocks.transpose(0, 2, 1), n
     else:
-        shape, strides, stride = (height - n + 1, width - n + 1, n, n), (rows, cols) * 2, n * n
-    view = as_strided(ids, shape, strides, writeable=False)
-    per_slab = (height if by_columns else width) - n + 1
+        slab, line, cell = blocks.strides
+        shape, strides = (count, per_slab, n, n), (slab, cell, line, cell)
+        view, stride = as_strided(blocks, shape, strides, writeable=False), n * n
     step = max(1, _GATHER_BYTES // view[0].size)
-    for i in range(0, len(starts), step):
-        band = np.ascontiguousarray(view[starts[i : i + step]])
+    for i in range(0, count, step):
+        band = np.ascontiguousarray(view[i : i + step])
         keys = np.ndarray(
             (band.shape[0], per_slab),
             dtype=np.dtype((np.void, n * n)),
@@ -309,14 +287,6 @@ def _key_slabs(ids: np.ndarray, n: int, starts, by_columns: bool, index: _Window
             strides=(band.strides[0], stride),
         )
         _add_keys(index.windows, keys)
-
-
-def _turn(ids: np.ndarray, t: int) -> np.ndarray:
-    """The tile-id array ``ids`` turned ``t`` counter-clockwise quarter
-    turns, every tile turned with it: ``TURN^t[np.rot90(ids, t)]``."""
-    turned = _rot90(ids, t)
-    cells = turned.tobytes().translate(_TURN_BYTES[t])
-    return np.frombuffer(cells, dtype=np.uint8).reshape(turned.shape)
 
 
 def _turn_reverses(by_columns: bool, t: int) -> bool:
@@ -331,69 +301,26 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     """Add to ``index`` the windows of the other three quarter turns of
     each new slab on ``index.grown``, and empty that list.
 
-    Turned ``t`` times (``_turn``), an array's slabs are the turned
-    array's slabs, column slabs becoming row slabs at odd t.  The slab at
-    line i of an array L lines long starts at line L - n - i of the
-    turned array if the turn reverses the lines' order, and at line i if
-    not.  A turned slab is keyed by the names of its lines as the turned
-    array's own slabs would be, and skipped, as in ``_unique_windows``,
-    if that key was met: its windows are in the set already.  The rest
-    are gathered by the same ``_key_slabs``, one call per orientation.
+    An array turned ``t`` times is ``TURN^t[np.rot90(ids, t)]``, and its
+    slabs are the array's slabs turned, column slabs becoming row slabs
+    at odd t.  A slab's lines come out reversed if the turn reverses
+    their order, and each line's cells if it reverses the order of the
+    lines of the other orientation; every tile turns with them.  So turn
+    t of a block is ``blocks[:, ::a, ::b]`` translated by
+    ``_TURN_BYTES[t]``, its bytes the key the turned array's own slab
+    would have.  A turned slab whose key was met is skipped, as in
+    ``_unique_windows``: its windows are in the set already.
     """
     grown, index.grown = index.grown, []
-    arrays, at, ends = ([], []), ([], []), [0, 0]  # per orientation of the turned slabs
-    for ids, by_columns, names, starts in grown:
-        length = len(names)
-        names = names[np.add.outer(starts, np.arange(n))]  # row j: slab starts[j]'s lines
-        turned = _turned_names(index, names, by_columns)
+    for blocks, by_columns in grown:
         for t in (1, 2, 3):
-            flips = _turn_reverses(by_columns, t)
+            a = -1 if _turn_reverses(by_columns, t) else 1
+            b = -1 if _turn_reverses(not by_columns, t) else 1
+            turned = blocks[:, ::a, ::b].tobytes().translate(_TURN_BYTES[t])
+            keys = np.frombuffer(turned, dtype=np.dtype((np.void, blocks[0].size)))
             turned_by_columns = by_columns != (t % 2 == 1)
-            keys = turned[..., t - 1]
-            keys = np.ascontiguousarray(keys[:, ::-1] if flips else keys)
-            keys = keys.view(np.dtype((np.void, 4 * n))).ravel().tolist()
-            met = index.slabs[turned_by_columns]
-            fresh = [i for i, key in zip(starts, keys) if key not in met]
-            met.update(keys)
-            if fresh:
-                at[turned_by_columns].extend(
-                    ends[turned_by_columns] + (length - n - i if flips else i) for i in fresh
-                )
-                arrays[turned_by_columns].append(_turn(ids, t))
-                ends[turned_by_columns] += length
-    # One array per orientation: the turned arrays of one rank share their
-    # short side, and no start lies in a part's last n - 1 lines, so no
-    # slab keyed straddles two parts.  The parts are let go before keying.
-    for by_columns in (False, True):
-        if arrays[by_columns]:
-            ids = np.concatenate(arrays[by_columns], axis=int(by_columns))
-            arrays[by_columns].clear()
-            _key_slabs(ids, n, at[by_columns], by_columns, index)
-
-
-def _turned_names(index: _WindowIndex, names: np.ndarray, by_columns: bool) -> np.ndarray:
-    """The names that lines named ``names``, columns of an array if
-    ``by_columns`` else its rows, take in that array turned 1, 2 and 3
-    quarter turns: an array of the shape of ``names`` plus a last axis
-    of 3, turn t at ``t - 1``.  A line's cells run across the lines, so
-    they run the other way when the turn reverses the order of the other
-    orientation's lines.  The three turned names of a line are worked
-    out together, once per scan, and stored in ``index.turned``."""
-    table = index.turned[by_columns]
-    if len(table) < len(index.lines):
-        grown = np.full((max(2 * len(table), len(index.lines)), 3), _UNNAMED, dtype=np.uint32)
-        grown[: len(table)] = table
-        table = index.turned[by_columns] = grown
-    turned = table[names]
-    unnamed = turned[..., 0] == _UNNAMED
-    if unnamed.any():
-        new = list(set(names[unnamed].tolist()))
-        for t in (1, 2, 3):
-            step = -1 if _turn_reverses(not by_columns, t) else 1
-            lines = [index.line_bytes[name][::step].translate(_TURN_BYTES[t]) for name in new]
-            table[new, t - 1] = _names_of(index, lines)
-        turned = table[names]
-    return turned
+            fresh = _new_blocks(keys, n, index.slabs[turned_by_columns])
+            _key_blocks(fresh, turned_by_columns, index)
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -456,16 +383,17 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     extracted.
 
     Only this facing is ever cut from a supertile.  The facing t quarter
-    turns on is this one turned, ``TURN^t[np.rot90(ids, t)]`` (``_turn``),
-    so its cross strips are this facing's strips turned, the rows strip
+    turns on is this one turned, ``TURN^t[np.rot90(ids, t)]``, so its
+    cross strips are this facing's strips turned, the rows strip
     becoming the columns strip at odd t.  A turned array's windows are
     its windows turned, and an array's windows are its slabs' windows.
     So the other facings of rank k add exactly the turns of the windows
     extracted up to rank k, and those are the turns of the new slabs
-    keyed up to rank k: ``_add_turned_slabs`` adds the three turns of
-    each new slab of an extraction that grew the set.  An extraction
-    that added no window needs no turns: each of its windows came from
-    a slab keyed before, plain or turned, whose turns are all added.
+    keyed up to rank k: ``_add_turned_slabs`` turns the cells of each
+    new slab of an extraction that grew the set, three times.  An
+    extraction that added no window needs no turns: each of its windows
+    came from a slab keyed before, plain or turned, whose turns are all
+    added.
 
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
@@ -581,8 +509,9 @@ def _atomic_open(path, mode: str):
     rename, and a symlink may name an open descriptor (/dev/stdout is
     one) whose file a rename would swap out from under its holder.
     Opened with "w", such a symlink truncates the file it names, so the
-    CLI writes a path naming its own standard out through ``sys.stdout``
-    and never opens it here.
+    CLI writes a path naming the file its own standard out or standard
+    error is open on through ``sys.stdout`` or ``sys.stderr``, and never
+    opens it here.
     """
     try:
         st = os.lstat(path)

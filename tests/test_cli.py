@@ -423,6 +423,44 @@ def test_an_output_path_naming_stdout_is_written_after_what_it_holds(tmp_path, b
     assert log.read_text() == before + (tmp_path / "doc.txt").read_text() + printed
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="needs /dev/stderr")
+@pytest.mark.parametrize("before", ["", "prev\n"], ids=["truncated", "appended"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "2", "--csv"),
+        ("supertile", "--rank", "2", "--output"),
+        ("render", "--input", "{tmp}/grid.json", "--out"),
+    ],
+    ids=["csv", "output", "out"],
+)
+def test_an_output_path_naming_stderr_is_written_after_what_it_holds(tmp_path, before, argv):
+    # Reopened, /dev/stderr would truncate the file stderr is redirected
+    # to: ``2>> elog`` would lose the old lines, and under ``2> elog`` a
+    # note written after the document would overwrite its start.
+    main(["supertile", "--rank", "2", "--out", "json", "--output", str(tmp_path / "grid.json")])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+
+    def run(path, stderr):
+        return subprocess.run(
+            [sys.executable, "-c", CONSOLE_SCRIPT, *(a.format(tmp=tmp_path) for a in argv), path],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+            check=True,
+        )
+
+    doc = tmp_path / "doc.txt"
+    plain = run(str(doc), subprocess.PIPE)
+    notes = plain.stderr.decode().replace(f"note: wrote {doc}\n", "")
+    log = tmp_path / "elog"
+    log.write_text(before)
+    with open(log, "a" if before else "w") as stderr:
+        printed = run("/dev/stderr", stderr).stdout
+    assert printed == plain.stdout
+    assert log.read_text() == before + doc.read_text() + notes
+
+
 def test_render_from_json(capsys, tmp_path):
     grid_path = tmp_path / "grid.json"
     svg_path = tmp_path / "grid.svg"

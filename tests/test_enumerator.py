@@ -154,9 +154,9 @@ def test_dedup_kernel_on_a_non_contiguous_cross_strip():
 
 def test_window_index_keeps_row_and_column_slabs_apart():
     # An array and its transpose share every line's bytes and so every
-    # line name, but not their slabs' windows: the transpose's row slabs
-    # must not be taken for the column slabs already met.  Lines of
-    # different lengths must never share a name either.
+    # slab key, but not their slabs' windows: the transpose's row slabs
+    # must not be taken for the column slabs already met.  Slabs of
+    # lines of different lengths must never share a key either.
     rng = np.random.default_rng(1)
     for shape in ((3, 40), (40, 3), (12, 12), (5, 6)):
         a = rng.integers(0, 3, shape, dtype=np.uint8)  # few values, many repeated slabs
@@ -169,7 +169,7 @@ def test_window_index_keeps_row_and_column_slabs_apart():
             expected |= {row.tobytes() for row in _reference_rows(a.T, n)}
             assert index.windows == expected
     # Every column of the 2x8 array is a prefix of a column of the 3x9
-    # one, so only whole-line names keep the 3x9 array's slabs apart.
+    # one, so only keys of whole lines keep the 3x9 array's slabs apart.
     short = np.zeros((2, 8), dtype=np.uint8)
     long = np.zeros((3, 9), dtype=np.uint8)
     long[-1] = 1

@@ -4,8 +4,8 @@
 other facing is that facing turned, ``TURN^t[np.rot90(ids, t)]``, so
 when the scan is resumed it adds the three turns of the new slabs of
 the rank it yielded.  These tests keep the scan that extracted all four
-facings' strips into one index as the reference, and check the turn of
-an array and the start of each turned slab on random arrays."""
+facings' strips into one index as the reference, and check the gather
+of slabs and the turn of each slab on random arrays."""
 
 from unittest import mock
 
@@ -18,15 +18,11 @@ from robinsonblocks import enumerator, supertile
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     _TURN_BYTES,
-    _UNNAMED,
     _WindowIndex,
     _add_turned_slabs,
-    _key_slabs,
-    _line_names,
+    _key_blocks,
     _ranks,
     _scan_value,
-    _turn,
-    _turn_reverses,
     _unique_windows,
     _window_scan,
     count_stabilized,
@@ -63,8 +59,8 @@ def _four_facing_scan(n, ranks, facing):
 
 @pytest.mark.parametrize("facing", FACINGS)
 def test_each_rank_yields_the_four_facing_set(facing):
-    for n in range(1, 13):
-        ranks = _ranks(n, 9, facing)
+    for n in range(1, 17):
+        ranks = _ranks(n, 11, facing)
         pairs = zip(_window_scan(n, ranks, facing), _four_facing_scan(n, ranks, facing))
         for (k, windows), (k_ref, reference) in pairs:
             assert k == k_ref
@@ -92,46 +88,12 @@ def test_turn_tables_have_order_four():
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_turned_ne_build_is_each_facing(rank):
+    # The scan turns its slabs by ``np.rot90`` and ``_TURN_BYTES``.
     ne = _build_ids(rank)
     for t in range(4):
-        assert np.array_equal(_turn(ne, t), _facing_ids(rank, t)), t
-        assert np.array_equal(_turn(ne, t), _turn_table(t)[np.rot90(ne, t)]), t
-
-
-# The turns at which a line's cells come out reversed in the turned
-# array, for columns and for rows: ``np.rot90(a)[i, k] == a[k, W - 1 - i]``
-# keeps a column's cells in order and reverses a row's.
-REVERSED_AT = {True: (2, 3), False: (1, 2)}
-
-
-def test_every_turned_name_is_its_line_turned(monkeypatch):
-    indexes = []
-    turned_names = enumerator._turned_names
-
-    def spy(index, names, by_columns):
-        indexes.append(index)
-        return turned_names(index, names, by_columns)
-
-    monkeypatch.setattr(enumerator, "_turned_names", spy)
-    for n in range(2, 17):
-        for facing in FACINGS:
-            indexes.clear()
-            count_stabilized(n, 11, facing)
-            index = indexes[0]
-            assert all(i is index for i in indexes)
-            assert all(index.lines[line] == name for name, line in enumerate(index.line_bytes))
-            assert len(index.line_bytes) == len(index.lines)
-            for by_columns in (False, True):
-                table = index.turned[by_columns]
-                named = np.flatnonzero(table[:, 0] != _UNNAMED)
-                assert named.size, (n, facing, by_columns)
-                assert (table[named] != _UNNAMED).all() and (table[len(index.lines) :] == _UNNAMED).all()
-                for name in named.tolist():
-                    line = index.line_bytes[name]
-                    for t in (1, 2, 3):
-                        step = -1 if t in REVERSED_AT[by_columns] else 1
-                        turned = line[::step].translate(_TURN_BYTES[t])
-                        assert index.lines[turned] == table[name, t - 1], (n, facing, name, t)
+        turned = np.rot90(ne, t)
+        cells = np.frombuffer(turned.tobytes().translate(_TURN_BYTES[t]), dtype=np.uint8)
+        assert np.array_equal(cells.reshape(turned.shape), _facing_ids(rank, t)), t
 
 
 def test_a_facing_block_is_cut_from_its_grid():
@@ -172,11 +134,11 @@ def slab_cases(draw):
 
 @st.composite
 def viewed_slab_cases(draw):
-    """A tile-id array as the scan may hand it to ``_key_slabs``: a random
-    array seen whole, transposed, cut to a block, reversed or every other
-    row, writeable or read-only, or a cross strip of an NE supertile (a
-    read-only view of the memoised build); with n, the orientation of
-    its slabs and some of their starts."""
+    """A tile-id array as the scan may cut it: a random array seen
+    whole, transposed, cut to a block, reversed or every other row, or a
+    cross strip of an NE supertile (a read-only view of the memoised
+    build); with n, the orientation of its slabs and some of their
+    starts."""
     kind = draw(st.sampled_from(["whole", "T", "block", "reversed", "step", "ne-rows", "ne-cols"]))
     if kind.startswith("ne"):
         rank = draw(st.integers(2, 6))
@@ -196,18 +158,22 @@ def viewed_slab_cases(draw):
             "reversed": base[::-1, ::-1],
             "step": base[::2],
         }[kind]
-        if draw(st.booleans()):
-            ids = ids.view()
-            ids.setflags(write=False)
     n = draw(st.integers(1, min(ids.shape)))
     by_columns = draw(st.booleans())
     starts = draw(st.lists(st.integers(0, ids.shape[by_columns] - n), min_size=1, unique=True))
     return ids, n, by_columns, starts
 
 
+def _blocks(ids, n, by_columns, starts):
+    """The slabs of ``ids`` at ``starts`` as ``_key_blocks`` takes them:
+    one ``(slabs, n, cells)`` array of each slab's n lines."""
+    lines = ids.T if by_columns else ids
+    return lines[np.add.outer(starts, np.arange(n))]
+
+
 def _gathered_by_sliding_window_view(ids, n, starts, by_columns):
     """The windows of the slabs of ``ids`` at ``starts``, gathered as
-    ``_key_slabs`` gathered them through ``sliding_window_view``."""
+    the scan once gathered them through ``sliding_window_view``."""
     if by_columns:
         view, stride = sliding_window_view(ids, n, axis=1).transpose(1, 0, 2), n
     else:
@@ -224,12 +190,21 @@ def _gathered_by_sliding_window_view(ids, n, starts, by_columns):
 
 
 @settings(max_examples=200, deadline=None)
-@given(viewed_slab_cases(), st.sampled_from([1, 7, 64, enumerator._GATHER_BYTES]))
-def test_key_slabs_keys_what_sliding_window_view_gathers(case, gather_bytes):
+@given(
+    viewed_slab_cases(),
+    st.sampled_from([1, 7, 64, enumerator._GATHER_BYTES]),
+    st.sampled_from(["copy", "read-only", "reversed"]),
+)
+def test_key_blocks_keys_what_sliding_window_view_gathers(case, gather_bytes, layout):
     ids, n, by_columns, starts = case
+    blocks = _blocks(ids, n, by_columns, starts)
+    if layout == "read-only":  # as the scan hands them over, from ``np.frombuffer``
+        blocks = np.frombuffer(blocks.tobytes(), dtype=np.uint8).reshape(blocks.shape)
+    elif layout == "reversed":  # a strided view: the same slabs, last first
+        blocks = blocks[::-1]
     index = _WindowIndex()
     with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):  # one slab a band, or more
-        _key_slabs(ids, n, starts, by_columns, index)
+        _key_blocks(blocks, by_columns, index)
     assert index.windows == _gathered_by_sliding_window_view(ids, n, starts, by_columns)
 
 
@@ -249,27 +224,34 @@ def _turned_windows(ids, n, by_columns, starts, turns):
 
 
 @settings(max_examples=100, deadline=None)
-@given(slab_cases(), st.integers(1, 3))
-def test_key_slabs_at_the_mapped_starts_gives_the_turned_windows(case, t):
-    ids, n, by_columns, starts = case
-    length = ids.shape[by_columns]
-    flips = _turn_reverses(by_columns, t)
-    mapped = [length - n - i if flips else i for i in starts]
+@given(slab_cases().filter(lambda case: case[0].shape[0] != case[0].shape[1]))
+def test_turned_block_keys_are_the_turned_arrays_slab_keys(case):
+    # ``_unique_windows`` keys a non-square array's slabs along its long
+    # axis, so the turned array's slabs are keyed in the turned
+    # orientation: row slabs at odd turns of a wide array, and so on.
+    ids, n, _, _ = case
+    by_columns = ids.shape[1] > ids.shape[0]
     index = _WindowIndex()
-    _key_slabs(_turn(ids, t), n, mapped, by_columns != (t % 2 == 1), index)
-    assert index.windows == _turned_windows(ids, n, by_columns, starts, [t])
+    _unique_windows(ids, n, index)
+    (blocks, grown_by_columns), = index.grown  # every slab, once
+    assert grown_by_columns == by_columns
+    index.slabs[by_columns].clear()
+    _add_turned_slabs(index, n)
+    reference = _WindowIndex()
+    for t in (1, 2, 3):
+        _unique_windows(_turn_table(t)[np.rot90(ids, t)], n, reference)
+    assert index.slabs == reference.slabs
 
 
 @settings(max_examples=100, deadline=None)
 @given(slab_cases())
-def test_turned_slabs_are_keyed_under_their_own_line_names(case):
+def test_add_turned_slabs_adds_the_turned_windows(case):
     # Through the resume step itself: the three turns of the slabs on
-    # ``grown``, each skipped if the names of its turned lines make a key
-    # already met (another turn of one of them), and keyed otherwise.
+    # ``grown``, each skipped if its key was met (another turn of one of
+    # them), and keyed otherwise.
     ids, n, by_columns, starts = case
     index = _WindowIndex()
-    names = _line_names(index, ids.T if by_columns else ids)
-    index.grown.append((ids, by_columns, names, starts))
+    index.grown.append((_blocks(ids, n, by_columns, starts), by_columns))
     _add_turned_slabs(index, n)
     assert index.grown == []
     assert index.windows == _turned_windows(ids, n, by_columns, starts, (1, 2, 3))
