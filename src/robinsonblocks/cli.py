@@ -29,7 +29,7 @@ from .complexity import (
     paperfolding_P,
     verify_row,
 )
-from .enumerator import _atomic_open, count_report_csv, load_pattern_set
+from .enumerator import _atomic_open, count_report_csv, inspect_pattern_file
 from .render import RenderStyle, _ascii_chunks, _svg_chunks
 from .supertile import (
     FACING_ROTATIONS,
@@ -139,14 +139,40 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _std_stream(path: Path):
-    """The standard stream, ``sys.stdout`` or ``sys.stderr``, open on the
-    file ``path`` names (``/dev/stdout``, ``/dev/stderr``, or the file a
-    shell redirected fd 1 or 2 to); None if neither is."""
-    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
-        with contextlib.suppress(OSError):  # no such file, or fd closed
-            if os.path.samestat(os.stat(path), os.fstat(fd)):
-                return stream
+def _open_fds() -> list:
+    """The descriptors this process has open, fd 1 and fd 2 first; only
+    those two where the system does not list them in /dev/fd."""
+    try:
+        fds = {int(name) for name in os.listdir("/dev/fd")}
+    except OSError:
+        return [1, 2]
+    return [1, 2, *sorted(fds - {1, 2})]
+
+
+def _writable(fd: int) -> bool:
+    """Whether ``fd`` is open for writing; assumed where there is no
+    ``fcntl`` to read its access mode."""
+    try:
+        # Imported here: only a path naming an open file gets this far,
+        # and the import adds about 0.1 MB to every process.
+        import fcntl
+    except ImportError:
+        return True
+    return fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE != os.O_RDONLY
+
+
+def _output_fd(path: Path) -> int | None:
+    """The descriptor open for writing on the file ``path`` names
+    (``/dev/stdout``, ``/dev/fd/3``, or the file a shell redirected a
+    descriptor to), fd 1 and fd 2 first; None if there is none."""
+    try:
+        target = os.stat(path)
+    except OSError:  # no such file yet
+        return None
+    for fd in _open_fds():
+        with contextlib.suppress(OSError):  # fd closed since it was listed
+            if os.path.samestat(target, os.fstat(fd)) and _writable(fd):
+                return fd
     return None
 
 
@@ -154,25 +180,31 @@ def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
     regular file is written under a temporary name and renamed into
     place, so a failure partway leaves no partial file.  A path naming
-    the file stdout or stderr is open on is written through that stream,
-    after what was written to it before and without truncating it.  A
-    reader that closes the stream early (``| head``) ends the write
-    quietly."""
-    stream = sys.stdout if path is None else _std_stream(path)
-    if stream is None:
+    the file a descriptor is open on for writing is written through that
+    descriptor (``sys.stdout`` and ``sys.stderr`` for fd 1 and fd 2), at
+    its current position and without truncating the file.  A reader
+    that closes the stream early (``| head``) ends the write quietly."""
+    fd = 1 if path is None else _output_fd(path)
+    if fd is None:
         with _atomic_open(path, "w") as fh:
             fh.writelines(chunks)
         _note(f"wrote {path}")
         return
+    std = {1: sys.stdout, 2: sys.stderr}
+    stream = std.get(fd) or os.fdopen(fd, "w", closefd=False)
     try:
         stream.writelines(chunks)
         stream.flush()
     except BrokenPipeError:
-        # Point its descriptor at devnull so that the interpreter's
-        # final flush of what is still buffered does not fail again.
+        # Point the descriptor at devnull so that the final flush of what
+        # is still buffered (the interpreter's, or the close below) does
+        # not fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stream.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
+    finally:
+        if fd not in std:
+            stream.close()
 
 
 def _cmd_supertile(args) -> int:
@@ -257,9 +289,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    ps = load_pattern_set(args.inspect)
+    n, count = inspect_pattern_file(args.inspect)
     print("n,count,version")
-    print(f"{ps.n},{ps.count},{enumerator.FORMAT_VERSION}")
+    print(f"{n},{count},{enumerator.FORMAT_VERSION}")
     return 0
 
 

@@ -14,7 +14,13 @@ cut from a supertile or turned from one, is skipped whole.
 plain or restricted to a corner position, and with or without a
 ``.rbps`` cache directory (NE facing only).  ``distinct_patterns`` and
 ``restricted_count`` take the set the scan yields at their rank and
-stop there.  The ``.rbps`` cache layout is known here alone.
+stop there.
+
+The ``.rbps`` cache layout is known here alone.  A file is written from
+one sorted array of records with one ``write``, and read by viewing its
+body as one record array: a cached rank reaches the count as its array
+of id rows, never as a set.  A file that fails any check of that view
+is read again record by record, which names its first bad record.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
 FORMAT_VERSION = 1
+# Offset of an ``.rbps`` file's first record: the magic, then version, n
+# and count as ">HIQ".
+_BODY = len(MAGIC) + struct.calcsize(">HIQ")
 
 # Per-tile-id canonical (prototile, rotation, mirror) triple, flattened.
 _TRIPLE_LUT = np.array(
@@ -47,6 +56,12 @@ _TRIPLE_LUT = np.array(
 # (prototile, rotation, mirror) triple, EMPTY for every other uint8 key.
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
+_TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
+# Each tile id's triple padded to 4 bytes and read as one uint32, so that
+# ``_triples`` gathers a triple per id with ``np.take`` (a fancy index of
+# ``_TRIPLE_LUT`` rows is about ten times slower).
+_TRIPLE_WORDS = np.concatenate((_TRIPLE_LUT, np.zeros_like(_TRIPLE_LUT[:, :1])), axis=1)
+_TRIPLE_WORDS = _TRIPLE_WORDS.view(np.uint32).reshape(-1)
 
 # ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
 # a byte past the tile ids maps to itself.
@@ -324,23 +339,38 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
-    """A window set from ``_unique_windows`` as one n*n-byte row per window."""
+    """A window set, from ``_unique_windows`` or a cache file, as one
+    n*n-byte row per window.  An array of rows is passed through."""
+    if isinstance(windows, np.ndarray):
+        return windows
     return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
 
 
 def _pattern_set(n: int, windows) -> PatternSet:
-    """The Patterns of a window set from ``_window_scan``."""
-    triples = _TRIPLE_LUT[_id_rows(windows, n)].reshape(len(windows), 3 * n * n)
+    """The Patterns of a window set from ``_window_scan`` or a cache file."""
+    triples = _triples(_id_rows(windows, n)).reshape(len(windows), 3 * n * n)
     return PatternSet(n, _add_rows(set(), triples))
 
 
-def _tile_ids(data: bytes) -> np.ndarray:
-    """Inverse of ``_TRIPLE_LUT``: the tile id of each 3-byte triple in
-    ``data``, EMPTY where a triple names no canonical tile."""
-    p, r, m = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).T
-    ids = _TRIPLE_IDS[p * 8 + r * 2 + m]
+def _triples(ids: np.ndarray) -> np.ndarray:
+    """``_TRIPLE_LUT[ids]``: the (prototile, rotation, mirror) triple of
+    each tile id in ``ids``, along a new last axis."""
+    return np.take(_TRIPLE_WORDS, ids).view(np.uint8).reshape(*ids.shape, 4)[..., :3]
+
+
+def _tile_ids(triples: np.ndarray) -> np.ndarray:
+    """Inverse of ``_TRIPLE_LUT``: the tile id of each triple along the
+    last axis (of length 3) of the uint8 array ``triples``, EMPTY where a
+    triple names no canonical tile."""
+    p, r, m = triples[..., 0], triples[..., 1], triples[..., 2]
+    key = p * 8
+    key += r * 2
+    key += m
+    ids = np.frombuffer(key.tobytes().translate(_TRIPLE_ID_BYTES), dtype=np.uint8)
+    ids = ids.reshape(key.shape)
     # The uint8 key names its triple only while it cannot wrap or alias.
-    ids[(p >= 32) | (r >= 4) | (m >= 2)] = EMPTY
+    if key.size and (p.max() >= 32 or r.max() >= 4 or m.max() >= 2):
+        ids = np.where((p >= 32) | (r >= 4) | (m >= 2), EMPTY, ids).astype(np.uint8)
     return ids
 
 
@@ -415,8 +445,10 @@ def _window_scan(n: int, ranks: range, facing: Pose):
 def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
     """Yield ``(rank, windows)`` for each of ``ranks``, as the NE-facing
     window ``scan`` over them does.  A rank is read from its ``.rbps``
-    file in ``cache`` where that exists; otherwise ``scan`` runs as far
-    as that rank and its set is saved there."""
+    file in ``cache`` where that exists, and yielded as its array of id
+    rows, which ``len`` and ``_scan_value`` take as they take a set;
+    otherwise ``scan`` runs as far as that rank and its set is saved
+    there."""
     cache.mkdir(parents=True, exist_ok=True)
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
@@ -536,6 +568,41 @@ def _atomic_open(path, mode: str):
         raise
 
 
+def _record_dtype(n: int) -> np.dtype:
+    """One ``.rbps`` record of an n-by-n block: a big-endian length field,
+    then the member, one (prototile, rotation, mirror) triple per cell."""
+    return np.dtype([("length", ">u4"), ("member", np.uint8, (n * n, 3))])
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array in lexicographic byte order."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
+    return np.sort(keys).view(np.uint8).reshape(rows.shape)
+
+
+def _write_records(path, n: int, rows: np.ndarray, tile_ids: bool) -> None:
+    """Write an ``.rbps`` file whose members are the rows of the uint8
+    array ``rows``, which are distinct: tile ids, n*n per row, if
+    ``tile_ids``, else member bytes, 3n^2 per row.
+
+    The rows are sorted as void keys; id rows sort as their members do,
+    because tile ids sort as their ``_TRIPLE_LUT`` triples.  The header
+    and every length-prefixed record are filled into one buffer, and the
+    buffer is written by one call."""
+    rows = _sorted_rows(rows)
+    count = len(rows)
+    head = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count)
+    record = _record_dtype(n)
+    out = np.empty(len(head) + count * record.itemsize, dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    records = out[len(head) :].view(record)
+    records["length"] = 3 * n * n
+    records["member"] = _triples(rows) if tile_ids else rows.reshape(count, n * n, 3)
+    with _atomic_open(path, "wb") as fh:
+        fh.write(out)
+
+
 def save_pattern_set(ps: PatternSet, path) -> None:
     """Write the bit-exact cache format: magic, version, n, count, then
     length-prefixed members in lexicographic order.
@@ -544,30 +611,72 @@ def save_pattern_set(ps: PatternSet, path) -> None:
     renamed over ``path``, so a writer killed midway never leaves a
     truncated file at ``path``.
     """
-    with _atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(">HIQ", FORMAT_VERSION, ps.n, ps.count))
-        for member in ps.members():
-            fh.write(struct.pack(">I", len(member)))
-            fh.write(member)
+    members = np.frombuffer(b"".join(ps._members), dtype=np.uint8)
+    _write_records(path, ps.n, members.reshape(ps.count, 3 * ps.n * ps.n), tile_ids=False)
 
 
 def _read_pattern_file(path) -> tuple:
     """Check an ``.rbps`` file as ``load_pattern_set`` states, and return
-    its header n, its members and the tile id of every triple in them,
-    in file order."""
+    its header n and the tile ids of its members, one ``n*n``-byte row
+    per member in file order."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header = struct.calcsize(">HIQ")
-    if len(blob) < len(MAGIC) + header:
+        return _parse_pattern_file(fh.read())
+
+
+def _parse_pattern_file(blob: bytes) -> tuple:
+    """``_read_pattern_file`` on the bytes of a file.  ``_fast_ids``
+    checks a well-formed file in a few array passes; if any of its
+    checks fails, ``_reference_ids`` reads the file record by record and
+    raises for the first bad one."""
+    if len(blob) < _BODY:
         raise CorruptPatternFile(len(blob), "truncated header")
     if blob[: len(MAGIC)] != MAGIC:
         raise CorruptPatternFile(0, "bad magic")
     version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise PatternVersionMismatch(version)
+    ids = _fast_ids(blob, n, count)
+    if ids is None:
+        ids = _reference_ids(blob, n, count)
+    return n, ids
+
+
+def _fast_ids(blob: bytes, n: int, count: int):
+    """The member tile ids of a well-formed ``.rbps`` file, as
+    ``_reference_ids`` returns them, or None if any check fails.
+
+    The body must hold exactly ``count`` records of ``3n^2`` bytes; it is
+    viewed as one record array, so every length field and every triple
+    is checked at once.  Order is checked on the id rows, which is the
+    order of the member bytes once every triple is canonical, because
+    tile ids sort as their ``_TRIPLE_LUT`` triples do."""
     size = 3 * n * n
-    offset = first = len(MAGIC) + header
+    if not count or not size or len(blob) - _BODY != count * (4 + size):
+        return None
+    records = np.frombuffer(blob, dtype=_record_dtype(n), count=count, offset=_BODY)
+    if (records["length"] != size).any():
+        return None
+    ids = _tile_ids(records["member"])
+    if (ids == EMPTY).any() or not _strictly_increasing(ids):
+        return None
+    return ids
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether each row of a 2-D array is lexicographically less than
+    the next, compared at the first element where they differ."""
+    before, after = rows[:-1], rows[1:]
+    differ = before != after
+    first = (np.arange(len(differ)), differ.argmax(axis=1))
+    return bool(differ[first].all() and (before[first] < after[first]).all())
+
+
+def _reference_ids(blob: bytes, n: int, count: int) -> np.ndarray:
+    """Read the records of an ``.rbps`` file one by one, raise
+    ``CorruptPatternFile`` at the first bad one, and return the member
+    tile ids as ``_read_pattern_file`` does."""
+    size = 3 * n * n
+    offset = _BODY
     members = []
     for _ in range(count):
         if offset + 4 > len(blob):
@@ -584,12 +693,13 @@ def _read_pattern_file(path) -> tuple:
         offset += 4 + length
     if offset != len(blob):
         raise CorruptPatternFile(offset, "trailing bytes")
-    ids = _tile_ids(b"".join(members))
-    bad = (ids == EMPTY).reshape(count, n * n).any(axis=1)
+    ids = _tile_ids(np.frombuffer(b"".join(members), dtype=np.uint8).reshape(-1, 3))
+    ids = ids.reshape(count, n * n)
+    bad = (ids == EMPTY).any(axis=1)
     if bad.any():
-        offset = first + int(bad.argmax()) * (4 + size)
+        offset = _BODY + int(bad.argmax()) * (4 + size)
         raise CorruptPatternFile(offset, "triple names no canonical tile")
-    return n, members, ids
+    return ids
 
 
 def load_pattern_set(path) -> PatternSet:
@@ -599,19 +709,27 @@ def load_pattern_set(path) -> PatternSet:
     members must come in strictly increasing order; otherwise
     CorruptPatternFile names the offset of the first bad record.
     """
-    n, members, _ = _read_pattern_file(path)
-    return PatternSet(n, members)
+    n, ids = _read_pattern_file(path)
+    # One bytes object per row, which keeps the one member of an n = 0 file.
+    return PatternSet(n, map(bytes, _triples(ids).reshape(len(ids), 3 * n * n)))
+
+
+def inspect_pattern_file(path) -> tuple:
+    """The header n and the member count of an ``.rbps`` file, after
+    every check ``load_pattern_set`` makes; no ``PatternSet`` is built."""
+    n, ids = _read_pattern_file(path)
+    return n, len(ids)
 
 
 def _save_windows(windows, n: int, path) -> None:
     """Write a window set from ``_window_scan`` to ``path`` as ``.rbps``."""
-    save_pattern_set(_pattern_set(n, windows), path)
+    _write_records(path, n, _id_rows(windows, n), tile_ids=True)
 
 
-def _load_windows(path, n: int) -> set:
+def _load_windows(path, n: int) -> np.ndarray:
     """Inverse of ``_save_windows``: the window set of an ``.rbps`` file,
-    which must hold n-by-n blocks."""
-    found, _, ids = _read_pattern_file(path)
+    which must hold n-by-n blocks, as one n*n-byte id row per window."""
+    found, ids = _read_pattern_file(path)
     if found != n:  # n is the header field after the magic and version
         raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
-    return _add_rows(set(), ids.reshape(-1, n * n))
+    return ids

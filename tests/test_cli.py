@@ -1,5 +1,6 @@
 """Command-line front end tests, run in-process."""
 
+import contextlib
 import json
 import os
 import shutil
@@ -8,12 +9,12 @@ import stat
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from robinsonblocks import cli
+from robinsonblocks import cli, enumerator
 from robinsonblocks.cli import MAX_RANK, main
-from robinsonblocks.enumerator import PatternSet
 from robinsonblocks.render import parse_ascii, render_ascii
 from robinsonblocks.supertile import build
 
@@ -200,16 +201,26 @@ def test_cache_file_for_another_n_exit_1(capsys, tmp_path):
 
 def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
+    atomic_open = enumerator._atomic_open
+    writes = []
 
-    def first_member_then_fail(self):
-        yield min(self._members)
-        raise OSError("disk full")
+    @contextlib.contextmanager
+    def half_then_fail(path, mode):
+        # The writer's one ``write`` puts down half the file, then fails.
+        with atomic_open(path, mode) as fh:
+            def write(data):
+                writes.append(path)
+                fh.write(memoryview(data)[: len(data) // 2])
+                raise OSError("disk full")
 
-    monkeypatch.setattr(PatternSet, "members", first_member_then_fail)
+            yield SimpleNamespace(write=write)
+
+    monkeypatch.setattr(enumerator, "_atomic_open", half_then_fail)
     code, out, err = run_cli(capsys, "count", "--n", "2", "--cache", str(cache))
     assert (code, out) == (1, "")
     assert "disk full" in err
     assert list(cache.iterdir()) == []
+    assert len(writes) == 1
     monkeypatch.undo()
     assert run_cli(capsys, "count", "--n", "2", "--cache", str(cache))[:2] == (0, "224\n")
 
@@ -459,6 +470,50 @@ def test_an_output_path_naming_stderr_is_written_after_what_it_holds(tmp_path, b
         printed = run("/dev/stderr", stderr).stdout
     assert printed == plain.stdout
     assert log.read_text() == before + doc.read_text() + notes
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "mode, before",
+    [("a", ""), ("a", "prev\n"), ("w", ""), ("w", "prev\n")],
+    ids=["appended-empty", "appended", "written-empty", "written"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "2", "--csv"),
+        ("supertile", "--rank", "2", "--output"),
+        ("render", "--input", "{tmp}/grid.json", "--out"),
+    ],
+    ids=["csv", "output", "out"],
+)
+def test_an_output_path_naming_another_descriptor_is_written_at_its_position(
+    tmp_path, mode, before, argv
+):
+    # ``3>> flog`` (mode "a") or ``3> flog`` after "prev" was written
+    # through the descriptor (mode "w"): reopened, /dev/fd/3 would
+    # truncate the file and lose what the descriptor's holder put there.
+    main(["supertile", "--rank", "2", "--out", "json", "--output", str(tmp_path / "grid.json")])
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    args = [a.format(tmp=tmp_path) for a in argv]
+    doc = tmp_path / "doc.txt"
+    plain = subprocess.run(
+        [sys.executable, "-c", CONSOLE_SCRIPT, *args, str(doc)],
+        capture_output=True, env=env, check=True,
+    )
+    log = tmp_path / "flog"
+    log.write_text("" if mode == "w" else before)
+    with open(log, mode) as fh:
+        fh.write(before if mode == "w" else "")
+        fh.flush()
+        fd = fh.fileno()
+        proc = subprocess.run(
+            [sys.executable, "-c", CONSOLE_SCRIPT, *args, f"/dev/fd/{fd}"],
+            capture_output=True, env=env, check=True, pass_fds=(fd,),
+        )
+    assert proc.stdout == plain.stdout
+    assert proc.stderr.decode() == plain.stderr.decode().replace(f"note: wrote {doc}\n", "")
+    assert log.read_text() == before + doc.read_text()
 
 
 def test_render_from_json(capsys, tmp_path):

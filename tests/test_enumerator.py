@@ -438,16 +438,34 @@ _STRAY_TRIPLE = next(
 )
 
 
-# Each corrupts a sorted member list in place and returns the index of
-# the first record the loader must reject.
+def _rbps(members, count=None, tail=b""):
+    """An n = 2 ``.rbps`` file of ``members``, with a header count of
+    ``count`` (default: as many as there are) and ``tail`` appended."""
+    count = len(members) if count is None else count
+    header = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, 2, count)
+    return header + b"".join(struct.pack(">I", len(m)) + m for m in members) + tail
+
+
+def _record_at(members, i):
+    """The offset of record i of an ``_rbps`` file of ``members``."""
+    return len(_rbps([])) + sum(4 + len(m) for m in members[:i])
+
+
+# Each corrupts a sorted member list in place and returns the file, the
+# offset the loader must name and its message there.
 def _short_member(members):
     members[1] = members[1][:-3]
-    return 1
+    return _rbps(members), _record_at(members, 1), "record length 9, expected 12"
 
 
 def _swapped_members(members):
     members[1], members[2] = members[2], members[1]
-    return 2
+    return _rbps(members), _record_at(members, 2), "records not in strictly increasing order"
+
+
+def _repeated_member(members):
+    members[2] = members[1]
+    return _rbps(members), _record_at(members, 2), "records not in strictly increasing order"
 
 
 def _triple(triple):
@@ -455,9 +473,35 @@ def _triple(triple):
         bad = bytes(triple) + members[1][3:]
         members[1] = bad
         members.sort()
-        return members.index(bad)
+        at = _record_at(members, members.index(bad))
+        return _rbps(members), at, "triple names no canonical tile"
 
     return put
+
+
+def _trailing_bytes(members):
+    return _rbps(members, tail=b"\x00"), _record_at(members, len(members)), "trailing bytes"
+
+
+def _count_one_too_large(members):
+    at = _record_at(members, len(members))
+    return _rbps(members, count=len(members) + 1), at, "truncated record length"
+
+
+def _length_field_off_by_one(members):
+    # The file keeps its size: only record 1's length field changes.
+    blob = bytearray(_rbps(members))
+    at = _record_at(members, 1)
+    blob[at : at + 4] = struct.pack(">I", 13)
+    return bytes(blob), at, "record length 13, expected 12"
+
+
+def _order_fault_before_bad_triple(members):
+    # Triples are checked only once every record has been read, so the
+    # order fault is named although the bad triple would be too.
+    members[1], members[2] = members[2], members[1]
+    members[3] = bytes((32, 0, 0)) + members[3][3:]
+    return _rbps(members), _record_at(members, 2), "records not in strictly increasing order"
 
 
 @pytest.mark.parametrize(
@@ -465,28 +509,52 @@ def _triple(triple):
     [
         _short_member,
         _swapped_members,
+        _repeated_member,
         _triple((32, 0, 0)),
         _triple((0, 4, 0)),
         _triple((0, 0, 2)),
         _triple(_STRAY_TRIPLE),
+        _trailing_bytes,
+        _count_one_too_large,
+        _length_field_off_by_one,
+        _order_fault_before_bad_triple,
     ],
-    ids=["length", "order", "prototile-range", "rotation-range", "mirror-range", "non-canonical"],
+    ids=[
+        "length",
+        "order",
+        "repeated",
+        "prototile-range",
+        "rotation-range",
+        "mirror-range",
+        "non-canonical",
+        "trailing",
+        "count-too-large",
+        "length-field",
+        "order-before-triple",
+    ],
 )
 def test_load_rejects_bad_members(tmp_path, capsys, corrupt):
     members = distinct_patterns(2, 2).members()
-    bad = corrupt(members)
-    header = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, 2, len(members))
+    blob, offset, message = corrupt(members)
     path = tmp_path / "cache" / "patterns_n2_rank2.rbps"
     path.parent.mkdir()
-    path.write_bytes(header + b"".join(struct.pack(">I", len(m)) + m for m in members))
+    path.write_bytes(blob)
+    expected = f"corrupt pattern-set file at byte {offset}: {message}"
     with pytest.raises(CorruptPatternFile) as exc:
         load_pattern_set(path)
-    assert exc.value.offset == len(header) + sum(4 + len(m) for m in members[:bad])
+    assert (exc.value.offset, str(exc.value)) == (offset, expected)
     assert main(["count", "--n", "2", "--cache", str(path.parent)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: corrupt pattern-set file at byte")
-    assert captured.err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    assert main(["cache", "--inspect", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
+def test_tile_ids_sort_as_their_triples():
+    # The .rbps reader checks member order on tile-id rows, and the
+    # writer sorts id rows: both rely on this.
+    triples = [tuple(t) for t in enumerator._TRIPLE_LUT.tolist()]
+    assert triples == sorted(set(triples))
+    assert len(triples) == len(ALL_TILES)
 
 
 def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
@@ -494,7 +562,7 @@ def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
     path = max(tmp_path.glob("*.rbps"))
     calls = []
     tile_ids = enumerator._tile_ids
-    monkeypatch.setattr(enumerator, "_tile_ids", lambda data: calls.append(len(data)) or tile_ids(data))
+    monkeypatch.setattr(enumerator, "_tile_ids", lambda data: calls.append(data.nbytes) or tile_ids(data))
     got = enumerator._load_windows(path, 3)
     header = len(MAGIC) + struct.calcsize(">HIQ")
     assert calls == [path.stat().st_size - header - 4 * len(got)]

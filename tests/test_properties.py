@@ -1,14 +1,27 @@
 """Property tests: grid JSON and ASCII codecs, the .rbps cache round
 trip and supertile validation on random inputs."""
 
+import functools
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from robinsonblocks.enumerator import _load_windows, _pattern_set, _save_windows, load_pattern_set
+from robinsonblocks import enumerator
+from robinsonblocks.enumerator import (
+    CorruptPatternFile,
+    PatternVersionMismatch,
+    _load_windows,
+    _parse_pattern_file,
+    _pattern_set,
+    _save_windows,
+    distinct_patterns,
+    load_pattern_set,
+    save_pattern_set,
+)
 from robinsonblocks.render import ASCII_ALPHABET, parse_ascii, render_ascii
 from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, TileGrid, build, validate
 from robinsonblocks.tileset import ALL_TILES
@@ -70,7 +83,45 @@ def test_rbps_save_load_round_trip(case):
         path = os.path.join(tmp, "p.rbps")
         _save_windows(windows, n, path)
         assert load_pattern_set(path) == ps
-        assert _load_windows(path, n) == windows
+        rows = _load_windows(path, n)
+        assert rows.shape == (len(windows), n * n)
+        assert {row.tobytes() for row in rows} == windows
+
+
+@functools.lru_cache(maxsize=None)
+def _rbps_file(n: int) -> bytes:
+    """The bytes of a valid ``.rbps`` file of n-by-n blocks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.rbps")
+        save_pattern_set(distinct_patterns(n, 4), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _parsed(blob: bytes):
+    try:
+        n, ids = _parse_pattern_file(blob)
+    except (CorruptPatternFile, PatternVersionMismatch) as exc:
+        return type(exc), str(exc)
+    return n, ids.shape, ids.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 4), st.integers(0, 2**32), st.integers(1, 255))
+def test_rbps_fast_reader_agrees_with_the_record_loop(n, where, flip):
+    # One byte of a valid file is changed.  The array reader and the
+    # record-by-record reference must reject it with the same message,
+    # or both accept it and return the same rows; and the array reader
+    # must accept every file the reference accepts.
+    blob = bytearray(_rbps_file(n))
+    blob[where % len(blob)] ^= flip
+    blob = bytes(blob)
+    fast = _parsed(blob)
+    with mock.patch.object(enumerator, "_fast_ids", lambda *args: None):
+        reference = _parsed(blob)
+    assert fast == reference
+    if not isinstance(reference[0], type):
+        assert enumerator._fast_ids(blob, reference[0], reference[1][0]) is not None
 
 
 @st.composite
