@@ -7,7 +7,9 @@ rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.  A scan reaches its windows through slabs, runs of n
 whole rows or columns, each keyed by its own cells: a slab met before,
-cut from a supertile or turned from one, is skipped whole.
+cut from a supertile or turned from one, is skipped whole.  Every rank,
+the first included, is cut as its cross band: the two strips of lines
+that hold the windows touching the central row or column.
 
 ``_window_scan`` is the one route from a rank to its window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
@@ -67,13 +69,11 @@ _TRIPLE_WORDS = _TRIPLE_WORDS.view(np.uint32).reshape(-1)
 # a byte past the tile ids maps to itself.
 _TURN_BYTES = [table.tobytes() for table in _TURNS]
 
-# Bytes gathered per dedup band: the copy of new slabs held at a time
-# while their windows are keyed.
+# The dedup kernel's one banding constant: about this many key bytes are
+# made into ``bytes`` objects per ``tolist`` call, slab keys in
+# ``_new_blocks`` and window keys in ``_key_blocks``, which copies out
+# the slabs of one band at a time.
 _GATHER_BYTES = 1 << 16
-# Keys turned into bytes objects per ``tolist`` call.  Bounds the transient
-# list, which would otherwise double a band's footprint; the n=2..16 sweep
-# peaks 1 MB higher with 4096 and runs no faster.
-_BYTES_KEYS = 256
 
 
 class BlockTooLarge(ValueError):
@@ -177,26 +177,7 @@ def canonical_encode(window: TileGrid) -> Pattern:
     ids = window.ids
     if (ids == EMPTY).any():
         raise ValueError("cannot encode a window with empty cells")
-    return Pattern(window.width, _TRIPLE_LUT[ids.reshape(-1)].tobytes())
-
-
-def _add_keys(out: set, keys: np.ndarray) -> set:
-    """Add each element of a 2-D void array to ``out`` as a ``bytes``
-    object and return ``out``.  ``tolist`` builds the bytes in C, on
-    slices of at most ``_BYTES_KEYS`` keys."""
-    rows, cols = keys.shape
-    step = max(1, _BYTES_KEYS // max(cols, 1))  # whole rows per slice
-    for r in range(0, rows, step):
-        for c in range(0, cols, _BYTES_KEYS):
-            out.update(*keys[r : r + step, c : c + _BYTES_KEYS].tolist())
-    return out
-
-
-def _add_rows(out: set, rows: np.ndarray) -> set:
-    """Add each row of a 2-D uint8 array to ``out`` as a ``bytes`` object
-    and return ``out``, viewing each row as one void scalar."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    return _add_keys(out, rows.view(np.dtype((np.void, rows.shape[1]))).reshape(1, -1))
+    return Pattern(window.width, _triples(ids).tobytes())
 
 
 class _WindowIndex:
@@ -233,9 +214,10 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     window, those slabs go on ``index.grown``.  A cross strip of a scan
     holds only a few times n distinct slabs, whatever the rank (112 of
     2032 for n = 16 at rank 11), and a scan meets most of them at its
-    lower ranks.  In a scan a slab holds at most n*(2n - 1) cells: the
-    scan's first rank is at most 2n - 1 wide, and so are its cross
-    strips.
+    lower ranks.  In a scan a slab holds at most n*(2n - 1) cells: every
+    strip a scan cuts is at most 2n - 1 lines wide, the whole supertile
+    of its first rank included.  Slab keys are checked, and windows
+    keyed, in bands of about ``_GATHER_BYTES`` key bytes.
     """
     if index is None:
         index = _WindowIndex()
@@ -257,11 +239,13 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
 def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
     """The slabs keyed by the 1-D void array ``keys`` that ``met`` lacks,
     each once, as one ``(slabs, n, cells)`` uint8 array; they are added
-    to ``met``.  Keys become ``bytes`` in slices of ``_BYTES_KEYS``."""
+    to ``met``.  Keys become ``bytes`` in slices of about
+    ``_GATHER_BYTES``."""
+    step = max(1, _GATHER_BYTES // keys.itemsize)
     fresh = dict.fromkeys(
         key
-        for i in range(0, len(keys), _BYTES_KEYS)
-        for key in keys[i : i + _BYTES_KEYS].tolist()
+        for i in range(0, len(keys), step)
+        for key in keys[i : i + step].tolist()
         if key not in met
     )
     met.update(fresh)
@@ -273,12 +257,13 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
     shape ``(slabs, n, cells)`` holding each slab's n lines: columns if
     ``by_columns``, else rows.
 
-    The slabs are copied out in bands of about ``_GATHER_BYTES``.  A
-    column slab is copied row-major, n bytes per row, so its window at
-    row r is the n*n contiguous bytes starting at byte r*n, and a strided
-    void view hands those bytes to ``tolist`` without copying each
-    window.  A row slab's windows are copied out whole, one after
-    another.
+    The slabs are copied out in bands whose windows hold about
+    ``_GATHER_BYTES``, and each band's windows are added to the set by
+    one ``tolist``.  A column slab is copied row-major, n bytes per row,
+    so its window at row r is the n*n contiguous bytes starting at byte
+    r*n, and a strided void view hands those bytes to ``tolist`` without
+    copying each window.  A row slab's windows are copied out whole, one
+    after another.
     """
     count, n, cells = blocks.shape
     if not count:
@@ -292,7 +277,7 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
         slab, line, cell = blocks.strides
         shape, strides = (count, per_slab, n, n), (slab, cell, line, cell)
         view, stride = as_strided(blocks, shape, strides, writeable=False), n * n
-    step = max(1, _GATHER_BYTES // view[0].size)
+    step = max(1, _GATHER_BYTES // (per_slab * n * n))
     for i in range(0, count, step):
         band = np.ascontiguousarray(view[i : i + step])
         keys = np.ndarray(
@@ -301,7 +286,7 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
             buffer=band,
             strides=(band.strides[0], stride),
         )
-        _add_keys(index.windows, keys)
+        index.windows.update(*keys.tolist())
 
 
 def _turn_reverses(by_columns: bool, t: int) -> bool:
@@ -347,9 +332,10 @@ def _id_rows(windows, n: int) -> np.ndarray:
 
 
 def _pattern_set(n: int, windows) -> PatternSet:
-    """The Patterns of a window set from ``_window_scan`` or a cache file."""
+    """The Patterns of a window set from ``_window_scan`` or a cache file.
+    One bytes object per row, which keeps the one member of an n = 0 set."""
     triples = _triples(_id_rows(windows, n)).reshape(len(windows), 3 * n * n)
-    return PatternSet(n, _add_rows(set(), triples))
+    return PatternSet(n, map(bytes, triples))
 
 
 def _triples(ids: np.ndarray) -> np.ndarray:
@@ -374,18 +360,6 @@ def _tile_ids(triples: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _cross_band_unique(rank: int, facing: int, n: int, index: _WindowIndex) -> set:
-    """Add the windows of the rank-``rank`` supertile ``facing`` quarter
-    turns from NE that touch its central row or central column to
-    ``index``, and return its window set.  Only the two strips of lines
-    that hold them are cut from the supertile."""
-    s = (1 << rank) - 1
-    c = (s - 1) // 2
-    band = slice(max(0, c - n + 1), min(c, s - n) + n)
-    _unique_windows(_facing_ids(rank, facing, rows=band), n, index)
-    return _unique_windows(_facing_ids(rank, facing, cols=band), n, index)
-
-
 def _ranks(n: int, k_max: int, facing: Pose) -> range:
     """The ranks a scan of the ``facing`` supertile probes: from the
     first whose supertile can host an n-by-n block, through ``k_max``.
@@ -405,12 +379,14 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     is the set of distinct n-by-n windows of the ``facing`` supertile, as
     tile-id row bytes.
 
-    Only the first rank is extracted whole.  A rank-(k+1) window either
+    Only windows that touch the central row or column are extracted, from
+    the two strips of lines that hold them.  A rank-(k+1) window either
     touches the central cross or lies inside a quadrant, and the four
     quadrants are exactly the four facings of rank k.  So the windows of
     every facing of rank k plus this facing's own cross-touching windows
-    are the rank-(k+1) set, while only cross-touching windows are
-    extracted.
+    are the rank-(k+1) set.  At the first rank, k = n.bit_length(), the
+    quadrant side 2^(k-1) - 1 is below n, so every window touches the
+    cross and the strips span the whole supertile.
 
     Only this facing is ever cut from a supertile.  The facing t quarter
     turns on is this one turned, ``TURN^t[np.rot90(ids, t)]``, so its
@@ -435,10 +411,11 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     index = _WindowIndex()
     for k in ranks:
         _add_turned_slabs(index, n)
-        if k == ranks.start:
-            _unique_windows(_facing_ids(k, facing.rotation), n, index)
-        else:
-            _cross_band_unique(k, facing.rotation, n, index)
+        s = (1 << k) - 1
+        c = (s - 1) // 2
+        band = slice(max(0, c - n + 1), min(c, s - n) + n)
+        _unique_windows(_facing_ids(k, facing.rotation, rows=band), n, index)
+        _unique_windows(_facing_ids(k, facing.rotation, cols=band), n, index)
         yield k, index.windows
 
 
@@ -581,15 +558,18 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return np.sort(keys).view(np.uint8).reshape(rows.shape)
 
 
-def _write_records(path, n: int, rows: np.ndarray, tile_ids: bool) -> None:
-    """Write an ``.rbps`` file whose members are the rows of the uint8
-    array ``rows``, which are distinct: tile ids, n*n per row, if
-    ``tile_ids``, else member bytes, 3n^2 per row.
+def _write_records(path, n: int, rows: np.ndarray) -> None:
+    """Write an ``.rbps`` file whose members are given by the rows of the
+    uint8 array ``rows``, distinct rows of n*n tile ids.  An n whose
+    records overflow their length field raises ``ValueError`` before the
+    path is opened.
 
     The rows are sorted as void keys; id rows sort as their members do,
     because tile ids sort as their ``_TRIPLE_LUT`` triples.  The header
     and every length-prefixed record are filled into one buffer, and the
     buffer is written by one call."""
+    if 3 * n * n >> 32:
+        raise ValueError(f"n={n}: a 3n^2-byte record overflows its length field")
     rows = _sorted_rows(rows)
     count = len(rows)
     head = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count)
@@ -598,7 +578,7 @@ def _write_records(path, n: int, rows: np.ndarray, tile_ids: bool) -> None:
     out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     records = out[len(head) :].view(record)
     records["length"] = 3 * n * n
-    records["member"] = _triples(rows) if tile_ids else rows.reshape(count, n * n, 3)
+    records["member"] = _triples(rows)
     with _atomic_open(path, "wb") as fh:
         fh.write(out)
 
@@ -609,10 +589,14 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
     The file is written under a temporary name in the same directory and
     renamed over ``path``, so a writer killed midway never leaves a
-    truncated file at ``path``.
+    truncated file at ``path``.  A member with a triple that names no
+    canonical tile raises ``ValueError`` before the path is opened.
     """
-    members = np.frombuffer(b"".join(ps._members), dtype=np.uint8)
-    _write_records(path, ps.n, members.reshape(ps.count, 3 * ps.n * ps.n), tile_ids=False)
+    triples = np.frombuffer(b"".join(ps._members), dtype=np.uint8).reshape(-1, 3)
+    ids = _tile_ids(triples)
+    if (ids == EMPTY).any():
+        raise ValueError("a pattern-set member has a triple that names no canonical tile")
+    _write_records(path, ps.n, ids.reshape(ps.count, ps.n * ps.n))
 
 
 def _read_pattern_file(path) -> tuple:
@@ -635,6 +619,9 @@ def _parse_pattern_file(blob: bytes) -> tuple:
     version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise PatternVersionMismatch(version)
+    if 3 * n * n >> 32:  # n is the header field after the magic and version
+        msg = f"n={n}: a 3n^2-byte record overflows its length field"
+        raise CorruptPatternFile(len(MAGIC) + 2, msg)
     ids = _fast_ids(blob, n, count)
     if ids is None:
         ids = _reference_ids(blob, n, count)
@@ -707,11 +694,11 @@ def load_pattern_set(path) -> PatternSet:
 
     Every member must be a 3n^2-byte string of canonical triples, and
     members must come in strictly increasing order; otherwise
-    CorruptPatternFile names the offset of the first bad record.
+    CorruptPatternFile names the offset of the first bad record.  A
+    header n whose 3n^2-byte records overflow their 4-byte length field
+    is named at byte 10, the n field.
     """
-    n, ids = _read_pattern_file(path)
-    # One bytes object per row, which keeps the one member of an n = 0 file.
-    return PatternSet(n, map(bytes, _triples(ids).reshape(len(ids), 3 * n * n)))
+    return _pattern_set(*_read_pattern_file(path))
 
 
 def inspect_pattern_file(path) -> tuple:
@@ -723,7 +710,7 @@ def inspect_pattern_file(path) -> tuple:
 
 def _save_windows(windows, n: int, path) -> None:
     """Write a window set from ``_window_scan`` to ``path`` as ``.rbps``."""
-    _write_records(path, n, _id_rows(windows, n), tile_ids=True)
+    _write_records(path, n, _id_rows(windows, n))
 
 
 def _load_windows(path, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from robinsonblocks.enumerator import (
     count_report_csv,
     count_stabilized,
     distinct_patterns,
+    inspect_pattern_file,
     load_pattern_set,
     restricted_count,
     save_pattern_set,
@@ -99,17 +100,27 @@ def _reference_rows(ids, n):
     return np.unique(sliding_window_view(ids, (n, n)).reshape(-1, n * n), axis=0)
 
 
-def _count_gather_bands(monkeypatch):
-    """Count the bands of windows the kernel keys from now on."""
-    bands = []
-    real = enumerator._add_keys
+def _count_keyed_slabs(monkeypatch):
+    """Record the shape ``(slabs, n, cells)`` of each block of slabs the
+    kernel hands ``_key_blocks`` from now on."""
+    shapes = []
+    real = enumerator._key_blocks
 
-    def counting(out, keys):
-        bands.append(keys.shape)
-        return real(out, keys)
+    def counting(blocks, by_columns, index):
+        shapes.append(blocks.shape)
+        return real(blocks, by_columns, index)
 
-    monkeypatch.setattr(enumerator, "_add_keys", counting)
-    return bands
+    monkeypatch.setattr(enumerator, "_key_blocks", counting)
+    return shapes
+
+
+def _gather_bands(shapes):
+    """The gather bands ``_key_blocks`` cuts those blocks into: each band
+    holds as many slabs as fit their windows in ``_GATHER_BYTES``."""
+    return sum(
+        -(-slabs // max(1, _GATHER_BYTES // ((cells - n + 1) * n * n)))
+        for slabs, n, cells in shapes
+    )
 
 
 def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
@@ -118,11 +129,11 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
     )
     ids = build(9).ids
     for n in (2, 3):
-        bands = _count_gather_bands(monkeypatch)
+        shapes = _count_keyed_slabs(monkeypatch)
         rows = _reference_rows(ids, n)
         windows = _unique_windows(ids, n)
         assert windows == {row.tobytes() for row in rows}
-        assert len(bands) > 1  # a gather band boundary is crossed
+        assert _gather_bands(shapes) > 1  # a gather band boundary is crossed
         expected = sorted(triples[row].tobytes() for row in rows)
         assert _pattern_set(n, windows).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
@@ -136,10 +147,10 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
         tall = rng.integers(0, len(ALL_TILES), (row_slabs + n - 1, 40), dtype=np.uint8)
         wide = rng.integers(0, len(ALL_TILES), (40, col_slabs + n - 1), dtype=np.uint8)
         for noise in (tall, wide):
-            bands = _count_gather_bands(monkeypatch)
+            shapes = _count_keyed_slabs(monkeypatch)
             expected = {row.tobytes() for row in _reference_rows(noise, n)}
             assert _unique_windows(noise, n) == expected
-            assert len(bands) >= 3
+            assert _gather_bands(shapes) >= 3
 
 
 def test_dedup_kernel_on_a_non_contiguous_cross_strip():
@@ -186,10 +197,31 @@ def test_window_index_keys_a_strip_once(monkeypatch):
             index = _WindowIndex()
             first = set(_unique_windows(strip, n, index))
             assert first == {row.tobytes() for row in _reference_rows(strip, n)}
-            bands = _count_gather_bands(monkeypatch)
+            shapes = _count_keyed_slabs(monkeypatch)
             assert _unique_windows(strip, n, index) == first
-            assert bands == []  # every slab was met: no window keyed again
+            # Every slab was met: none is handed over, so no window is keyed again.
+            assert sum(slabs for slabs, _, _ in shapes) == 0
             monkeypatch.undo()
+
+
+def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
+    # At the scan's first rank, k = n.bit_length(), the quadrant side
+    # 2^(k-1) - 1 is below n, so every window touches the central cross
+    # and both strips the scan cuts span the whole supertile.
+    asked = []
+
+    def spy(rank, facing, rows=slice(None), cols=slice(None)):
+        asked.append((rank, rows, cols))
+        return np.zeros((0, 0), dtype=np.uint8)  # nothing to key
+
+    monkeypatch.setattr(enumerator, "_facing_ids", spy)
+    for n in range(1, 129):
+        k = n.bit_length()
+        asked.clear()
+        assert next(enumerator._window_scan(n, range(k, k + 1), FACINGS[0]))[0] == k
+        s = (1 << k) - 1
+        whole = [(k, (0, s, 1), (0, s, 1))] * 2
+        assert [(r, rows.indices(s), cols.indices(s)) for r, rows, cols in asked] == whole, n
 
 
 def test_window_index_on_full_grids():
@@ -547,6 +579,52 @@ def test_load_rejects_bad_members(tmp_path, capsys, corrupt):
     assert capsys.readouterr() == ("", f"error: {expected}\n")
     assert main(["cache", "--inspect", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
+@pytest.mark.parametrize("n", [2**32 - 1, 70000, 37838])
+def test_header_n_whose_records_overflow_the_length_field_is_rejected(tmp_path, capsys, n):
+    # A record of 3n^2 bytes cannot be named by its 4-byte length field,
+    # so the header's n (at byte 10) is corrupt whatever the count says.
+    path = tmp_path / "big.rbps"
+    path.write_bytes(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0))
+    assert path.stat().st_size == 22
+    expected = (
+        f"corrupt pattern-set file at byte 10: "
+        f"n={n}: a 3n^2-byte record overflows its length field"
+    )
+    for read in (load_pattern_set, inspect_pattern_file):
+        with pytest.raises(CorruptPatternFile) as exc:
+            read(path)
+        assert (exc.value.offset, str(exc.value)) == (10, expected)
+    assert main(["cache", "--inspect", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    with pytest.raises(ValueError):
+        save_pattern_set(PatternSet(n), tmp_path / "out.rbps")
+    assert not (tmp_path / "out.rbps").exists()
+
+
+def test_largest_header_n_whose_records_fit_is_read():
+    n = 37837  # 3n^2 = 4,294,915,707 < 2^32
+    blob = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)
+    found, ids = enumerator._parse_pattern_file(blob)
+    assert (found, ids.shape) == (n, (0, n * n))
+
+
+def test_save_rejects_a_non_canonical_member(tmp_path):
+    # Nothing is written: no file at a fresh path, and an existing file
+    # at the path keeps every byte.
+    bad = PatternSet(1, [bytes([9, 9, 9])])
+    fresh = tmp_path / "fresh.rbps"
+    with pytest.raises(ValueError, match="names no canonical tile"):
+        save_pattern_set(bad, fresh)
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept.rbps"
+    save_pattern_set(distinct_patterns(2, 3), kept)
+    before = kept.read_bytes()
+    with pytest.raises(ValueError, match="names no canonical tile"):
+        save_pattern_set(bad, kept)
+    assert kept.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [kept]
 
 
 def test_tile_ids_sort_as_their_triples():
