@@ -183,11 +183,22 @@ def _write_chunks(chunks, path: Path | None) -> None:
     the file a descriptor is open on for writing is written through that
     descriptor (``sys.stdout`` and ``sys.stderr`` for fd 1 and fd 2), at
     its current position and without truncating the file.  A reader
-    that closes the stream early (``| head``) ends the write quietly."""
+    that closes the stream early (``| head``) ends the write quietly.
+    A symlink naming a regular file no descriptor is open on is written
+    as that file, so the link stays and a failure leaves its file alone;
+    an error still names ``path``."""
     fd = 1 if path is None else _output_fd(path)
     if fd is None:
-        with _atomic_open(path, "w") as fh:
-            fh.writelines(chunks)
+        target = os.path.realpath(path)
+        if not (path.is_symlink() and os.path.isfile(target)):
+            target = os.fspath(path)
+        try:
+            with _atomic_open(target, "w") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            if exc.filename == target:
+                exc.filename = os.fspath(path)
+            raise
         _note(f"wrote {path}")
         return
     std = {1: sys.stdout, 2: sys.stderr}
@@ -250,7 +261,15 @@ def _cmd_formula(args) -> int:
     except complexity.DomainError as exc:
         _err(str(exc))
         return 2
-    print(value)
+    # The parser's ``int`` keeps Python's 4300-digit limit on --n, but the
+    # value, about n^2, may be twice as long: spell it without the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

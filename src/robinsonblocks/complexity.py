@@ -42,9 +42,11 @@ def _climb(n: int, depth: int, a: int, b: int, c: int, memo_A=None, memo_B=None)
 
     The triple is R(h, h), R(h, h+1) and R(h+1, h+1).  The first rank's
     lattice, placed at each of the four offsets of ``vacant_places``,
-    leaves the shape h x h four times in a 2h-square and h x h, h x (h+1),
-    (h+1) x h, (h+1) x (h+1) in a (2h+1)-square, so every count one
-    level up is the sum of the counts of its four vacant shapes.
+    leaves (m + o - 1) // 2 vacant lines along an axis of length m where
+    it sits at offset o in {1, 2}: the shape h x h four times in a
+    2h-square and h x h, h x (h+1), (h+1) x h, (h+1) x (h+1) in a
+    (2h+1)-square.  So every count one level up is the sum of the counts
+    of its four vacant shapes.
     """
     while depth:
         depth -= 1
@@ -197,25 +199,17 @@ _FIRST_STEP_CHOICES = ((1, 1), (2, 2), (1, 2), (2, 1))
 
 def vacant_places(n: int, first_step_choice) -> VacantShape:
     """Vacant places left in an n-square after placing the first-rank
-    corner lattice at the given 2x2 offset.  Even n leaves k x k for all
-    four choices; odd n = 2k+1 leaves k x k, (k+1) x (k+1), or the two
-    mixed shapes (the [2,1] shape is the transpose of [1,2], a fixed
-    orientation convention)."""
+    corner lattice at the given 2x2 offset (row, col).  An axis whose
+    lattice sits at offset o leaves (n + o - 1) // 2 vacant lines: even
+    n = 2k leaves k x k for all four choices; odd n = 2k+1 leaves k x k,
+    (k+1) x (k+1), or the two mixed shapes (the [2,1] shape is the
+    transpose of [1,2], a fixed orientation convention)."""
     if n < 2:
         raise DomainError(f"vacant_places needs n >= 2, got {n}")
     choice = tuple(first_step_choice)
     if choice not in _FIRST_STEP_CHOICES:
         raise DomainError(f"first_step_choice must be one of {_FIRST_STEP_CHOICES}")
-    k, odd = divmod(n, 2)
-    if not odd:
-        return VacantShape(k, k)
-    if choice == (1, 1):
-        return VacantShape(k, k)
-    if choice == (2, 2):
-        return VacantShape(k + 1, k + 1)
-    if choice == (1, 2):
-        return VacantShape(k, k + 1)
-    return VacantShape(k + 1, k)
+    return VacantShape(*((n + o - 1) // 2 for o in choice))
 
 
 def paperfolding_P(n: int) -> int:

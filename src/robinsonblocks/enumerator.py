@@ -18,11 +18,12 @@ plain or restricted to a corner position, and with or without a
 ``restricted_count`` take the set the scan yields at their rank and
 stop there.
 
-The ``.rbps`` cache layout is known here alone.  A file is written from
-one sorted array of records with one ``write``, and read by viewing its
-body as one record array: a cached rank reaches the count as its array
-of id rows, never as a set.  A file that fails any check of that view
-is read again record by record, which names its first bad record.
+The ``.rbps`` cache layout is known here alone.  A file's body is a byte
+matrix of one record per row.  It is written from one sorted matrix with
+one ``write`` and read by viewing it as one: a cached rank reaches the
+count as its array of id rows, never as a set.  A file that fails any
+check of that view is read again record by record, which names its
+first bad record.
 """
 
 from __future__ import annotations
@@ -59,20 +60,16 @@ _TRIPLE_LUT = np.array(
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 _TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
-# Each tile id's triple padded to 4 bytes and read as one uint32, so that
-# ``_triples`` gathers a triple per id with ``np.take`` (a fancy index of
-# ``_TRIPLE_LUT`` rows is about ten times slower).
-_TRIPLE_WORDS = np.concatenate((_TRIPLE_LUT, np.zeros_like(_TRIPLE_LUT[:, :1])), axis=1)
-_TRIPLE_WORDS = _TRIPLE_WORDS.view(np.uint32).reshape(-1)
 
 # ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
 # a byte past the tile ids maps to itself.
 _TURN_BYTES = [table.tobytes() for table in _TURNS]
 
-# The dedup kernel's one banding constant: about this many key bytes are
-# made into ``bytes`` objects per ``tolist`` call, slab keys in
-# ``_new_blocks`` and window keys in ``_key_blocks``, which copies out
-# the slabs of one band at a time.
+# The one banding constant: about this many key bytes are made into
+# ``bytes`` objects per ``tolist`` call, slab keys in ``_new_blocks`` and
+# window keys in ``_key_blocks``, which copies out the slabs of one band
+# at a time; and ``_write_records`` gathers the triples of about this
+# many tile ids per ``np.take``, which makes its indices 8-byte intp.
 _GATHER_BYTES = 1 << 16
 
 
@@ -341,7 +338,7 @@ def _pattern_set(n: int, windows) -> PatternSet:
 def _triples(ids: np.ndarray) -> np.ndarray:
     """``_TRIPLE_LUT[ids]``: the (prototile, rotation, mirror) triple of
     each tile id in ``ids``, along a new last axis."""
-    return np.take(_TRIPLE_WORDS, ids).view(np.uint8).reshape(*ids.shape, 4)[..., :3]
+    return np.take(_TRIPLE_LUT, ids, axis=0)
 
 
 def _tile_ids(triples: np.ndarray) -> np.ndarray:
@@ -430,10 +427,12 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
-            yield rank, _load_windows(path, n)
-            continue
-        windows = next(w for k, w in scan if k == rank)
-        _save_windows(windows, n, path)
+            found, windows = _read_pattern_file(path)
+            if found != n:  # n is the header field after the magic and version
+                raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
+        else:
+            windows = next(w for k, w in scan if k == rank)
+            _write_records(path, n, _id_rows(windows, n))
         yield rank, windows
 
 
@@ -518,9 +517,9 @@ def _atomic_open(path, mode: str):
     rename, and a symlink may name an open descriptor (/dev/stdout is
     one) whose file a rename would swap out from under its holder.
     Opened with "w", such a symlink truncates the file it names, so the
-    CLI writes a path naming the file its own standard out or standard
-    error is open on through ``sys.stdout`` or ``sys.stderr``, and never
-    opens it here.
+    CLI writes a path naming the file any of its descriptors is open on
+    for writing through that descriptor, and any other symlink to a
+    regular file by passing the file it resolves to here.
     """
     try:
         st = os.lstat(path)
@@ -545,40 +544,28 @@ def _atomic_open(path, mode: str):
         raise
 
 
-def _record_dtype(n: int) -> np.dtype:
-    """One ``.rbps`` record of an n-by-n block: a big-endian length field,
-    then the member, one (prototile, rotation, mirror) triple per cell."""
-    return np.dtype([("length", ">u4"), ("member", np.uint8, (n * n, 3))])
-
-
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D uint8 array in lexicographic byte order."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
-    return np.sort(keys).view(np.uint8).reshape(rows.shape)
-
-
 def _write_records(path, n: int, rows: np.ndarray) -> None:
     """Write an ``.rbps`` file whose members are given by the rows of the
-    uint8 array ``rows``, distinct rows of n*n tile ids.  An n whose
-    records overflow their length field raises ``ValueError`` before the
-    path is opened.
+    uint8 array ``rows``, distinct rows of n*n tile ids.
 
     The rows are sorted as void keys; id rows sort as their members do,
     because tile ids sort as their ``_TRIPLE_LUT`` triples.  The header
-    and every length-prefixed record are filled into one buffer, and the
+    and the body are filled into one buffer, the body viewed as a byte
+    matrix of one record per row: the big-endian length field in columns
+    0-3, the member after it, filled a band of rows at a time.  The
     buffer is written by one call."""
-    if 3 * n * n >> 32:
-        raise ValueError(f"n={n}: a 3n^2-byte record overflows its length field")
-    rows = _sorted_rows(rows)
-    count = len(rows)
-    head = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count)
-    record = _record_dtype(n)
-    out = np.empty(len(head) + count * record.itemsize, dtype=np.uint8)
-    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    records = out[len(head) :].view(record)
-    records["length"] = 3 * n * n
-    records["member"] = _triples(rows)
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
+    rows = np.sort(keys).view(np.uint8).reshape(rows.shape)
+    count, size = len(rows), 3 * n * n
+    out = np.empty(_BODY + count * (4 + size), dtype=np.uint8)
+    out[:_BODY] = list(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count))
+    records = out[_BODY:].reshape(count, 4 + size)
+    records[:, :4] = list(size.to_bytes(4, "big"))
+    members = records[:, 4:].reshape(count, n * n, 3)
+    step = max(1, _GATHER_BYTES // max(1, n * n))
+    for i in range(0, count, step):
+        members[i : i + step] = _triples(rows[i : i + step])
     with _atomic_open(path, "wb") as fh:
         fh.write(out)
 
@@ -589,9 +576,12 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
     The file is written under a temporary name in the same directory and
     renamed over ``path``, so a writer killed midway never leaves a
-    truncated file at ``path``.  A member with a triple that names no
-    canonical tile raises ``ValueError`` before the path is opened.
+    truncated file at ``path``.  An n whose 3n^2-byte records overflow
+    their length field, or a member with a triple that names no canonical
+    tile, raises ``ValueError`` before the path is opened.
     """
+    if 3 * ps.n * ps.n >> 32:
+        raise ValueError(f"n={ps.n}: a 3n^2-byte record overflows its length field")
     triples = np.frombuffer(b"".join(ps._members), dtype=np.uint8).reshape(-1, 3)
     ids = _tile_ids(triples)
     if (ids == EMPTY).any():
@@ -633,17 +623,18 @@ def _fast_ids(blob: bytes, n: int, count: int):
     ``_reference_ids`` returns them, or None if any check fails.
 
     The body must hold exactly ``count`` records of ``3n^2`` bytes; it is
-    viewed as one record array, so every length field and every triple
-    is checked at once.  Order is checked on the id rows, which is the
-    order of the member bytes once every triple is canonical, because
-    tile ids sort as their ``_TRIPLE_LUT`` triples do."""
+    viewed as one byte matrix, a record per row, so every length field
+    and every triple is checked at once.  Order is checked on the id
+    rows, which is the order of the member bytes once every triple is
+    canonical, because tile ids sort as their ``_TRIPLE_LUT`` triples
+    do."""
     size = 3 * n * n
     if not count or not size or len(blob) - _BODY != count * (4 + size):
         return None
-    records = np.frombuffer(blob, dtype=_record_dtype(n), count=count, offset=_BODY)
-    if (records["length"] != size).any():
+    records = np.frombuffer(blob, dtype=np.uint8, offset=_BODY).reshape(count, 4 + size)
+    if (records[:, :4] != list(size.to_bytes(4, "big"))).any():
         return None
-    ids = _tile_ids(records["member"])
+    ids = _tile_ids(records[:, 4:].reshape(count, n * n, 3))
     if (ids == EMPTY).any() or not _strictly_increasing(ids):
         return None
     return ids
@@ -706,17 +697,3 @@ def inspect_pattern_file(path) -> tuple:
     every check ``load_pattern_set`` makes; no ``PatternSet`` is built."""
     n, ids = _read_pattern_file(path)
     return n, len(ids)
-
-
-def _save_windows(windows, n: int, path) -> None:
-    """Write a window set from ``_window_scan`` to ``path`` as ``.rbps``."""
-    _write_records(path, n, _id_rows(windows, n))
-
-
-def _load_windows(path, n: int) -> np.ndarray:
-    """Inverse of ``_save_windows``: the window set of an ``.rbps`` file,
-    which must hold n-by-n blocks, as one n*n-byte id row per window."""
-    found, ids = _read_pattern_file(path)
-    if found != n:  # n is the header field after the magic and version
-        raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
-    return ids

@@ -15,6 +15,7 @@ import pytest
 
 from robinsonblocks import cli, enumerator
 from robinsonblocks.cli import MAX_RANK, main
+from robinsonblocks.complexity import closed_form_A, paperfolding_P
 from robinsonblocks.render import parse_ascii, render_ascii
 from robinsonblocks.supertile import build
 
@@ -50,6 +51,26 @@ def test_formula_domain_error_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_formula_prints_every_value_it_accepts(capsys):
+    # A(n) of a 2500-digit n has about 5000 digits, past Python's default
+    # limit on int-to-str conversion; the limit on --n itself stays.
+    n = 10**2500
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = {"A": f"{closed_form_A(n)}\n", "P": f"{paperfolding_P(n)}\n"}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert min(map(len, want.values())) > 5000
+    for which, value in want.items():
+        code, out, _ = run_cli(capsys, "formula", "--n", f"{n}", "--which", which)
+        assert (code, out) == (0, value)
+        assert sys.get_int_max_str_digits() == limit
+    code, out, err = run_cli(capsys, "formula", "--n", "1" * 4301)
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err
 
 
 def test_bad_flags_exit_2(capsys):
@@ -346,6 +367,34 @@ def test_symlinked_output_is_written_through(capsys, tmp_path):
     assert real.read_bytes() == plain.read_bytes()
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "plain.svg", "real.svg"]
+
+
+def test_failed_symlinked_output_leaves_its_file_alone(capsys, monkeypatch, tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old content")
+    real.chmod(0o640)
+    link.symlink_to(real.name)
+    monkeypatch.setattr(cli, "_ascii_chunks", _first_chunk_then_out_of_memory(cli._ascii_chunks))
+    code, out, err = run_cli(capsys, "supertile", "--rank", "3", "--output", str(link))
+    assert (code, out, err) == (1, "", "error: supertile: out of memory\n")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text() == "old content"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_symlinked_output_error_names_the_path_given(capsys, tmp_path):
+    # The temporary file goes beside the link's target, where a directory
+    # of its name stands: the error names the link, not the target.
+    real, link = tmp_path / "sub" / "real.txt", tmp_path / "link.txt"
+    real.parent.mkdir()
+    real.write_text("old content")
+    link.symlink_to(real)
+    (real.parent / f"real.txt.{os.getpid()}.tmp").mkdir()
+    code, out, err = run_cli(capsys, "supertile", "--rank", "2", "--output", str(link))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{link}'\n"
+    assert real.read_text() == "old content"
 
 
 def test_existing_output_file_keeps_its_mode(capsys, tmp_path):

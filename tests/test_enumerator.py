@@ -598,16 +598,29 @@ def test_header_n_whose_records_overflow_the_length_field_is_rejected(tmp_path, 
         assert (exc.value.offset, str(exc.value)) == (10, expected)
     assert main(["cache", "--inspect", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {expected}\n")
-    with pytest.raises(ValueError):
+    # The writer refuses the same n with the library's message, before any
+    # array is shaped by n, and leaves no file.
+    message = f"n={n}: a 3n^2-byte record overflows its length field"
+    with pytest.raises(ValueError) as exc:
         save_pattern_set(PatternSet(n), tmp_path / "out.rbps")
+    assert str(exc.value) == message
     assert not (tmp_path / "out.rbps").exists()
 
 
-def test_largest_header_n_whose_records_fit_is_read():
+def test_largest_header_n_whose_records_fit_is_read(tmp_path, capsys):
     n = 37837  # 3n^2 = 4,294,915,707 < 2^32
     blob = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)
     found, ids = enumerator._parse_pattern_file(blob)
     assert (found, ids.shape) == (n, (0, n * n))
+    # An empty set of such an n is saved as that 22-byte header, also
+    # from n = 26755, where a 4 + 3n^2-byte record passes 2^31 bytes.
+    for n in (26755, 37837):
+        path = tmp_path / f"empty{n}.rbps"
+        save_pattern_set(PatternSet(n), path)
+        assert path.read_bytes() == MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)
+        assert inspect_pattern_file(path) == (n, 0)
+        assert main(["cache", "--inspect", str(path)]) == 0
+        assert capsys.readouterr() == (f"n,count,version\n{n},0,{FORMAT_VERSION}\n", "")
 
 
 def test_save_rejects_a_non_canonical_member(tmp_path):
@@ -641,7 +654,8 @@ def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
     calls = []
     tile_ids = enumerator._tile_ids
     monkeypatch.setattr(enumerator, "_tile_ids", lambda data: calls.append(data.nbytes) or tile_ids(data))
-    got = enumerator._load_windows(path, 3)
+    rank = int(path.stem.rsplit("rank", 1)[1])
+    ((_, got),) = enumerator._cached_window_scan(3, range(rank, rank + 1), iter(()), tmp_path)
     header = len(MAGIC) + struct.calcsize(">HIQ")
     assert calls == [path.stat().st_size - header - 4 * len(got)]
     assert enumerator._pattern_set(3, got) == load_pattern_set(path)

@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,9 @@ from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
     CorruptPatternFile,
     PatternVersionMismatch,
-    _load_windows,
+    _cached_window_scan,
     _parse_pattern_file,
     _pattern_set,
-    _save_windows,
     distinct_patterns,
     load_pattern_set,
     save_pattern_set,
@@ -80,10 +80,12 @@ def test_rbps_save_load_round_trip(case):
     ps = _pattern_set(n, windows)
     assert ps.count == len(windows)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "p.rbps")
-        _save_windows(windows, n, path)
-        assert load_pattern_set(path) == ps
-        rows = _load_windows(path, n)
+        # A scan yielding ``windows`` at rank 1 writes the cache file; a
+        # second pass, with nothing to scan, reads it back as id rows.
+        saved = list(_cached_window_scan(n, range(1, 2), iter([(1, windows)]), Path(tmp)))
+        assert saved == [(1, windows)]
+        assert load_pattern_set(os.path.join(tmp, f"patterns_n{n}_rank1.rbps")) == ps
+        ((_, rows),) = _cached_window_scan(n, range(1, 2), iter(()), Path(tmp))
         assert rows.shape == (len(windows), n * n)
         assert {row.tobytes() for row in rows} == windows
 
