@@ -21,9 +21,8 @@ stop there.
 The ``.rbps`` cache layout is known here alone.  A file's body is a byte
 matrix of one record per row.  It is written from one sorted matrix with
 one ``write`` and read by viewing it as one: a cached rank reaches the
-count as its array of id rows, never as a set.  A file that fails any
-check of that view is read again record by record, which names its
-first bad record.
+count as its array of id rows, never as a set.  The same array passes
+that check a file find its first bad record.
 """
 
 from __future__ import annotations
@@ -576,10 +575,13 @@ def save_pattern_set(ps: PatternSet, path) -> None:
 
     The file is written under a temporary name in the same directory and
     renamed over ``path``, so a writer killed midway never leaves a
-    truncated file at ``path``.  An n whose 3n^2-byte records overflow
-    their length field, or a member with a triple that names no canonical
-    tile, raises ``ValueError`` before the path is opened.
+    truncated file at ``path``.  A negative n, an n whose 3n^2-byte
+    records overflow their length field, or a member with a triple that
+    names no canonical tile, raises ``ValueError`` before the path is
+    opened.
     """
+    if ps.n < 0:
+        raise ValueError(f"n={ps.n}: a block side must be non-negative")
     if 3 * ps.n * ps.n >> 32:
         raise ValueError(f"n={ps.n}: a 3n^2-byte record overflows its length field")
     triples = np.frombuffer(b"".join(ps._members), dtype=np.uint8).reshape(-1, 3)
@@ -598,10 +600,16 @@ def _read_pattern_file(path) -> tuple:
 
 
 def _parse_pattern_file(blob: bytes) -> tuple:
-    """``_read_pattern_file`` on the bytes of a file.  ``_fast_ids``
-    checks a well-formed file in a few array passes; if any of its
-    checks fails, ``_reference_ids`` reads the file record by record and
-    raises for the first bad one."""
+    """``_read_pattern_file`` on the bytes of a file.
+
+    The body's complete records are viewed as one byte matrix, a record
+    per row, so every length field, order and triple is checked in a few
+    array passes.  The records before the first bad one sit at fixed
+    offsets, so the first bad record is the first row with a wrong
+    length field or not greater than the row before it, or else the
+    first record the body cuts short; the record-by-record checks are
+    then run on that record alone.  Trailing bytes come next, and the
+    first row with a triple that names no canonical tile last."""
     if len(blob) < _BODY:
         raise CorruptPatternFile(len(blob), "truncated header")
     if blob[: len(MAGIC)] != MAGIC:
@@ -609,54 +617,22 @@ def _parse_pattern_file(blob: bytes) -> tuple:
     version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise PatternVersionMismatch(version)
-    if 3 * n * n >> 32:  # n is the header field after the magic and version
+    size = 3 * n * n
+    if size >> 32:  # n is the header field after the magic and version
         msg = f"n={n}: a 3n^2-byte record overflows its length field"
         raise CorruptPatternFile(len(MAGIC) + 2, msg)
-    ids = _fast_ids(blob, n, count)
-    if ids is None:
-        ids = _reference_ids(blob, n, count)
-    return n, ids
-
-
-def _fast_ids(blob: bytes, n: int, count: int):
-    """The member tile ids of a well-formed ``.rbps`` file, as
-    ``_reference_ids`` returns them, or None if any check fails.
-
-    The body must hold exactly ``count`` records of ``3n^2`` bytes; it is
-    viewed as one byte matrix, a record per row, so every length field
-    and every triple is checked at once.  Order is checked on the id
-    rows, which is the order of the member bytes once every triple is
-    canonical, because tile ids sort as their ``_TRIPLE_LUT`` triples
-    do."""
-    size = 3 * n * n
-    if not count or not size or len(blob) - _BODY != count * (4 + size):
-        return None
-    records = np.frombuffer(blob, dtype=np.uint8, offset=_BODY).reshape(count, 4 + size)
-    if (records[:, :4] != list(size.to_bytes(4, "big"))).any():
-        return None
-    ids = _tile_ids(records[:, 4:].reshape(count, n * n, 3))
-    if (ids == EMPTY).any() or not _strictly_increasing(ids):
-        return None
-    return ids
-
-
-def _strictly_increasing(rows: np.ndarray) -> bool:
-    """Whether each row of a 2-D array is lexicographically less than
-    the next, compared at the first element where they differ."""
-    before, after = rows[:-1], rows[1:]
-    differ = before != after
-    first = (np.arange(len(differ)), differ.argmax(axis=1))
-    return bool(differ[first].all() and (before[first] < after[first]).all())
-
-
-def _reference_ids(blob: bytes, n: int, count: int) -> np.ndarray:
-    """Read the records of an ``.rbps`` file one by one, raise
-    ``CorruptPatternFile`` at the first bad one, and return the member
-    tile ids as ``_read_pattern_file`` does."""
-    size = 3 * n * n
-    offset = _BODY
-    members = []
-    for _ in range(count):
+    width = 4 + size
+    whole = min(count, (len(blob) - _BODY) // width)
+    records = np.frombuffer(blob, np.uint8, whole * width, _BODY).reshape(whole, width)
+    ids = _tile_ids(records[:, 4:].reshape(whole, n * n, 3))
+    bad = (ids == EMPTY).any(axis=1)
+    fault = (records[:, :4] != list(size.to_bytes(4, "big"))).any(axis=1)
+    # Tile ids sort as their triples, so the id rows keep the members'
+    # order once every triple is canonical.
+    fault[1:] |= ~_increasing(records[:, 4:] if bad.any() else ids)
+    first = int(fault.argmax()) if fault.any() else whole
+    offset = _BODY + first * width
+    if first < count:
         if offset + 4 > len(blob):
             raise CorruptPatternFile(offset, "truncated record length")
         (length,) = struct.unpack_from(">I", blob, offset)
@@ -664,20 +640,25 @@ def _reference_ids(blob: bytes, n: int, count: int) -> np.ndarray:
             raise CorruptPatternFile(offset, f"record length {length}, expected {size}")
         if offset + 4 + length > len(blob):
             raise CorruptPatternFile(offset + 4, "truncated record")
-        member = blob[offset + 4 : offset + 4 + length]
-        if members and member <= members[-1]:
-            raise CorruptPatternFile(offset, "records not in strictly increasing order")
-        members.append(member)
-        offset += 4 + length
+        raise CorruptPatternFile(offset, "records not in strictly increasing order")
     if offset != len(blob):
         raise CorruptPatternFile(offset, "trailing bytes")
-    ids = _tile_ids(np.frombuffer(b"".join(members), dtype=np.uint8).reshape(-1, 3))
-    ids = ids.reshape(count, n * n)
-    bad = (ids == EMPTY).any(axis=1)
     if bad.any():
-        offset = _BODY + int(bad.argmax()) * (4 + size)
+        offset = _BODY + int(bad.argmax()) * width
         raise CorruptPatternFile(offset, "triple names no canonical tile")
-    return ids
+    return n, ids
+
+
+def _increasing(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D array after the first is
+    lexicographically greater than the row before it, compared at the
+    first element where they differ; rows of no elements are equal."""
+    before, after = rows[:-1], rows[1:]
+    if not rows.shape[1]:
+        return np.zeros(len(after), dtype=bool)
+    differ = before != after
+    first = (np.arange(len(differ)), differ.argmax(axis=1))
+    return differ[first] & (before[first] < after[first])
 
 
 def load_pattern_set(path) -> PatternSet:

@@ -213,8 +213,11 @@ class TileGrid:
         if not isinstance(doc, dict) or not {"width", "height", "cells"} <= doc.keys():
             raise ValueError("grid JSON must be an object with width, height and cells")
         width, height, cells = doc["width"], doc["height"], doc["cells"]
-        if not (isinstance(width, int) and isinstance(height, int) and min(width, height) >= 0):
+        # ``type``, not ``isinstance``: JSON's true and false are bools.
+        if not (type(width) is int and type(height) is int and min(width, height) >= 0):
             raise ValueError("grid JSON width and height must be non-negative integers")
+        if max(width, height) > np.iinfo(np.intp).max:  # numpy's longest axis; no cells
+            raise ValueError(f"grid JSON width and height must be at most {np.iinfo(np.intp).max}")
         if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
         key_to_proto = {p.key: p for p in Prototile}

@@ -588,6 +588,8 @@ def test_render_from_json(capsys, tmp_path):
         '{"width":1,"height":1,"cells":[["corner",Infinity,0]]}',
         '{"width":1,"height":1,"cells":[["corner",1e400,0]]}',
         "[" * 200_000 + "]" * 200_000,
+        '{"width":true,"height":true,"cells":[["corner",0,false]]}',
+        '{"width":%d,"height":0,"cells":[]}' % 10**30,
     ],
     ids=[
         "unknown-prototile",
@@ -598,6 +600,8 @@ def test_render_from_json(capsys, tmp_path):
         "rotation-infinity",
         "rotation-overflows-a-float",
         "nested-too-deep",
+        "boolean-sides",
+        "side-past-numpy-dimensions",
     ],
 )
 def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):

@@ -607,6 +607,17 @@ def test_header_n_whose_records_overflow_the_length_field_is_rejected(tmp_path, 
     assert not (tmp_path / "out.rbps").exists()
 
 
+@pytest.mark.parametrize("members", [(), (bytes(3),)])
+def test_save_rejects_a_negative_n(tmp_path, members):
+    # The header's n field is unsigned, so a negative n gets the library's
+    # error, naming n, before the path is opened.  A set of n = -1 takes
+    # 3-byte members, because 3n^2 = 3.
+    with pytest.raises(ValueError) as exc:
+        save_pattern_set(PatternSet(-1, members), tmp_path / "out.rbps")
+    assert str(exc.value) == "n=-1: a block side must be non-negative"
+    assert not (tmp_path / "out.rbps").exists()
+
+
 def test_largest_header_n_whose_records_fit_is_read(tmp_path, capsys):
     n = 37837  # 3n^2 = 4,294,915,707 < 2^32
     blob = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)

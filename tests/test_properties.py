@@ -1,23 +1,29 @@
 """Property tests: grid JSON and ASCII codecs, the .rbps cache round
-trip and supertile validation on random inputs."""
+trip, the .rbps reader against a record-by-record reference and
+supertile validation on random inputs."""
 
 import functools
+import itertools
 import json
 import os
+import struct
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
+    _BODY,
+    FORMAT_VERSION,
+    MAGIC,
     CorruptPatternFile,
+    PatternSet,
     PatternVersionMismatch,
     _cached_window_scan,
     _parse_pattern_file,
     _pattern_set,
+    _tile_ids,
     distinct_patterns,
     load_pattern_set,
     save_pattern_set,
@@ -93,37 +99,116 @@ def test_rbps_save_load_round_trip(case):
 @functools.lru_cache(maxsize=None)
 def _rbps_file(n: int) -> bytes:
     """The bytes of a valid ``.rbps`` file of n-by-n blocks."""
+    ps = PatternSet(0, [b""]) if n == 0 else distinct_patterns(n, 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.rbps")
-        save_pattern_set(distinct_patterns(n, 4), path)
+        save_pattern_set(ps, path)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-def _parsed(blob: bytes):
+def _record_loop(blob: bytes, n: int, count: int) -> np.ndarray:
+    """Read the records of an ``.rbps`` file one by one, raise
+    ``CorruptPatternFile`` at the first bad one, and return the member
+    tile ids as ``_read_pattern_file`` does."""
+    size = 3 * n * n
+    offset = _BODY
+    members = []
+    for _ in range(count):
+        if offset + 4 > len(blob):
+            raise CorruptPatternFile(offset, "truncated record length")
+        (length,) = struct.unpack_from(">I", blob, offset)
+        if length != size:
+            raise CorruptPatternFile(offset, f"record length {length}, expected {size}")
+        if offset + 4 + length > len(blob):
+            raise CorruptPatternFile(offset + 4, "truncated record")
+        member = blob[offset + 4 : offset + 4 + length]
+        if members and member <= members[-1]:
+            raise CorruptPatternFile(offset, "records not in strictly increasing order")
+        members.append(member)
+        offset += 4 + length
+    if offset != len(blob):
+        raise CorruptPatternFile(offset, "trailing bytes")
+    ids = _tile_ids(np.frombuffer(b"".join(members), dtype=np.uint8).reshape(-1, 3))
+    ids = ids.reshape(count, n * n)
+    bad = (ids == EMPTY).any(axis=1)
+    if bad.any():
+        offset = _BODY + int(bad.argmax()) * (4 + size)
+        raise CorruptPatternFile(offset, "triple names no canonical tile")
+    return ids
+
+
+def _parse_record_by_record(blob: bytes) -> tuple:
+    """``_parse_pattern_file`` with its body read by ``_record_loop``."""
+    if len(blob) < _BODY:
+        raise CorruptPatternFile(len(blob), "truncated header")
+    if blob[: len(MAGIC)] != MAGIC:
+        raise CorruptPatternFile(0, "bad magic")
+    version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise PatternVersionMismatch(version)
+    if 3 * n * n >> 32:
+        msg = f"n={n}: a 3n^2-byte record overflows its length field"
+        raise CorruptPatternFile(len(MAGIC) + 2, msg)
+    return n, _record_loop(blob, n, count)
+
+
+def _parsed(parse, blob: bytes):
     try:
-        n, ids = _parse_pattern_file(blob)
+        n, ids = parse(blob)
     except (CorruptPatternFile, PatternVersionMismatch) as exc:
-        return type(exc), str(exc)
+        return type(exc), exc.args, getattr(exc, "offset", None)
     return n, ids.shape, ids.tobytes()
 
 
-@settings(max_examples=300)
-@given(st.integers(2, 4), st.integers(0, 2**32), st.integers(1, 255))
-def test_rbps_fast_reader_agrees_with_the_record_loop(n, where, flip):
-    # One byte of a valid file is changed.  The array reader and the
-    # record-by-record reference must reject it with the same message,
-    # or both accept it and return the same rows; and the array reader
-    # must accept every file the reference accepts.
+_COUNT_FIELD = slice(_BODY - 8, _BODY)
+_CANONICAL = {(t.prototile, t.pose.rotation, int(t.pose.mirror)) for t in ALL_TILES}
+_BAD_TRIPLES = [t for t in itertools.product(range(34), range(5), range(3)) if t not in _CANONICAL]
+_EDITS = ["flip", "cut", "append", "count", "swap", "repeat", "triple"]
+
+
+@st.composite
+def edited_rbps_files(draw):
+    """A valid ``.rbps`` file of n = 0..4 after one or two edits: a
+    flipped byte, a cut, appended bytes, a new count field, two records
+    swapped, a record repeated (and counted) or a stray triple."""
+    n = draw(st.integers(0, 4))
     blob = bytearray(_rbps_file(n))
-    blob[where % len(blob)] ^= flip
-    blob = bytes(blob)
-    fast = _parsed(blob)
-    with mock.patch.object(enumerator, "_fast_ids", lambda *args: None):
-        reference = _parsed(blob)
-    assert fast == reference
-    if not isinstance(reference[0], type):
-        assert enumerator._fast_ids(blob, reference[0], reference[1][0]) is not None
+    width = 4 + 3 * n * n
+    for edit in draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=2)):
+        records = max(0, len(blob) - _BODY) // width
+        record = st.integers(0, max(0, records - 1)).map(lambda i: _BODY + i * width)
+        if edit == "flip" and blob:
+            blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+        elif edit == "cut":
+            del blob[draw(st.integers(0, len(blob))) :]
+        elif edit == "append":
+            blob += draw(st.binary(min_size=1, max_size=width + 1))
+        elif edit == "count" and len(blob) >= _BODY:
+            new = draw(st.integers(0, records + 2) | st.just(2**64 - 1))
+            blob[_COUNT_FIELD] = new.to_bytes(8, "big")
+        elif edit == "swap" and records >= 2:
+            i, j = draw(st.lists(record, min_size=2, max_size=2, unique=True))
+            blob[i : i + width], blob[j : j + width] = blob[j : j + width], blob[i : i + width]
+        elif edit == "repeat" and records:
+            i = draw(record)
+            blob[i:i] = blob[i : i + width]
+            count = int.from_bytes(blob[_COUNT_FIELD], "big")
+            blob[_COUNT_FIELD] = ((count + 1) % 2**64).to_bytes(8, "big")
+        elif edit == "triple" and records and n:
+            at = draw(record) + 4 + 3 * draw(st.integers(0, n * n - 1))
+            blob[at : at + 3] = draw(st.sampled_from(_BAD_TRIPLES))
+    return bytes(blob)
+
+
+@settings(max_examples=300)
+@given(edited_rbps_files())
+def test_rbps_fast_reader_agrees_with_the_record_loop(blob):
+    # The array reader and the record-by-record reference must reject an
+    # edited file with the same exception, offset and message, or both
+    # accept it and return the same rows; so the array reader accepts
+    # every file the reference accepts.
+    assert _parsed(_parse_pattern_file, blob) == _parsed(_parse_record_by_record, blob)
 
 
 @st.composite
