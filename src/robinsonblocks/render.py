@@ -13,11 +13,12 @@ ASCII grammar:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .supertile import EMPTY, TileGrid, _band_rows
+from .supertile import _BAND_CELLS, EMPTY, TileGrid, _band_rows
 from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
@@ -226,7 +227,8 @@ def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
 
 def _svg_chunks(grid: TileGrid, style: RenderStyle):
     """Yield ``render_svg``'s document a band at a time: the header and
-    grid lines, then one row of cells per band, then the overlay."""
+    grid lines in bands of ``_BAND_CELLS`` lines, then one row of cells
+    per band, then the overlay."""
     s = style.cell_size
     w, h = grid.width * s, grid.height * s
     head = [
@@ -236,20 +238,19 @@ def _svg_chunks(grid: TileGrid, style: RenderStyle):
         f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
         f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}" fill="#fdfdfd"/>',
     ]
-    grid_stroke = style.stroke_width * 0.5
-    for r in range(grid.height + 1):
-        y = r * s
-        head.append(
-            f'<line x1="0" y1="{_fmt(y)}" x2="{_fmt(w)}" y2="{_fmt(y)}" '
-            f'stroke="#bbb" stroke-width="{_fmt(grid_stroke)}"/>'
-        )
-    for c in range(grid.width + 1):
-        x = c * s
-        head.append(
-            f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{_fmt(h)}" '
-            f'stroke="#bbb" stroke-width="{_fmt(grid_stroke)}"/>'
-        )
-    yield "\n".join(head) + "\n"
+    stroke = f'stroke="#bbb" stroke-width="{_fmt(style.stroke_width * 0.5)}"/>'
+
+    def grid_lines():
+        for r in range(grid.height + 1):
+            y = _fmt(r * s)
+            yield f'<line x1="0" y1="{y}" x2="{_fmt(w)}" y2="{y}" {stroke}'
+        for c in range(grid.width + 1):
+            x = _fmt(c * s)
+            yield f'<line x1="{x}" y1="0" x2="{x}" y2="{_fmt(h)}" {stroke}'
+
+    lines = itertools.chain(head, grid_lines())
+    while band := list(itertools.islice(lines, _BAND_CELLS)):
+        yield "\n".join(band) + "\n"
     yield from _svg_rows(grid, style)
     if style.rank_overlay and grid.width == grid.height:
         yield from _overlay_squares(grid.width, s, style)

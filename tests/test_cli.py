@@ -1,6 +1,7 @@
 """Command-line front end tests, run in-process."""
 
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -639,3 +640,60 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "224\n"
+
+
+class _ExitHandlers(list):
+    """A stand-in for the ``atexit`` module that lists what is registered."""
+
+    register = list.append
+
+    def unregister(self, func):
+        self[:] = [f for f in self if f != func]
+
+
+def test_in_process_main_freezes_nothing_before_exit(capsys, monkeypatch):
+    handlers = _ExitHandlers()
+    monkeypatch.setattr(cli, "atexit", handlers)
+    for _ in range(3):
+        assert run_cli(capsys, "formula", "--n", "3") == (0, "528\n", "")
+    assert handlers == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+# A child that records the freeze count at each gc.freeze call, with an
+# atexit observer registered before the CLI is imported, so that it runs
+# after the CLI's own exit handlers and reports what they did.
+EXIT_OBSERVER = """
+import atexit, gc, sys
+counts = []
+real_freeze = gc.freeze
+gc.freeze = lambda: counts.append(gc.get_freeze_count()) or real_freeze()
+atexit.register(lambda: print(f"freezes at {counts}, frozen {gc.get_freeze_count() > 0}"))
+"""
+
+# Three calls of main() through each launch route: the installed console
+# script, and ``python -m robinsonblocks.cli``.
+THREE_CALLS = {
+    "console-script": "from robinsonblocks.cli import main\nmain(); main()\nsys.exit(main())\n",
+    "run-module": (
+        "import runpy\n"
+        "for _ in range(3):\n"
+        "    try:\n"
+        "        runpy.run_module('robinsonblocks.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "sys.exit(code)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("launch", sorted(THREE_CALLS))
+def test_cli_process_freezes_once_at_exit(launch):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_OBSERVER + THREE_CALLS[launch], "formula", "--n", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # One freeze, after the three calls, with nothing frozen before it.
+    assert proc.stdout == "528\n" * 3 + "freezes at [0], frozen True\n"

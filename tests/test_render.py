@@ -4,11 +4,12 @@ import pytest
 
 from robinsonblocks.render import (
     RenderStyle,
+    _svg_chunks,
     parse_ascii,
     render_ascii,
     render_svg,
 )
-from robinsonblocks.supertile import TileGrid, build
+from robinsonblocks.supertile import _BAND_CELLS, TileGrid, build
 from robinsonblocks.tileset import OrientedTile, Pose, Prototile
 
 
@@ -74,6 +75,19 @@ def test_svg_draws_from_edge_labels():
 def test_svg_overlay_only_on_power_sizes():
     plain = render_svg(build(2, "NE"), RenderStyle(rank_overlay=True))
     assert "<rect" in plain.split("</g>")[-1]  # one overlay square at rank 2
+
+
+def test_svg_grid_lines_stream_in_bands():
+    # A side of 2^16 cells and no rows: 65,537 vertical grid lines, which
+    # reach the writer a band at a time, not as one list.
+    grid = TileGrid.from_json('{"width":65536,"height":0,"cells":[]}')
+    chunks = list(_svg_chunks(grid, RenderStyle()))
+    assert chunks[0].count("\n") <= _BAND_CELLS
+    lines = "".join(chunks).splitlines()
+    assert len(lines) == 3 + 1 + 65537 + 1
+    assert lines[-2] == (
+        '<line x1="1572864.00" y1="0" x2="1572864.00" y2="0.00" stroke="#bbb" stroke-width="0.60"/>'
+    )
 
 
 def test_style_validation():
