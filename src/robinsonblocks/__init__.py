@@ -1,22 +1,12 @@
 """Exact block counting for Robinson tilings made of one infinite-order
 supertile: a tile-level brute-force oracle cross-checked against the
-closed-form/recurrence machinery."""
+closed-form/recurrence machinery.
 
-from .complexity import (
-    DecompositionTrace,
-    DomainError,
-    RecurrenceTable,
-    VacantShape,
-    closed_form_A,
-    coeff_a,
-    coeff_b,
-    decomposition_trace,
-    floor_log2,
-    paperfolding_P,
-    recurrence_A,
-    recurrence_B,
-    vacant_places,
-)
+The names of ``complexity`` and ``render`` are bound on their first
+read, by ``__getattr__`` below, so that a process that counts never
+loads those modules (README, "What one CLI call costs").
+"""
+
 from .enumerator import (
     BlockTooLarge,
     CountReport,
@@ -29,7 +19,6 @@ from .enumerator import (
     restricted_count,
     save_pattern_set,
 )
-from .render import RenderStyle, parse_ascii, render_ascii, render_svg
 from .supertile import (
     CrossAmbiguous,
     CrossUnsolvable,
@@ -104,3 +93,41 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_DEFERRED = {
+    "complexity": (
+        "DecompositionTrace",
+        "DomainError",
+        "RecurrenceTable",
+        "VacantShape",
+        "closed_form_A",
+        "coeff_a",
+        "coeff_b",
+        "decomposition_trace",
+        "floor_log2",
+        "paperfolding_P",
+        "recurrence_A",
+        "recurrence_B",
+        "vacant_places",
+    ),
+    "render": ("RenderStyle", "parse_ascii", "render_ascii", "render_svg"),
+}
+
+
+def __getattr__(name):
+    """Load ``complexity`` and ``render`` on the first read of one of
+    their names, bind all of them here, and delete this hook: while a
+    module has a ``__getattr__``, CPython 3.11 does not specialise reads
+    of its attributes, so every ``robinsonblocks.closed_form_A`` would
+    stay slower.  A second thread already inside the hook finds the
+    names bound and the hook gone."""
+    if name not in _DEFERRED and not any(name in names for names in _DEFERRED.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # not ``from . import``, whose check for the names calls this hook
+
+    bound = globals()
+    for module, names in _DEFERRED.items():
+        loaded = importlib.import_module(f"{__name__}.{module}")  # binds the module here too
+        bound.update((attr, getattr(loaded, attr)) for attr in names)
+    bound.pop("__getattr__", None)
+    return bound[name]

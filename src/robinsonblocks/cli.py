@@ -11,7 +11,10 @@ one plateau scan; ``--restrict`` and ``--cache`` are its arguments.
 
 A process that calls ``main`` freezes the collector's heap at exit, so
 its interpreter skips the full collections of finalisation (about 20 ms
-of a ~220 ms call; README, "What one CLI call costs").
+of a ~220 ms call; README, "What one CLI call costs").  ``complexity``
+and ``render`` are imported by the commands that use them (``formula``,
+``verify``, ``supertile`` and ``render``), so ``count`` and ``cache``
+never load them.
 """
 
 from __future__ import annotations
@@ -25,18 +28,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import complexity, enumerator
-from .complexity import (
-    RecurrenceTable,
-    VERIFY_CSV_HEADER,
-    closed_form_A,
-    coeff_a,
-    coeff_b,
-    paperfolding_P,
-    verify_row,
-)
+from . import enumerator
 from .enumerator import _atomic_open, count_report_csv, inspect_pattern_file
-from .render import RenderStyle, _ascii_chunks, _svg_chunks
 from .supertile import (
     FACING_ROTATIONS,
     Pose,
@@ -182,6 +175,40 @@ def _output_fd(path: Path) -> int | None:
     return None
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised inside ``_sigterm_unwinds``."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Make SIGTERM unwind the block, so that ``_atomic_open`` removes its
+    temporary file, then end the process by SIGTERM all the same.  The
+    default action ends a process without unwinding.  Only while SIGTERM
+    has that action, and only on the main thread, the one that may set
+    a handler.  ``signal`` is imported here, as it costs about 3 ms."""
+    import signal
+
+    armed = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if armed:
+        try:
+            signal.signal(signal.SIGTERM, _raise_terminated)
+        except ValueError:  # not the main thread
+            armed = False
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        if armed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
     regular file is written under a temporary name and renamed into
@@ -199,7 +226,7 @@ def _write_chunks(chunks, path: Path | None) -> None:
         if not (path.is_symlink() and os.path.isfile(target)):
             target = os.fspath(path)
         try:
-            with _atomic_open(target, "w") as fh:
+            with _sigterm_unwinds(), _atomic_open(target, "w") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
             if exc.filename == target:
@@ -227,19 +254,26 @@ def _write_chunks(chunks, path: Path | None) -> None:
 def _cmd_supertile(args) -> int:
     grid = build_supertile(SupertileSpec(args.rank, Pose(FACING_ROTATIONS[args.facing], False)))
     if args.out == "ascii":
+        from .render import _ascii_chunks
+
         chunks = _ascii_chunks(grid)
     elif args.out == "json":
         chunks = itertools.chain(grid._json_chunks(), ["\n"])
     else:
+        from .render import RenderStyle, _svg_chunks
+
         chunks = _svg_chunks(grid, RenderStyle())
     _write_chunks(chunks, args.output)
     return 0
 
 
 def _cmd_count(args) -> int:
-    report = enumerator.count_stabilized(
-        args.n, args.max_rank, corner_pos=args.restrict, cache=_cache_dir(args)
-    )
+    cache = _cache_dir(args)
+    # A cache is written through ``_atomic_open``.
+    with contextlib.nullcontext() if cache is None else _sigterm_unwinds():
+        report = enumerator.count_stabilized(
+            args.n, args.max_rank, corner_pos=args.restrict, cache=cache
+        )
     if args.csv is not None:
         _write_chunks([count_report_csv(report)], args.csv)
     if not report.stabilized:
@@ -254,6 +288,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_formula(args) -> int:
+    from .complexity import DomainError, closed_form_A, coeff_a, coeff_b, paperfolding_P
+
     try:
         if args.which == "A":
             value = closed_form_A(args.n)
@@ -264,7 +300,7 @@ def _cmd_formula(args) -> int:
         else:
             value = paperfolding_P(args.n)
             _note("paper-folding value is the Gahler-Nilsson conjecture, evaluated not asserted")
-    except complexity.DomainError as exc:
+    except DomainError as exc:
         _err(str(exc))
         return 2
     # The parser's ``int`` keeps Python's 4300-digit limit on --n, but the
@@ -286,6 +322,8 @@ def _cmd_verify(args) -> int:
     if args.n_max < args.n_min:
         _err(f"verify needs --n-max >= --n-min, got {args.n_min}..{args.n_max}")
         return 2
+    from .complexity import VERIFY_CSV_HEADER, RecurrenceTable, closed_form_A, verify_row
+
     table = RecurrenceTable()
     rows = [VERIFY_CSV_HEADER]
     all_ok = True
@@ -308,6 +346,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderStyle, _svg_chunks
+
     grid = TileGrid.from_json(args.input.read_text())
     _write_chunks(_svg_chunks(grid, RenderStyle(rank_overlay=args.overlay)), args.out)
     return 0

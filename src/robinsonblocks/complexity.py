@@ -8,7 +8,7 @@ floating point enters any code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 A1 = 56
 B1 = 124
@@ -63,8 +63,7 @@ def _climb(n: int, depth: int, a: int, b: int, c: int, memo_A=None, memo_B=None)
     return a, b, c
 
 
-@dataclass
-class RecurrenceTable:
+class RecurrenceTable(Record, frozen=False):
     """Memo of the halving recurrences for the block counts A_n and the
     off-grid restricted counts B_n.
 
@@ -76,8 +75,11 @@ class RecurrenceTable:
     then climbs back up, memoising the triple of every level on the way.
     """
 
-    memo_A: dict = field(default_factory=lambda: {1: A1})
-    memo_B: dict = field(default_factory=lambda: {1: B1})
+    __match_args__ = ("memo_A", "memo_B")
+
+    def __init__(self, memo_A: dict | None = None, memo_B: dict | None = None):
+        self.memo_A = {1: A1} if memo_A is None else memo_A
+        self.memo_B = {1: B1} if memo_B is None else memo_B
 
     def A(self, n: int) -> int:
         if n < 1:
@@ -156,14 +158,19 @@ def coeff_b(n: int) -> int:
     return -2 * n * n + 6 * n * p - 4 * p * p
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(Record):
     """Leaf multiplicities when the recurrence tree for A_n is unrolled
     down to the A_1 / B_1 bases."""
 
-    n: int
-    a_leaves: int
-    b_leaves: int
+    __match_args__ = ("n", "a_leaves", "b_leaves")
+
+    def __init__(self, n: int, a_leaves: int, b_leaves: int):
+        self.__dict__.update(
+            n=n,
+            a_leaves=a_leaves,
+            b_leaves=b_leaves,
+            _values=(n, a_leaves, b_leaves),
+        )
 
     def value(self) -> int:
         return self.a_leaves * A1 + self.b_leaves * B1
@@ -186,12 +193,13 @@ def decomposition_trace(n: int) -> DecompositionTrace:
     return DecompositionTrace(n, a_leaves, b_leaves)
 
 
-@dataclass(frozen=True)
-class VacantShape:
+class VacantShape(Record):
     """Vacant-place grid dimensions after the first placement step."""
 
-    rows: int
-    cols: int
+    __match_args__ = ("rows", "cols")
+
+    def __init__(self, rows: int, cols: int):
+        self.__dict__.update(rows=rows, cols=cols, _values=(rows, cols))
 
 
 _FIRST_STEP_CHOICES = ((1, 1), (2, 2), (1, 2), (2, 1))

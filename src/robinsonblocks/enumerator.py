@@ -31,12 +31,12 @@ import contextlib
 import os
 import stat
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._record import Record
 from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
@@ -91,16 +91,15 @@ class PatternVersionMismatch(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """One deduplicated n-by-n block in canonical byte form."""
 
-    n: int
-    data: bytes  # row-major, 3 bytes per cell
+    __match_args__ = ("n", "data")
 
-    def __post_init__(self):
-        if len(self.data) != 3 * self.n * self.n:
+    def __init__(self, n: int, data: bytes):
+        if len(data) != 3 * n * n:  # row-major, 3 bytes per cell
             raise ValueError("pattern data length must be 3*n*n")
+        self.__dict__.update(n=n, data=data, _values=(n, data))
 
 
 class PatternSet:
@@ -144,13 +143,21 @@ class PatternSet:
         return self.count
 
 
-@dataclass(frozen=True)
-class CountReport:
-    n: int
-    rank_used: int
-    count: int
-    stabilized: bool
-    counts_by_rank: tuple  # ((rank, count), ...)
+class CountReport(Record):
+    __match_args__ = ("n", "rank_used", "count", "stabilized", "counts_by_rank")
+
+    def __init__(
+        self, n: int, rank_used: int, count: int, stabilized: bool, counts_by_rank: tuple
+    ):
+        # counts_by_rank is ((rank, count), ...), one pair per rank probed.
+        self.__dict__.update(
+            n=n,
+            rank_used=rank_used,
+            count=count,
+            stabilized=stabilized,
+            counts_by_rank=counts_by_rank,
+            _values=(n, rank_used, count, stabilized, counts_by_rank),
+        )
 
 
 COUNT_CSV_HEADER = "n,rank,count,stabilized"

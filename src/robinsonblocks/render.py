@@ -14,10 +14,10 @@ ASCII grammar:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .supertile import _BAND_CELLS, EMPTY, TileGrid, _band_rows
 from .tileset import ALL_TILES, Side, edge_label
 
@@ -32,16 +32,25 @@ _ID_TO_CHAR = (ASCII_ALPHABET.ljust(_NEWLINE, ".") + "\n.").encode("ascii")
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    cell_size: float = 24.0
-    stroke_width: float = 1.2
-    emphasize_principal: bool = True
-    rank_overlay: bool = False
+class RenderStyle(Record):
+    __match_args__ = ("cell_size", "stroke_width", "emphasize_principal", "rank_overlay")
 
-    def __post_init__(self):
-        if self.cell_size <= 0 or self.stroke_width <= 0:
+    def __init__(
+        self,
+        cell_size: float = 24.0,
+        stroke_width: float = 1.2,
+        emphasize_principal: bool = True,
+        rank_overlay: bool = False,
+    ):
+        if cell_size <= 0 or stroke_width <= 0:
             raise ValueError("style dimensions must be strictly positive")
+        self.__dict__.update(
+            cell_size=cell_size,
+            stroke_width=stroke_width,
+            emphasize_principal=emphasize_principal,
+            rank_overlay=rank_overlay,
+            _values=(cell_size, stroke_width, emphasize_principal, rank_overlay),
+        )
 
 
 def _ascii_chunks(grid: TileGrid):

@@ -16,13 +16,12 @@ every solved cell is still checked for exactly one candidate.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .tileset import (
     ALL_TILES,
     EAST_OK,
@@ -53,11 +52,13 @@ def _band_rows(width: int) -> int:
 # the identity (north-east) orientation, counter-clockwise.
 FACING_ROTATIONS = {"NE": 0, "NW": 1, "SW": 2, "SE": 3}
 
-# Each uint8 id's cell as ``to_json`` writes it: the compact ``json.dumps``
-# of its [tile, rotation, mirror] triple, or null for EMPTY (ids above the
-# tile ids never occur in a TileGrid).
+# Each uint8 id's cell as ``to_json`` writes it: its [tile, rotation,
+# mirror] triple as compact JSON, or null for EMPTY (ids above the tile
+# ids never occur in a TileGrid).  Spelled out here, so that ``json`` is
+# imported only by ``from_json``: a key is a plain identifier and needs
+# no escaping.
 _JSON_CELLS = [
-    json.dumps([t.prototile.key, t.pose.rotation, t.pose.mirror], separators=(",", ":"))
+    f'["{t.prototile.key}",{t.pose.rotation},{"true" if t.pose.mirror else "false"}]'
     for t in ALL_TILES
 ] + ["null"] * (256 - len(ALL_TILES))
 
@@ -80,18 +81,17 @@ class CrossAmbiguous(Exception):
         super().__init__(f"{len(candidates)} tiles fit cross cell {list(pos)}: {names}")
 
 
-@dataclass(frozen=True)
-class SupertileSpec:
+class SupertileSpec(Record):
     """Rank plus facing pose (rotations only; supertiles are never mirrored)."""
 
-    rank: int
-    pose: Pose = IDENTITY
+    __match_args__ = ("rank", "pose")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.pose.mirror:
+    def __init__(self, rank: int, pose: Pose = IDENTITY):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if pose.mirror:
             raise ValueError("supertile facing is restricted to the 4 rotations")
+        self.__dict__.update(rank=rank, pose=pose, _values=(rank, pose))
 
     @property
     def side(self) -> int:
@@ -206,6 +206,8 @@ class TileGrid:
     @classmethod
     def from_json(cls, text: str) -> "TileGrid":
         """Inverse of ``to_json``; a malformed document raises ValueError."""
+        import json  # here, so that no other command pays for it
+
         try:
             doc = json.loads(text)
         except RecursionError:
@@ -410,18 +412,26 @@ def build(rank: int, facing: str = "NE") -> TileGrid:
     return build_supertile(SupertileSpec(rank, Pose(FACING_ROTATIONS[facing], False)))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "adjacency" or "parity"
-    row: int  # 1-based position: the west/north cell, or the 2x2 top-left
-    col: int
-    detail: str = ""
+class Violation(Record):
+    __match_args__ = ("kind", "row", "col", "detail")
+
+    def __init__(self, kind: str, row: int, col: int, detail: str = ""):
+        # kind is "adjacency" or "parity"; row and col, 1-based, name the
+        # west/north cell of a pair, or the top-left cell of a 2x2 window.
+        self.__dict__.update(
+            kind=kind,
+            row=row,
+            col=col,
+            detail=detail,
+            _values=(kind, row, col, detail),
+        )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
+class ValidationReport(Record):
+    __match_args__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple):
+        self.__dict__.update(ok=ok, violations=violations, _values=(ok, violations))
 
     def __bool__(self):
         return self.ok

@@ -17,10 +17,11 @@ arrow labels and are told apart by the parity rule alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+
+from ._record import Record
 
 
 class Prototile(enum.IntEnum):
@@ -63,18 +64,17 @@ class Adjacency(enum.Enum):
     SOUTH = "south"
 
 
-@dataclass(frozen=True, order=True)
-class Pose:
+class Pose(Record, order=True):
     """Mirror-then-rotate normal form: reflect across the vertical axis
     first (if ``mirror``), then rotate ``rotation`` quarter turns
     counter-clockwise."""
 
-    rotation: int = 0
-    mirror: bool = False
+    __match_args__ = ("rotation", "mirror")
 
-    def __post_init__(self):
-        if self.rotation not in (0, 1, 2, 3):
-            raise ValueError(f"rotation must be in 0..3, got {self.rotation}")
+    def __init__(self, rotation: int = 0, mirror: bool = False):
+        if rotation not in (0, 1, 2, 3):
+            raise ValueError(f"rotation must be in 0..3, got {rotation}")
+        self.__dict__.update(rotation=rotation, mirror=mirror, _values=(rotation, mirror))
 
     def compose(self, other: "Pose") -> "Pose":
         """The pose equal to applying ``other`` first, then ``self``."""
@@ -90,12 +90,13 @@ class Pose:
 IDENTITY = Pose(0, False)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     """One arrow slot: ``out`` is head-on-edge, ``principal`` vs side kind."""
 
-    out: bool
-    principal: bool
+    __match_args__ = ("out", "principal")
+
+    def __init__(self, out: bool, principal: bool):
+        self.__dict__.update(out=out, principal=principal, _values=(out, principal))
 
     @property
     def char(self) -> str:
@@ -195,14 +196,15 @@ for proto in Prototile:
         _CANONICAL_POSE[(proto, pose)] = by_labels[_POSE_LABELS[(proto, pose)]]
 
 
-@dataclass(frozen=True, order=True)
-class OrientedTile:
+class OrientedTile(Record, order=True):
     """A prototile in a pose.  Semantic identity is the prototile plus its
     four edge labels; poses that decorate the edges identically collapse
     to one canonical representative."""
 
-    prototile: Prototile
-    pose: Pose = IDENTITY
+    __match_args__ = ("prototile", "pose")
+
+    def __init__(self, prototile: Prototile, pose: Pose = IDENTITY):
+        self.__dict__.update(prototile=prototile, pose=pose, _values=(prototile, pose))
 
     def labels(self):
         return _POSE_LABELS[(self.prototile, self.pose)]

@@ -10,11 +10,12 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from robinsonblocks import cli, enumerator
+from robinsonblocks import cli, enumerator, render
 from robinsonblocks.cli import MAX_RANK, main
 from robinsonblocks.complexity import closed_form_A, paperfolding_P
 from robinsonblocks.render import parse_ascii, render_ascii
@@ -316,8 +317,8 @@ def test_supertile_out_of_memory_is_one_error_line(capsys, monkeypatch, out):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_ascii_chunks", exhausted)
-    monkeypatch.setattr(cli, "_svg_chunks", exhausted)
+    monkeypatch.setattr(render, "_ascii_chunks", exhausted)
+    monkeypatch.setattr(render, "_svg_chunks", exhausted)
     monkeypatch.setattr(cli.TileGrid, "_json_chunks", exhausted)
     code, stdout, err = run_cli(capsys, "supertile", "--rank", "2", "--out", out)
     assert (code, stdout) == (1, "")
@@ -337,7 +338,7 @@ def test_failed_output_file_leaves_no_file(capsys, monkeypatch, tmp_path, out):
     grid_path = tmp_path / "grid.json"
     assert main(["supertile", "--rank", "3", "--out", "json", "--output", str(grid_path)]) == 0
     for name in ("_ascii_chunks", "_svg_chunks"):
-        monkeypatch.setattr(cli, name, _first_chunk_then_out_of_memory(getattr(cli, name)))
+        monkeypatch.setattr(render, name, _first_chunk_then_out_of_memory(getattr(render, name)))
     monkeypatch.setattr(
         cli.TileGrid, "_json_chunks", _first_chunk_then_out_of_memory(cli.TileGrid._json_chunks)
     )
@@ -375,7 +376,9 @@ def test_failed_symlinked_output_leaves_its_file_alone(capsys, monkeypatch, tmp_
     real.write_text("old content")
     real.chmod(0o640)
     link.symlink_to(real.name)
-    monkeypatch.setattr(cli, "_ascii_chunks", _first_chunk_then_out_of_memory(cli._ascii_chunks))
+    monkeypatch.setattr(
+        render, "_ascii_chunks", _first_chunk_then_out_of_memory(render._ascii_chunks)
+    )
     code, out, err = run_cli(capsys, "supertile", "--rank", "3", "--output", str(link))
     assert (code, out, err) == (1, "", "error: supertile: out of memory\n")
     assert link.is_symlink() and os.readlink(link) == real.name
@@ -697,3 +700,118 @@ def test_cli_process_freezes_once_at_exit(launch):
     assert (proc.returncode, proc.stderr) == (0, "")
     # One freeze, after the three calls, with nothing frozen before it.
     assert proc.stdout == "528\n" * 3 + "freezes at [0], frozen True\n"
+
+
+# One child runs three commands through ``main`` and reports, after each,
+# which of the modules loaded only on demand it has loaded; then it reads
+# one deferred package name, and calls the package's hook a second time,
+# as a thread that entered it before the first read deleted it would.
+MODULES_AFTER_EACH_COMMAND = """
+import contextlib, io, sys
+import robinsonblocks
+from robinsonblocks.cli import main
+
+for argv in (["count", "--n", "2"], ["formula", "--n", "5"], ["supertile", "--rank", "2", "--out", "svg"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    deferred = ("robinsonblocks.complexity", "robinsonblocks.render", "json")
+    print(argv[0], code, *[name for name in deferred if name in sys.modules])
+hook = vars(robinsonblocks)["__getattr__"]
+closed_form_A = robinsonblocks.closed_form_A
+print("hook kept", "__getattr__" in vars(robinsonblocks))
+print("second read", hook("closed_form_A") is closed_form_A, closed_form_A(5))
+"""
+
+
+def test_commands_load_only_the_modules_they_use():
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER_EACH_COMMAND], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "count 0",
+        "formula 0 robinsonblocks.complexity",
+        "supertile 0 robinsonblocks.complexity robinsonblocks.render",
+        "hook kept False",
+        "second read True 1472",
+    ]
+
+
+def test_sigterm_while_writing_a_file_leaves_no_temporary_file(tmp_path):
+    # A grid 2^62 columns wide and 0 high: its SVG never ends.
+    doc = tmp_path / "wide.json"
+    doc.write_text('{"width": 4611686018427387904, "height": 0, "cells": []}')
+    argv = ["render", "--input", str(doc), "--out", str(tmp_path / "wide.svg")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "robinsonblocks.cli", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert (proc.returncode, err) == (-signal.SIGTERM, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
+# A child whose every ``.rbps`` write receives SIGTERM once its temporary
+# file is open.
+SIGTERM_INSIDE_A_CACHE_WRITE = """
+import contextlib, os, signal, sys
+from robinsonblocks import cli, enumerator
+
+atomic_open = enumerator._atomic_open
+
+@contextlib.contextmanager
+def terminated_inside(path, mode):
+    with atomic_open(path, mode) as fh:
+        os.kill(os.getpid(), signal.SIGTERM)
+        yield fh
+
+enumerator._atomic_open = terminated_inside
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sigterm_while_writing_the_cache_leaves_no_temporary_file(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["count", "--n", "2", "--cache", str(cache)]
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGTERM_INSIDE_A_CACHE_WRITE, *argv], capture_output=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGTERM, b"", b"")
+    assert list(cache.iterdir()) == []
+
+
+def _record_sigterm(signum, frame):
+    pass
+
+
+@pytest.mark.parametrize("handler", [signal.SIG_DFL, signal.SIG_IGN, _record_sigterm])
+def test_writing_a_file_keeps_the_sigterm_handler(capsys, tmp_path, handler):
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        code, _, _ = run_cli(capsys, "count", "--n", "2", "--csv", str(tmp_path / "c.csv"))
+        assert (code, signal.getsignal(signal.SIGTERM)) == (0, handler)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_a_file_is_written_off_the_main_thread(capsys, tmp_path):
+    target = tmp_path / "grid.txt"
+    argv = ["supertile", "--rank", "2", "--output", str(target)]
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(argv)))
+    worker.start()
+    worker.join()
+    assert codes == [0]
+    assert target.read_text() == render_ascii(build(2))

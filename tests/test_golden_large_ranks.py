@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from robinsonblocks import cli, supertile
+from robinsonblocks import render, supertile
 from robinsonblocks.supertile import build
 
 # (rank, facing) -> SHA-256 of `supertile --rank RANK --facing FACING --out ascii`.
@@ -46,6 +46,6 @@ def test_large_ascii_documents_are_pinned(rank, facing, monkeypatch):
     # A copy of the memo, so the largest grids built here are let go.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", dict(supertile._BUILD_MEMO))
     digest = hashlib.sha256()
-    for chunk in cli._ascii_chunks(build(rank, facing)):
+    for chunk in render._ascii_chunks(build(rank, facing)):
         digest.update(chunk.encode())
     assert digest.hexdigest() == ASCII_SHA256[rank, facing]

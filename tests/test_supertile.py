@@ -269,6 +269,14 @@ def test_json_field_shape_is_normative():
     assert isinstance(mirror, bool)
 
 
+def test_json_cells_are_the_compact_json_of_each_tile():
+    want = [
+        json.dumps([t.prototile.key, t.pose.rotation, t.pose.mirror], separators=(",", ":"))
+        for t in ALL_TILES
+    ]
+    assert supertile._JSON_CELLS == want + ["null"] * (256 - len(ALL_TILES))
+
+
 @pytest.mark.parametrize("bad", [32, 40, 254, 256, -1, 1.5, "3"])
 def test_grid_rejects_ids_that_name_no_tile(bad):
     with pytest.raises(ValueError, match="tile ids"):
