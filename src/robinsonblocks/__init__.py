@@ -94,40 +94,27 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_DEFERRED = {
-    "complexity": (
-        "DecompositionTrace",
-        "DomainError",
-        "RecurrenceTable",
-        "VacantShape",
-        "closed_form_A",
-        "coeff_a",
-        "coeff_b",
-        "decomposition_trace",
-        "floor_log2",
-        "paperfolding_P",
-        "recurrence_A",
-        "recurrence_B",
-        "vacant_places",
-    ),
-    "render": ("RenderStyle", "parse_ascii", "render_ascii", "render_svg"),
-}
+_LAZY = ("complexity", "render")
 
 
 def __getattr__(name):
     """Load ``complexity`` and ``render`` on the first read of one of
-    their names, bind all of them here, and delete this hook: while a
-    module has a ``__getattr__``, CPython 3.11 does not specialise reads
-    of its attributes, so every ``robinsonblocks.closed_form_A`` would
-    stay slower.  A second thread already inside the hook finds the
-    names bound and the hook gone."""
-    if name not in _DEFERRED and not any(name in names for names in _DEFERRED.values()):
+    their names in ``__all__``, bind all of those here, and delete this
+    hook: while a module has a ``__getattr__``, CPython 3.11 does not
+    specialise reads of its attributes, so every
+    ``robinsonblocks.closed_form_A`` would stay slower.  A second thread
+    already inside the hook finds the names bound and the hook gone."""
+    if name not in _LAZY and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib  # not ``from . import``, whose check for the names calls this hook
 
     bound = globals()
-    for module, names in _DEFERRED.items():
+    for module in _LAZY:
         loaded = importlib.import_module(f"{__name__}.{module}")  # binds the module here too
-        bound.update((attr, getattr(loaded, attr)) for attr in names)
+        bound.update(
+            (attr, getattr(loaded, attr))
+            for attr in __all__
+            if attr not in bound and hasattr(loaded, attr)
+        )
     bound.pop("__getattr__", None)
     return bound[name]

@@ -9,6 +9,11 @@ single ``error: ...`` / ``note: ...`` lines.
 ``count`` and ``verify`` each call ``enumerator.count_stabilized``, the
 one plateau scan; ``--restrict`` and ``--cache`` are its arguments.
 
+An output path naming one of this process's open descriptors
+(``/dev/stdout``, ``/dev/fd/3``) is written through that descriptor;
+any other file, the cache's included, by ``enumerator._atomic_open``,
+the package's one rule for symlinks, temporaries and SIGTERM.
+
 A process that calls ``main`` freezes the collector's heap at exit, so
 its interpreter skips the full collections of finalisation (about 20 ms
 of a ~220 ms call; README, "What one CLI call costs").  ``complexity``
@@ -30,13 +35,7 @@ from pathlib import Path
 
 from . import enumerator
 from .enumerator import _atomic_open, count_report_csv, inspect_pattern_file
-from .supertile import (
-    FACING_ROTATIONS,
-    Pose,
-    SupertileSpec,
-    TileGrid,
-    build_supertile,
-)
+from .supertile import FACING_ROTATIONS, TileGrid, build
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
@@ -175,63 +174,17 @@ def _output_fd(path: Path) -> int | None:
     return None
 
 
-class _Terminated(BaseException):
-    """SIGTERM, raised inside ``_sigterm_unwinds``."""
-
-
-def _raise_terminated(signum, frame):
-    raise _Terminated
-
-
-@contextlib.contextmanager
-def _sigterm_unwinds():
-    """Make SIGTERM unwind the block, so that ``_atomic_open`` removes its
-    temporary file, then end the process by SIGTERM all the same.  The
-    default action ends a process without unwinding.  Only while SIGTERM
-    has that action, and only on the main thread, the one that may set
-    a handler.  ``signal`` is imported here, as it costs about 3 ms."""
-    import signal
-
-    armed = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
-    if armed:
-        try:
-            signal.signal(signal.SIGTERM, _raise_terminated)
-        except ValueError:  # not the main thread
-            armed = False
-    try:
-        yield
-    except _Terminated:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.raise_signal(signal.SIGTERM)
-        raise
-    finally:
-        if armed:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def _write_chunks(chunks, path: Path | None) -> None:
     """Stream a document to ``path``, or to stdout when it is None.  A
-    regular file is written under a temporary name and renamed into
-    place, so a failure partway leaves no partial file.  A path naming
-    the file a descriptor is open on for writing is written through that
-    descriptor (``sys.stdout`` and ``sys.stderr`` for fd 1 and fd 2), at
-    its current position and without truncating the file.  A reader
-    that closes the stream early (``| head``) ends the write quietly.
-    A symlink naming a regular file no descriptor is open on is written
-    as that file, so the link stays and a failure leaves its file alone;
-    an error still names ``path``."""
+    path naming the file a descriptor is open on for writing is written
+    through that descriptor (``sys.stdout`` and ``sys.stderr`` for fd 1
+    and fd 2), at its current position and without truncating the file;
+    any other path through ``enumerator._atomic_open``.  A reader that
+    closes the stream early (``| head``) ends the write quietly."""
     fd = 1 if path is None else _output_fd(path)
     if fd is None:
-        target = os.path.realpath(path)
-        if not (path.is_symlink() and os.path.isfile(target)):
-            target = os.fspath(path)
-        try:
-            with _sigterm_unwinds(), _atomic_open(target, "w") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            if exc.filename == target:
-                exc.filename = os.fspath(path)
-            raise
+        with _atomic_open(path, "w") as fh:
+            fh.writelines(chunks)
         _note(f"wrote {path}")
         return
     std = {1: sys.stdout, 2: sys.stderr}
@@ -252,7 +205,7 @@ def _write_chunks(chunks, path: Path | None) -> None:
 
 
 def _cmd_supertile(args) -> int:
-    grid = build_supertile(SupertileSpec(args.rank, Pose(FACING_ROTATIONS[args.facing], False)))
+    grid = build(args.rank, args.facing)
     if args.out == "ascii":
         from .render import _ascii_chunks
 
@@ -268,12 +221,9 @@ def _cmd_supertile(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cache = _cache_dir(args)
-    # A cache is written through ``_atomic_open``.
-    with contextlib.nullcontext() if cache is None else _sigterm_unwinds():
-        report = enumerator.count_stabilized(
-            args.n, args.max_rank, corner_pos=args.restrict, cache=cache
-        )
+    report = enumerator.count_stabilized(
+        args.n, args.max_rank, corner_pos=args.restrict, cache=_cache_dir(args)
+    )
     if args.csv is not None:
         _write_chunks([count_report_csv(report)], args.csv)
     if not report.stabilized:

@@ -510,44 +510,81 @@ def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> 
     return _scan_value(m, corner_pos)(_windows_at(m, ranks, facing))
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised inside ``_sigterm_unwinds``."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Make SIGTERM unwind the block, so that ``_atomic_open`` removes its
+    temporary file, then end the process by SIGTERM all the same.  The
+    default action ends a process without unwinding.  Only while SIGTERM
+    has that action, and only on the main thread, the one that may set
+    a handler.  ``signal`` is imported here, as it costs about 3 ms."""
+    import signal
+
+    armed = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if armed:
+        try:
+            signal.signal(signal.SIGTERM, _raise_terminated)
+        except ValueError:  # not the main thread
+            armed = False
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        if armed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 @contextlib.contextmanager
 def _atomic_open(path, mode: str):
     """Open ``path`` for writing so that a writer that fails or is killed
-    midway never leaves a partial file there.
+    by SIGTERM midway never leaves a partial file there.  Every file the
+    package writes by name is opened here.
 
-    A path that does not exist yet, or names a regular file, is written
-    under a temporary name beside it, renamed over it when the block
-    ends (keeping an existing file's permission bits) and removed if
-    the block raises.  Anything else is opened and written directly, as
-    a plain ``open`` would: a device or FIFO cannot be replaced by a
-    rename, and a symlink may name an open descriptor (/dev/stdout is
-    one) whose file a rename would swap out from under its holder.
-    Opened with "w", such a symlink truncates the file it names, so the
-    CLI writes a path naming the file any of its descriptors is open on
-    for writing through that descriptor, and any other symlink to a
-    regular file by passing the file it resolves to here.
+    A path that names nothing yet, or reaches a regular file, through
+    symlinks or not, stands for the file it resolves to.  That file is
+    written under a temporary name beside it, renamed over it when the
+    block ends (keeping an existing file's permission bits) and removed
+    if the block raises or SIGTERM arrives, so a symlink stays a symlink
+    and keeps its file whole.  An error on the temporary names ``path``.
+    Anything else (a FIFO, a device, a terminal, a pipe) is opened and
+    written directly, as a plain ``open`` would: it cannot be replaced
+    by a rename.
     """
     try:
-        st = os.lstat(path)
+        st = os.stat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, mode) as fh:
             yield fh
         return
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode) as fh:
-            if st is not None:
-                os.chmod(tmp, stat.S_IMODE(st.st_mode))
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
-            exc.filename = os.fspath(path)  # name the file asked for, not the temporary
-        raise
+    file = os.path.realpath(path)
+    tmp = f"{file}.{os.getpid()}.tmp"
+    # Outside the ``try``: a SIGTERM re-raised inside it would end the
+    # process before the temporary is removed.
+    with _sigterm_unwinds():
+        try:
+            with open(tmp, mode) as fh:
+                if st is not None:
+                    os.chmod(tmp, stat.S_IMODE(st.st_mode))
+                yield fh
+            os.replace(tmp, file)
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+                exc.filename = os.fspath(path)  # name the file asked for, not the temporary
+            raise
 
 
 def _write_records(path, n: int, rows: np.ndarray) -> None:
@@ -580,9 +617,10 @@ def save_pattern_set(ps: PatternSet, path) -> None:
     """Write the bit-exact cache format: magic, version, n, count, then
     length-prefixed members in lexicographic order.
 
-    The file is written under a temporary name in the same directory and
-    renamed over ``path``, so a writer killed midway never leaves a
-    truncated file at ``path``.  A negative n, an n whose 3n^2-byte
+    The file ``path`` names, through symlinks or not, is written under a
+    temporary name beside it and renamed over it, so a writer that fails
+    or is killed by SIGTERM midway never leaves a truncated file there,
+    and a symlink stays a symlink.  A negative n, an n whose 3n^2-byte
     records overflow their length field, or a member with a triple that
     names no canonical tile, raises ``ValueError`` before the path is
     opened.

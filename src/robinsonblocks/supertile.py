@@ -32,6 +32,7 @@ from .tileset import (
     OrientedTile,
     Pose,
     Prototile,
+    _KEY_TO_PROTOTILE,
     tile_from_id,
     tile_id,
 )
@@ -222,7 +223,6 @@ class TileGrid:
             raise ValueError(f"grid JSON width and height must be at most {np.iinfo(np.intp).max}")
         if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
-        key_to_proto = {p.key: p for p in Prototile}
         flat = bytearray(_EMPTY_BYTE) * len(cells)
         # Tile id per distinct cell entry.  A hit returns what the code
         # below returned for an equal entry: its unpacking, ``int`` and
@@ -241,7 +241,7 @@ class TileGrid:
                 key = None
             try:
                 name, rot, mirror = entry
-                tile = OrientedTile(key_to_proto[name], Pose(int(rot), bool(mirror)))
+                tile = OrientedTile(_KEY_TO_PROTOTILE[name], Pose(int(rot), bool(mirror)))
             except (KeyError, TypeError, ValueError, OverflowError):  # int(Infinity) overflows
                 r, c = divmod(i, width)
                 raise ValueError(

@@ -705,7 +705,9 @@ def test_cli_process_freezes_once_at_exit(launch):
 # One child runs three commands through ``main`` and reports, after each,
 # which of the modules loaded only on demand it has loaded; then it reads
 # one deferred package name, and calls the package's hook a second time,
-# as a thread that entered it before the first read deleted it would.
+# as a thread that entered it before the first read deleted it would;
+# last, it reads every name of ``__all__``, and one unknown name both
+# directly and through the saved hook.
 MODULES_AFTER_EACH_COMMAND = """
 import contextlib, io, sys
 import robinsonblocks
@@ -720,6 +722,12 @@ hook = vars(robinsonblocks)["__getattr__"]
 closed_form_A = robinsonblocks.closed_form_A
 print("hook kept", "__getattr__" in vars(robinsonblocks))
 print("second read", hook("closed_form_A") is closed_form_A, closed_form_A(5))
+print("all names", all(hasattr(robinsonblocks, name) for name in robinsonblocks.__all__))
+for read in (lambda: robinsonblocks.no_such_name, lambda: hook("no_such_name")):
+    try:
+        read()
+    except AttributeError as exc:
+        print("unknown name", exc)
 """
 
 
@@ -735,6 +743,9 @@ def test_commands_load_only_the_modules_they_use():
         "supertile 0 robinsonblocks.complexity robinsonblocks.render",
         "hook kept False",
         "second read True 1472",
+        "all names True",
+        "unknown name module 'robinsonblocks' has no attribute 'no_such_name'",
+        "unknown name module 'robinsonblocks' has no attribute 'no_such_name'",
     ]
 
 

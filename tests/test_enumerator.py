@@ -1,8 +1,14 @@
 """Brute-force oracle tests: window dedup, stabilization, restricted
 counts, and the cache file format."""
 
+import contextlib
 import itertools
+import os
+import signal
 import struct
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -649,6 +655,87 @@ def test_save_rejects_a_non_canonical_member(tmp_path):
         save_pattern_set(bad, kept)
     assert kept.read_bytes() == before
     assert list(tmp_path.iterdir()) == [kept]
+
+
+@pytest.fixture
+def half_then_fail(monkeypatch):
+    """Make the ``.rbps`` writer's one ``write`` put down half the file,
+    then fail."""
+    atomic_open = enumerator._atomic_open
+
+    @contextlib.contextmanager
+    def opened(path, mode):
+        with atomic_open(path, mode) as fh:
+            def write(data):
+                fh.write(memoryview(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+            yield SimpleNamespace(write=write)
+
+    monkeypatch.setattr(enumerator, "_atomic_open", opened)
+
+
+def test_failed_save_through_a_symlink_leaves_its_file_alone(tmp_path, half_then_fail):
+    real, link = tmp_path / "real.rbps", tmp_path / "link.rbps"
+    real.write_text("old content")
+    link.symlink_to(real.name)
+    with pytest.raises(OSError, match="disk full"):
+        save_pattern_set(distinct_patterns(2, 7), link)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == b"old content"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.rbps", "real.rbps"]
+
+
+def test_failed_save_through_a_dangling_symlink_creates_no_file(tmp_path, half_then_fail):
+    link = tmp_path / "link.rbps"
+    link.symlink_to("missing.rbps")
+    with pytest.raises(OSError, match="disk full"):
+        save_pattern_set(distinct_patterns(2, 7), link)
+    assert link.is_symlink() and os.readlink(link) == "missing.rbps"
+    assert [p.name for p in tmp_path.iterdir()] == ["link.rbps"]
+
+
+# A child that saves a pattern set to argv[1] and receives SIGTERM once
+# its one ``write`` has put down half the file.
+SIGTERM_INSIDE_A_SAVE = """
+import contextlib, os, signal, sys
+from robinsonblocks import enumerator
+
+atomic_open = enumerator._atomic_open
+
+class HalfThenTerminated:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(memoryview(data)[: len(data) // 2])
+        self.fh.flush()
+        os.kill(os.getpid(), signal.SIGTERM)
+
+@contextlib.contextmanager
+def terminated_inside(path, mode):
+    with atomic_open(path, mode) as fh:
+        yield HalfThenTerminated(fh)
+
+enumerator._atomic_open = terminated_inside
+enumerator.save_pattern_set(enumerator.distinct_patterns(2, 7), sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("through", ["plain path", "symlink"])
+def test_sigterm_inside_a_save_leaves_the_old_file(tmp_path, through):
+    real = tmp_path / "real.rbps"
+    real.write_text("old content")
+    target = real
+    if through == "symlink":
+        target = tmp_path / "link.rbps"
+        target.symlink_to(real.name)
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGTERM_INSIDE_A_SAVE, str(target)], capture_output=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGTERM, b"", b"")
+    assert real.read_bytes() == b"old content"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({real.name, target.name})
 
 
 def test_tile_ids_sort_as_their_triples():
