@@ -40,11 +40,12 @@ from .supertile import FACING_ROTATIONS, TileGrid, build
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
 # The largest rank a flag accepts.  A fresh ``supertile --rank 14`` peaks
-# at about 450 MB in the NE facing and 640 MB in the others (rank 13: 134
-# and 194 MB), the build's own peak: the NE grid of each rank is kept and
-# handed out without a copy, any other facing is one copy of it, and
-# writing its document adds one band of output, not a multiple of the
-# grid.  Each rank needs 4x the cells.
+# at about 372 MB in the NE facing and 628 MB in the others (rank 13: 116
+# and 180 MB), the build's own peak: the NE grid of each rank is kept and
+# handed out without a copy, the quadrants of the next rank are written
+# into its grid in place, any other facing is one copy of it, and writing
+# its document adds one band of output, not a multiple of the grid.  Each
+# rank needs 4x the cells.
 MAX_RANK = 14
 
 

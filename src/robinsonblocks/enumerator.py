@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._record import Record
-from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids
+from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids, _integer
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -363,18 +363,21 @@ def _tile_ids(triples: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _ranks(n: int, k_max: int, facing: Pose) -> range:
-    """The ranks a scan of the ``facing`` supertile probes: from the
-    first whose supertile can host an n-by-n block, through ``k_max``.
-    Raises ``BlockTooLarge`` if none can, then ``ValueError`` for a
-    mirrored facing, before anything is built."""
+def _ranks(n: int, k_max: int, facing: Pose) -> tuple:
+    """``(n, ranks)``: the block side as an int, and the ranks a scan of
+    the ``facing`` supertile probes, from the first whose supertile can
+    host an n-by-n block through ``k_max``.  Raises ``TypeError`` for an
+    n or k_max that is no integer (or is a bool), then ``BlockTooLarge``
+    if no rank can host the block, then ``ValueError`` for a mirrored
+    facing, before anything is built."""
+    n, k_max = _integer("block side", n), _integer("rank", k_max)
     if n < 1:
         raise ValueError(f"block side must be >= 1, got {n}")
     side = (1 << k_max) - 1
     if n > side:
         raise BlockTooLarge(f"block side {n} exceeds rank-{k_max} supertile side {side}")
     SupertileSpec(k_max, facing)
-    return range(n.bit_length(), k_max + 1)
+    return n, range(n.bit_length(), k_max + 1)
 
 
 def _window_scan(n: int, ranks: range, facing: Pose):
@@ -451,7 +454,8 @@ def _windows_at(n: int, ranks: range, facing: Pose) -> set:
 
 def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
     """All distinct n-by-n windows of the rank-``rank`` supertile."""
-    return _pattern_set(n, _windows_at(n, _ranks(n, rank, facing), facing))
+    n, ranks = _ranks(n, rank, facing)
+    return _pattern_set(n, _windows_at(n, ranks, facing))
 
 
 def count_stabilized(
@@ -469,7 +473,7 @@ def count_stabilized(
     The stop rule is a heuristic plateau, not a proven bound.
     Non-stabilization within k_max is reported, not raised.
     """
-    ranks = _ranks(n, k_max, facing)
+    n, ranks = _ranks(n, k_max, facing)
     value = _scan_value(n, corner_pos)
     scan = _window_scan(n, ranks, facing)
     if cache is not None:
@@ -481,7 +485,7 @@ def count_stabilized(
         counts.append((k, value(windows)))
         if len(counts) > 1 and counts[-2][1] == counts[-1][1]:
             return CountReport(n, k, counts[-1][1], True, tuple(counts))
-    return CountReport(n, k_max, counts[-1][1], False, tuple(counts))
+    return CountReport(n, ranks[-1], counts[-1][1], False, tuple(counts))
 
 
 def _scan_value(n: int, corner_pos):
@@ -506,7 +510,7 @@ def _scan_value(n: int, corner_pos):
 def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> int:
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
-    ranks = _ranks(m, rank, facing)
+    m, ranks = _ranks(m, rank, facing)
     return _scan_value(m, corner_pos)(_windows_at(m, ranks, facing))
 
 

@@ -10,8 +10,9 @@ tile, so every rank doubles as a consistency check of the tile
 transcription.  Each other facing is the NE supertile turned and has
 the same quadrants, so it is the NE grid with its cross turned
 (``_facing_ids``).  The rules read only a cell's 3x3 neighbourhood, so
-they run once per distinct neighbourhood and the result is memoised;
-every solved cell is still checked for exactly one candidate.
+the cross is solved one half-arm at a time from a memo keyed by that
+neighbourhood (``_solve_arm``); only a neighbourhood met for the first
+time runs the rules, and it must give exactly one tile.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .tileset import (
 )
 
 EMPTY = 255
-_EMPTY_BYTE = bytes([EMPTY])
 # Cells per band of a streamed JSON or ASCII document, so writing one
 # holds a band in memory and not the whole grid.
 _BAND_CELLS = 1 << 14
@@ -82,12 +82,21 @@ class CrossAmbiguous(Exception):
         super().__init__(f"{len(candidates)} tiles fit cross cell {list(pos)}: {names}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer other than a bool (numpy
+    integers included); a TypeError naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class SupertileSpec(Record):
     """Rank plus facing pose (rotations only; supertiles are never mirrored)."""
 
     __match_args__ = ("rank", "pose")
 
     def __init__(self, rank: int, pose: Pose = IDENTITY):
+        rank = _integer("rank", rank)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if pose.mirror:
@@ -223,7 +232,7 @@ class TileGrid:
             raise ValueError(f"grid JSON width and height must be at most {np.iinfo(np.intp).max}")
         if not isinstance(cells, list) or len(cells) != width * height:
             raise ValueError("cell count does not match width*height")
-        flat = bytearray(_EMPTY_BYTE) * len(cells)
+        flat = bytearray([EMPTY]) * len(cells)
         # Tile id per distinct cell entry.  A hit returns what the code
         # below returned for an equal entry: its unpacking, ``int`` and
         # ``bool`` all agree on equal values.
@@ -263,18 +272,11 @@ def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
     and the exactly-one-bumpy-corner parity over every fully placed 2x2
     window through the cell (the rule that separates bumpy corners from
     plain ones, whose arrows agree).  The rules read only the cell's 3x3
-    neighbourhood, taken as 9 bytes in which the cell itself and cells
-    outside the grid (the border) read as EMPTY: an EMPTY neighbour adds
-    no arrow constraint, and a 2x2 window touching one is skipped.  So
-    the rules run once per distinct neighbourhood, and ``_RULE_MEMO``
-    keeps the result.
+    neighbourhood, in which the cell itself is ignored and cells outside
+    the grid (the border) read as EMPTY: an EMPTY neighbour adds no arrow
+    constraint, and a 2x2 window touching one is skipped.
     """
-    block = padded[r : r + 3, c : c + 3].tobytes()
-    nb = block[:4] + _EMPTY_BYTE + block[5:]
-    cands = _RULE_MEMO.get(nb)
-    if cands is not None:
-        return cands
-
+    nb = padded[r : r + 3, c : c + 3].ravel().tolist()
     ok = np.ones(len(ALL_TILES), dtype=bool)
     north, west, east, south = nb[1], nb[3], nb[5], nb[7]
     if north != EMPTY:
@@ -296,8 +298,7 @@ def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
             ok &= ~BUMPY_IDS
         else:
             ok &= False
-    cands = _RULE_MEMO[nb] = tuple(int(i) for i in np.nonzero(ok)[0])
-    return cands
+    return tuple(int(i) for i in np.nonzero(ok)[0])
 
 
 def _solve(padded: np.ndarray, r: int, c: int) -> int:
@@ -338,10 +339,13 @@ def _rot90(ids: np.ndarray, t: int) -> np.ndarray:
 # Every other facing is read from it by ``_facing_ids``.  A rank is
 # stored only once its whole cross has solved.
 _BUILD_MEMO: dict = {}
-# ``_candidates`` per distinct 3x3 neighbourhood.  Building ranks <= 10
-# solves 4,052 cross cells, the NE crosses, which show only 52 distinct
-# neighbourhoods.
-_RULE_MEMO: dict = {}
+# The tile of each cross cell ``_solve_arm`` has solved, keyed by its
+# half-arm and its whole 3x3 neighbourhood.  Building ranks <= 10
+# solves 4,052 cross cells, the NE crosses, which show only 52 keys.
+_ARM_MEMO: dict = {}
+# The step from the centre along the half-arm that ``_rot90(ids, t)``
+# turns to the north, for t = 0..3: north, east, south and west.
+_ARM_STEPS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 
 def _build_ids(rank: int) -> np.ndarray:
@@ -358,21 +362,75 @@ def _build_ids(rank: int) -> np.ndarray:
         padded[1, 1] = tile_id(OrientedTile(Prototile.BUMPY_CORNER, IDENTITY))
     else:
         m = 1 << (rank - 1)  # 1-based center index, and its index in ``padded``
+        ne = _build_ids(rank - 1)
         # Quadrants always face the center, regardless of the outer facing.
-        padded[1:m, 1:m] = _facing_ids(rank - 1, FACING_ROTATIONS["SE"])
-        padded[1:m, m + 1 : -1] = _facing_ids(rank - 1, FACING_ROTATIONS["SW"])
-        padded[m + 1 : -1, 1:m] = _facing_ids(rank - 1, FACING_ROTATIONS["NE"])
-        padded[m + 1 : -1, m + 1 : -1] = _facing_ids(rank - 1, FACING_ROTATIONS["NW"])
-        cc = m - 1
+        for quadrant, facing in (
+            (padded[1:m, 1:m], "SE"),
+            (padded[1:m, m + 1 : -1], "SW"),
+            (padded[m + 1 : -1, 1:m], "NE"),
+            (padded[m + 1 : -1, m + 1 : -1], "NW"),
+        ):
+            quadrant[...] = ne
+            _turn_cross(quadrant, ne, FACING_ROTATIONS[facing])
         padded[m, m] = tile_id(OrientedTile(Prototile.CORNER, IDENTITY))
-        # Center first, then outward along each half-row/half-column,
-        # so every cross cell sees at least two placed neighbours.
-        for d in range(1, m):
-            for r, c in ((cc - d, cc), (cc + d, cc), (cc, cc - d), (cc, cc + d)):
-                padded[r + 1, c + 1] = _solve(padded, r, c)
+        # The half-arms meet only beside the center: each horizontal cell
+        # there sees the two vertical ones, and no vertical cell sees a
+        # horizontal one.  So the vertical half-arms are solved first.
+        for t in (0, 2, 1, 3):
+            _solve_arm(padded, t)
     padded.setflags(write=False)
     ids = _BUILD_MEMO[rank] = padded[1:-1, 1:-1]
     return ids
+
+
+def _solve_arm(padded: np.ndarray, t: int) -> None:
+    """Solve the half-arm of ``padded``'s cross that ``_rot90(padded, t)``
+    holds above its centre, and write it in.
+
+    ``padded`` is a grid in its EMPTY border, with the quadrants, the
+    centre and any half-arm solved before placed.  In the turned view, the
+    arm cell d steps north of the centre reads the cell before it on the
+    arm, the EMPTY cell after it, and the three cells on each side, whose
+    two lines are read once.  So a cell's key is (t, its six side cells,
+    the cell before it), and a key met before gives its tile from
+    ``_ARM_MEMO``.  A new key is solved by ``_solve`` on ``padded``
+    itself, with the arm so far written in, so every error and its
+    position come from the rules."""
+    view = _rot90(padded, t)
+    m = view.shape[0] // 2  # the centre, in ``view`` and in ``padded``
+    # Row j: the two cells beside the arm's line j steps north of the centre.
+    sides = view[m::-1, [m - 1, m + 1]]
+    # Little-endian key bytes: t, the sides of the cell before, of the cell
+    # and of the cell after, then the cell before, ORed in as it solves.
+    keys = np.zeros((m - 1, 8), dtype=np.uint8)
+    keys[:, 0] = t
+    for j in range(3):
+        keys[:, 1 + 2 * j : 3 + 2 * j] = sides[j : j + m - 1]
+    dr, dc = _ARM_STEPS[t]
+    tiles = []
+    tile = int(view[m, m])
+    for d, key in enumerate(keys.view("<u8").ravel().tolist(), 1):
+        key |= tile << 56
+        tile = _ARM_MEMO.get(key)
+        if tile is None:
+            view[m - 1 : m - d : -1, m] = tiles
+            tile = _ARM_MEMO[key] = _solve(padded, m - 1 + d * dr, m - 1 + d * dc)
+        tiles.append(tile)
+    view[m - 1 : 0 : -1, m] = tiles
+
+
+def _turn_cross(ids: np.ndarray, ne: np.ndarray, facing: int, rows=slice(None), cols=slice(None)):
+    """Write over ``ids``, a copy of ``ne[rows, cols]``, the part of the
+    centre row and column of ``ne`` turned ``facing`` quarter turns that
+    it holds."""
+    c = ne.shape[0] // 2
+    turned = _rot90(ne, facing)
+    top = rows.indices(ne.shape[0])
+    left = cols.indices(ne.shape[1])
+    if c in range(*top):
+        ids[c - top[0]] = _TURNS[facing][turned[c, cols]]
+    if c in range(*left):
+        ids[:, c - left[0]] = _TURNS[facing][turned[rows, c]]
 
 
 def _facing_ids(
@@ -389,15 +447,8 @@ def _facing_ids(
     ne = _build_ids(rank)
     if facing == 0:
         return ne[rows, cols]
-    c = ne.shape[0] // 2
-    turned = _rot90(ne, facing)
     ids = ne[rows, cols].copy()
-    top = rows.indices(ne.shape[0])
-    left = cols.indices(ne.shape[1])
-    if c in range(*top):
-        ids[c - top[0]] = _TURNS[facing][turned[c, cols]]
-    if c in range(*left):
-        ids[:, c - left[0]] = _TURNS[facing][turned[rows, c]]
+    _turn_cross(ids, ne, facing, rows, cols)
     ids.setflags(write=False)
     return ids
 
@@ -409,6 +460,8 @@ def build_supertile(spec: SupertileSpec) -> TileGrid:
 
 def build(rank: int, facing: str = "NE") -> TileGrid:
     """Convenience wrapper taking a facing name (NE, NW, SW, SE)."""
+    if facing not in FACING_ROTATIONS:
+        raise ValueError(f"facing must be one of {', '.join(FACING_ROTATIONS)}, got {facing!r}")
     return build_supertile(SupertileSpec(rank, Pose(FACING_ROTATIONS[facing], False)))
 
 

@@ -5,8 +5,8 @@ the NE supertile turned: ``_facing_ids(k, f) == TURN^f[np.rot90(ne, f)]``.
 So the builder solves, checks and memoises only the NE supertile of
 each rank, and ``_facing_ids`` reads any other facing from it with its
 centre row and column turned.  These tests keep the whole-grid turn and
-the old per-facing outward solve as the references for the turned
-crosses."""
+the old per-facing, per-cell outward solve as the references for every
+facing's cross, the NE one that the half-arm solve builds included."""
 
 import numpy as np
 import pytest
@@ -69,7 +69,7 @@ def _outward_cross(ids, facing):
 
 
 def _clear_memos(monkeypatch):
-    for name in ("_BUILD_MEMO", "_RULE_MEMO"):
+    for name in ("_BUILD_MEMO", "_ARM_MEMO"):
         monkeypatch.setattr(supertile, name, {})
 
 
@@ -90,11 +90,11 @@ def test_each_facing_is_the_ne_build_turned(rank, monkeypatch):
         assert np.array_equal(_facing_ids(rank, f), _turned(ne, f)), f
 
 
-@pytest.mark.parametrize("facing", FACINGS[1:])
+@pytest.mark.parametrize("facing", FACINGS)
 def test_turned_crosses_are_the_outward_solves(facing, monkeypatch):
-    # The rule memo starts empty, so the reference solves each of these
-    # facings' neighbourhoods from the rules, not from the NE ones.
-    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    # The memos start empty, so every rank is built here by the half-arm
+    # solve, and the reference solves each cell from the rules.
+    _clear_memos(monkeypatch)
     f = FACING_ROTATIONS[facing]
     for rank in range(2, 12):
         ids = _facing_ids(rank, f)
@@ -103,20 +103,27 @@ def test_turned_crosses_are_the_outward_solves(facing, monkeypatch):
 
 def test_ranks_up_to_10_solve_only_the_ne_crosses(monkeypatch):
     _clear_memos(monkeypatch)
-    calls = []
-    solve = supertile._solve
+    cells, evaluations = [], []
+    solve_arm, candidates = supertile._solve_arm, supertile._candidates
 
-    def spy(padded, r, c):
-        calls.append(padded.shape[0] - 2)
-        return solve(padded, r, c)
+    def arm_spy(padded, t):
+        # A half-arm of a rank-k cross holds 2^(k-1) - 1 cells.
+        cells.append(padded.shape[0] // 2 - 1)
+        return solve_arm(padded, t)
 
-    monkeypatch.setattr(supertile, "_solve", spy)
+    def rule_spy(padded, r, c):
+        evaluations.append((r, c))
+        return candidates(padded, r, c)
+
+    monkeypatch.setattr(supertile, "_solve_arm", arm_spy)
+    monkeypatch.setattr(supertile, "_candidates", rule_spy)
     for rank in range(1, 11):
         for facing in FACINGS:
             build(rank, facing)
     # 4 * (2^(k-1) - 1) cells for each rank k = 2..10, once per rank.
-    assert len(calls) == 4052 == sum(4 * ((1 << (k - 1)) - 1) for k in range(2, 11))
-    assert len(supertile._RULE_MEMO) == 52
+    assert len(cells) == 4 * 9
+    assert sum(cells) == 4052 == sum(4 * ((1 << (k - 1)) - 1) for k in range(2, 11))
+    assert len(evaluations) == len(supertile._ARM_MEMO) == 52
     assert sorted(supertile._BUILD_MEMO) == list(range(1, 11))
 
 
@@ -138,8 +145,9 @@ def test_a_failed_cross_is_not_memoised(facing, monkeypatch):
     solve = supertile._solve
 
     def failing(padded, r, c):
-        # Rank 3 (a 9-square padded grid), at the first cell of the
-        # second ring, after four cells of its cross have solved.
+        # Rank 3 (a 9-square padded grid), at the second cell of the
+        # north half-arm, after the first has solved: a key no rank
+        # below meets, so it reaches the rules.
         if padded.shape[0] == 9 and (r, c) == (1, 3):
             raise CrossUnsolvable((r + 1, c + 1))
         return solve(padded, r, c)

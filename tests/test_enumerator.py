@@ -298,6 +298,36 @@ def test_mirrored_facing_is_rejected(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_stabilized(4, 11.0), "rank must be an integer, got 11.0"),
+        (lambda: count_stabilized(4.0, 11), "block side must be an integer, got 4.0"),
+        (lambda: count_stabilized(True, 5), "block side must be an integer, got True"),
+        (lambda: count_stabilized("4", 11), "block side must be an integer, got '4'"),
+        (lambda: distinct_patterns(2, 3.5), "rank must be an integer, got 3.5"),
+        (lambda: restricted_count(2, (1, 1), True), "rank must be an integer, got True"),
+        (lambda: restricted_count(2.0, (1, 1), 5), "block side must be an integer, got 2.0"),
+    ],
+)
+def test_a_block_side_or_rank_that_is_no_integer_is_rejected(call, message, monkeypatch):
+    # Before anything is built.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+    assert supertile._BUILD_MEMO == {}
+
+
+def test_numpy_integer_sides_and_ranks_give_int_results():
+    rep = count_stabilized(np.int64(4), np.int64(11))
+    assert rep == count_stabilized(4, 11) and repr(rep) == repr(count_stabilized(4, 11))
+    assert type(count_stabilized(np.int32(3), np.uint8(4)).rank_used) is int
+    ps = distinct_patterns(np.int16(2), np.int64(5))
+    assert type(ps.n) is int and ps == distinct_patterns(2, 5)
+    assert restricted_count(np.int64(3), (1, 2), np.int8(8)) == 124
+
+
 def test_non_stabilization_is_reported_not_raised():
     rep = count_stabilized(3, 3)
     assert not rep.stabilized

@@ -249,6 +249,13 @@ def test_validation_messages(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("rank", [True, False, 3.0, "3", None])
+def test_spec_rank_must_be_an_integer(rank):
+    with pytest.raises(TypeError) as info:
+        SupertileSpec(rank)
+    assert str(info.value) == f"rank must be an integer, got {rank!r}"
+
+
 def test_pickle_and_copy_round_trips(case):
     record = case.cls(*case.values)
     copies = [copy.copy(record), copy.deepcopy(record)]

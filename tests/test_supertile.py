@@ -71,6 +71,28 @@ def test_spec_rejects_bad_input():
         SupertileSpec(2, Pose(1, True))
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((True,), TypeError, "rank must be an integer, got True"),
+        ((3.0,), TypeError, "rank must be an integer, got 3.0"),
+        (("3",), TypeError, "rank must be an integer, got '3'"),
+        ((3, "ne"), ValueError, "facing must be one of NE, NW, SW, SE, got 'ne'"),
+        ((3, "N"), ValueError, "facing must be one of NE, NW, SW, SE, got 'N'"),
+    ],
+)
+def test_build_rejects_a_bad_rank_or_facing(args, error, message):
+    with pytest.raises(error) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
+def test_build_takes_numpy_integer_ranks():
+    for rank in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert build(rank, "SW") == build(3, "SW")
+        assert SupertileSpec(rank) == SupertileSpec(3) and type(SupertileSpec(rank).rank) is int
+
+
 @pytest.mark.parametrize("facing", FACINGS)
 def test_rank2_reference_layout(facing):
     assert build(2, facing) == grid_from_literals(reference_layouts.RANK2[facing])
@@ -297,18 +319,19 @@ def test_build_hands_out_the_memoised_grid_without_a_copy():
 
 
 def test_an_ne_build_holds_one_grid_per_rank(monkeypatch):
-    # The rank-11 grid and its border, the NE grids of ranks 1..10 (about
-    # a third of it) and one turned quadrant at a time: about 1.6 grids.
-    # Memoising every facing of every rank peaked at about 2.35 grids.
+    # The rank-11 grid and its border and the NE grids of ranks 1..10
+    # (about a third of it): about 1.35 grids.  Copying a turned facing
+    # into each quadrant peaked at about 1.6 grids, and memoising every
+    # facing of every rank at about 2.35.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
-    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    monkeypatch.setattr(supertile, "_ARM_MEMO", {})
     tracemalloc.start()
     try:
         build(11, "NE")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * 2047**2
+    assert peak < 1.5 * 2047**2
     assert sorted(supertile._BUILD_MEMO) == list(range(1, 12))
 
 
@@ -399,7 +422,7 @@ def test_rule_memo_matches_a_direct_evaluation(facing, monkeypatch):
             for r, c in cross:
                 memoised = _candidates(_padded(ids), r, c)
                 with monkeypatch.context() as m:
-                    m.setattr(supertile, "_RULE_MEMO", {})
+                    m.setattr(supertile, "_ARM_MEMO", {})
                     fresh = _candidates(_padded(ids), r, c)
                 assert memoised == fresh == _reference_candidates(ids, r, c), (state, r, c)
                 assert memoised == (done[r, c],), (state, r, c)
@@ -408,10 +431,10 @@ def test_rule_memo_matches_a_direct_evaluation(facing, monkeypatch):
 
 
 def test_rule_memo_on_random_partial_grids(monkeypatch):
-    # Every cell of small random grids, half their cells empty: the memo
-    # key must carry every neighbour the rule reads, the grid border
-    # included, and a second lookup (a memo hit) must agree.
-    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    # Every cell of small random grids, half their cells empty: the rules
+    # must read every neighbour, the grid border included, and a second
+    # evaluation must agree.
+    monkeypatch.setattr(supertile, "_ARM_MEMO", {})
     rng = np.random.default_rng(5)
     for _ in range(300):
         h, w = rng.integers(1, 5, size=2)
@@ -424,9 +447,35 @@ def test_rule_memo_on_random_partial_grids(monkeypatch):
                 assert _candidates(padded, r, c) == expected == _candidates(padded, r, c)
 
 
+def _arm_neighbourhood(key):
+    """The 3x3 neighbourhood an ``_ARM_MEMO`` key names, its centre
+    EMPTY: the key's cells placed in the view that turns its half-arm
+    north, then turned back."""
+    t, before_w, before_e, own_w, own_e, after_w, after_e, before = key.to_bytes(8, "little")
+    north_up = np.array(
+        [[after_w, EMPTY, after_e], [own_w, EMPTY, own_e], [before_w, before, before_e]],
+        dtype=np.uint8,
+    )
+    return np.rot90(north_up, -t)
+
+
+def test_every_arm_memo_entry_is_the_rules_on_its_neighbourhood(monkeypatch):
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    monkeypatch.setattr(supertile, "_ARM_MEMO", {})
+    for rank in range(1, 12):
+        build(rank, "NE")
+    assert len(supertile._ARM_MEMO) == 52
+    arms = set()
+    for key, tile in supertile._ARM_MEMO.items():
+        nb = _arm_neighbourhood(key)
+        assert _reference_candidates(nb, 1, 1) == (tile,), key
+        arms.add(key & 0xFF)
+    assert arms == {0, 1, 2, 3}
+
+
 def test_builds_with_cleared_memos_match_the_reference_layouts(monkeypatch):
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
-    monkeypatch.setattr(supertile, "_RULE_MEMO", {})
+    monkeypatch.setattr(supertile, "_ARM_MEMO", {})
     for facing in FACINGS:
         assert build(2, facing) == grid_from_literals(reference_layouts.RANK2[facing])
     assert build(3, "NE") == grid_from_literals(reference_layouts.rank3_ne())
