@@ -300,6 +300,9 @@ def _cmd_render(args) -> int:
     from .render import RenderStyle, _svg_chunks
 
     grid = TileGrid.from_json(args.input.read_text())
+    side = (1 << MAX_RANK) - 1  # the largest grid ``supertile`` writes; checked before writing
+    if max(grid.width, grid.height) > side:
+        raise ValueError(f"grid JSON width and height must be at most {side}")
     _write_chunks(_svg_chunks(grid, RenderStyle(rank_overlay=args.overlay)), args.out)
     return 0
 

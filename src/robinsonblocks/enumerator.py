@@ -7,16 +7,17 @@ rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.  A scan reaches its windows through slabs, runs of n
 whole rows or columns, each keyed by its own cells: a slab met before,
-cut from a supertile or turned from one, is skipped whole.  Every rank,
-the first included, is cut as its cross band: the two strips of lines
-that hold the windows touching the central row or column.
+cut from a supertile or turned from one, is skipped whole.  Every rank
+is cut from the NE build as its cross band, the whole supertile at the
+first rank: the lines that hold the windows touching the central cross.
 
-``_window_scan`` is the one route from a rank to its window set, and
+``_window_scan`` is the one route from a rank to its NE window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
 plain or restricted to a corner position, and with or without a
 ``.rbps`` cache directory (NE facing only).  ``distinct_patterns`` and
 ``restricted_count`` take the set the scan yields at their rank and
-stop there.
+stop there.  Any other facing's set is the NE set turned, so a facing
+is applied only where a window's cells are read.
 
 The ``.rbps`` cache layout is known here alone.  A file's body is a byte
 matrix of one record per row.  It is written from one sorted matrix with
@@ -34,10 +35,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ._record import Record
-from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _facing_ids, _integer
+from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _build_ids, _integer
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -277,18 +277,13 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
     if by_columns:
         view, stride = blocks.transpose(0, 2, 1), n
     else:
-        slab, line, cell = blocks.strides
-        shape, strides = (count, per_slab, n, n), (slab, cell, line, cell)
-        view, stride = as_strided(blocks, shape, strides, writeable=False), n * n
+        shape, strides = (count, per_slab, n, n), (n * cells, 1, cells, 1)
+        view, stride = np.ndarray(shape, np.uint8, np.ascontiguousarray(blocks), 0, strides), n * n
     step = max(1, _GATHER_BYTES // (per_slab * n * n))
     for i in range(0, count, step):
         band = np.ascontiguousarray(view[i : i + step])
-        keys = np.ndarray(
-            (band.shape[0], per_slab),
-            dtype=np.dtype((np.void, n * n)),
-            buffer=band,
-            strides=(band.strides[0], stride),
-        )
+        shape, strides = (len(band), per_slab), (band.strides[0], stride)
+        keys = np.ndarray(shape, np.dtype((np.void, n * n)), band, 0, strides)
         index.windows.update(*keys.tolist())
 
 
@@ -311,19 +306,23 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     lines of the other orientation; every tile turns with them.  So turn
     t of a block is ``blocks[:, ::a, ::b]`` translated by
     ``_TURN_BYTES[t]``, its bytes the key the turned array's own slab
-    would have.  A turned slab whose key was met is skipped, as in
-    ``_unique_windows``: its windows are in the set already.
+    would have.  Turned blocks are gathered into one buffer per
+    orientation and line length they turn into, so a rank's turns take
+    one ``_new_blocks`` and one ``_key_blocks`` call per orientation.  A
+    turned slab whose key was met is skipped, as in ``_unique_windows``:
+    its windows are in the set already.
     """
     grown, index.grown = index.grown, []
+    turned: dict = {}
     for blocks, by_columns in grown:
         for t in (1, 2, 3):
             a = -1 if _turn_reverses(by_columns, t) else 1
             b = -1 if _turn_reverses(not by_columns, t) else 1
-            turned = blocks[:, ::a, ::b].tobytes().translate(_TURN_BYTES[t])
-            keys = np.frombuffer(turned, dtype=np.dtype((np.void, blocks[0].size)))
-            turned_by_columns = by_columns != (t % 2 == 1)
-            fresh = _new_blocks(keys, n, index.slabs[turned_by_columns])
-            _key_blocks(fresh, turned_by_columns, index)
+            data = turned.setdefault((by_columns != (t % 2 == 1), blocks.shape[2]), bytearray())
+            data += blocks[:, ::a, ::b].tobytes().translate(_TURN_BYTES[t])
+    for (by_columns, cells), data in turned.items():
+        keys = np.frombuffer(data, dtype=np.dtype((np.void, n * cells)))
+        _key_blocks(_new_blocks(keys, n, index.slabs[by_columns]), by_columns, index)
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -380,36 +379,36 @@ def _ranks(n: int, k_max: int, facing: Pose) -> tuple:
     return n, range(n.bit_length(), k_max + 1)
 
 
-def _window_scan(n: int, ranks: range, facing: Pose):
+def _window_scan(n: int, ranks: range):
     """Yield ``(rank, windows)`` for each of ``ranks``, where ``windows``
-    is the set of distinct n-by-n windows of the ``facing`` supertile, as
-    tile-id row bytes.
+    is the set of distinct n-by-n windows of the NE supertile, as tile-id
+    row bytes.
 
     Only windows that touch the central row or column are extracted, from
-    the two strips of lines that hold them.  A rank-(k+1) window either
-    touches the central cross or lies inside a quadrant, and the four
-    quadrants are exactly the four facings of rank k.  So the windows of
-    every facing of rank k plus this facing's own cross-touching windows
-    are the rank-(k+1) set.  At the first rank, k = n.bit_length(), the
-    quadrant side 2^(k-1) - 1 is below n, so every window touches the
-    cross and the strips span the whole supertile.
+    the two strips of lines that hold them, views of the NE build.  A
+    rank-(k+1) window either touches the central cross or lies inside a
+    quadrant, and the four quadrants are exactly the four facings of rank
+    k.  So the windows of every facing of rank k plus the NE supertile's
+    own cross-touching windows are the rank-(k+1) set.  At the first
+    rank, k = n.bit_length(), the quadrant side 2^(k-1) - 1 is below n,
+    so every window touches the cross: the whole supertile is cut, once.
 
-    Only this facing is ever cut from a supertile.  The facing t quarter
-    turns on is this one turned, ``TURN^t[np.rot90(ids, t)]``, so its
-    cross strips are this facing's strips turned, the rows strip
-    becoming the columns strip at odd t.  A turned array's windows are
-    its windows turned, and an array's windows are its slabs' windows.
-    So the other facings of rank k add exactly the turns of the windows
-    extracted up to rank k, and those are the turns of the new slabs
-    keyed up to rank k: ``_add_turned_slabs`` turns the cells of each
-    new slab of an extraction that grew the set, three times.  An
-    extraction that added no window needs no turns: each of its windows
-    came from a slab keyed before, plain or turned, whose turns are all
-    added.
+    Only the NE facing is ever cut.  The facing t quarter turns on is the
+    NE one turned, ``TURN^t[np.rot90(ids, t)]``, so its cross strips are
+    the NE strips turned, the rows strip becoming the columns strip at
+    odd t.  A turned array's windows are its windows turned, and an
+    array's windows are its slabs' windows.  So the other facings of rank
+    k add exactly the turns of the windows extracted up to rank k, and
+    those are the turns of the new slabs keyed up to rank k:
+    ``_add_turned_slabs`` turns the cells of each new slab of an
+    extraction that grew the set, three times.  An extraction that added
+    no window needs no turns: each of its windows came from a slab keyed
+    before, plain or turned, whose turns are all added.  So facing t's
+    set is this set turned, and the readers of cells turn what they read.
 
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
-    adds to it.  Rank k is yielded as soon as this facing is extracted;
+    adds to it.  Rank k is yielded as soon as its strips are extracted;
     the turned slabs of rank k belong to rank k+1's set and are added
     only when the scan is resumed, so a scan that stops at its plateau
     never turns the slabs of its last rank.
@@ -417,11 +416,11 @@ def _window_scan(n: int, ranks: range, facing: Pose):
     index = _WindowIndex()
     for k in ranks:
         _add_turned_slabs(index, n)
-        s = (1 << k) - 1
-        c = (s - 1) // 2
-        band = slice(max(0, c - n + 1), min(c, s - n) + n)
-        _unique_windows(_facing_ids(k, facing.rotation, rows=band), n, index)
-        _unique_windows(_facing_ids(k, facing.rotation, cols=band), n, index)
+        ne = _build_ids(k)
+        c = ne.shape[0] // 2
+        band = slice(c - n + 1, c + n)
+        for strip in (ne,) if k == ranks.start else (ne[band], ne[:, band]):
+            _unique_windows(strip, n, index)
         yield k, index.windows
 
 
@@ -445,17 +444,19 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
         yield rank, windows
 
 
-def _windows_at(n: int, ranks: range, facing: Pose) -> set:
-    """The window set a scan over ``ranks`` yields at its last rank.
+def _windows_at(n: int, ranks: range) -> set:
+    """The NE window set a scan over ``ranks`` yields at its last rank.
     The scan is never resumed past it, so the slabs of that rank are
     never turned."""
-    return next(w for k, w in _window_scan(n, ranks, facing) if k == ranks[-1])
+    return next(w for k, w in _window_scan(n, ranks) if k == ranks[-1])
 
 
 def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
-    """All distinct n-by-n windows of the rank-``rank`` supertile."""
+    """All distinct n-by-n windows of the rank-``rank`` supertile: the
+    NE set with each window turned as the facing turns the supertile."""
     n, ranks = _ranks(n, rank, facing)
-    return _pattern_set(n, _windows_at(n, ranks, facing))
+    f, rows = facing.rotation, _id_rows(_windows_at(n, ranks), n).reshape(-1, n, n)
+    return _pattern_set(n, _TURNS[f][np.rot90(rows, f, axes=(1, 2))].reshape(-1, n * n))
 
 
 def count_stabilized(
@@ -474,8 +475,8 @@ def count_stabilized(
     Non-stabilization within k_max is reported, not raised.
     """
     n, ranks = _ranks(n, k_max, facing)
-    value = _scan_value(n, corner_pos)
-    scan = _window_scan(n, ranks, facing)
+    value = _scan_value(n, corner_pos, facing)
+    scan = _window_scan(n, ranks)
     if cache is not None:
         if facing != IDENTITY:
             raise ValueError(f"a pattern cache holds NE-facing sets only, got {facing}")
@@ -488,18 +489,22 @@ def count_stabilized(
     return CountReport(n, ranks[-1], counts[-1][1], False, tuple(counts))
 
 
-def _scan_value(n: int, corner_pos):
-    """What a stabilization scan reports for each window set: its size,
-    or with ``corner_pos`` ([row, col], 1-based, both in 1..2) how many
-    of its windows have their bumpy-corner lattice start exactly there.
-    A bad ``corner_pos`` raises here, before any window set is made."""
+def _scan_value(n: int, corner_pos, facing: Pose):
+    """What a stabilization scan reports for each NE window set, read as
+    the ``facing`` supertile's set, ``TURN^f[np.rot90(w, f)]`` of each
+    window w: its size, or with ``corner_pos`` ([row, col], 1-based, both
+    in 1..2) how many of its windows have their bumpy-corner lattice
+    start exactly there.  ``TURN`` keeps bumpy corners bumpy, so that
+    mask is turned back, ``np.rot90(mask, -f)``, not the windows.  A bad
+    ``corner_pos`` raises here, before any window set is made."""
     if corner_pos is None:
         return len
     r, c = corner_pos
     if not (1 <= r <= min(2, n) and 1 <= c <= min(2, n)):
         raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
     parity = np.arange(n) % 2
-    want = ((parity == r - 1)[:, None] & (parity == c - 1)[None, :]).reshape(-1)
+    want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
+    want = np.rot90(want, -facing.rotation).reshape(-1)
 
     def hits(windows) -> int:
         return int((BUMPY_IDS[_id_rows(windows, n)] == want).all(axis=1).sum())
@@ -511,7 +516,7 @@ def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> 
     """Distinct m-by-m patterns whose bumpy-corner lattice starts exactly
     at ``corner_pos`` ([row, col], 1-based, both in 1..2)."""
     m, ranks = _ranks(m, rank, facing)
-    return _scan_value(m, corner_pos)(_windows_at(m, ranks, facing))
+    return _scan_value(m, corner_pos, facing)(_windows_at(m, ranks))
 
 
 class _Terminated(BaseException):

@@ -199,13 +199,15 @@ class TileGrid:
 
     def _json_chunks(self):
         """Yield ``to_json``'s document a band of whole rows, about
-        ``_BAND_CELLS`` cells, at a time."""
+        ``_BAND_CELLS`` cells, at a time.  The comma between two bands is
+        a chunk of its own, so no band is copied to put it in front."""
         yield f'{{"width":{self.width},"height":{self.height},"cells":['
         step = _band_rows(self.width)
         for r in range(0, self.height if self.width else 0, step):
             band = self._ids[r : r + step].reshape(-1).tolist()
-            cells = ",".join(map(_JSON_CELLS.__getitem__, band))
-            yield f",{cells}" if r else cells
+            if r:
+                yield ","
+            yield ",".join(map(_JSON_CELLS.__getitem__, band))
         yield "]}"
 
     def to_json(self) -> str:
@@ -419,36 +421,25 @@ def _solve_arm(padded: np.ndarray, t: int) -> None:
     view[m - 1 : 0 : -1, m] = tiles
 
 
-def _turn_cross(ids: np.ndarray, ne: np.ndarray, facing: int, rows=slice(None), cols=slice(None)):
-    """Write over ``ids``, a copy of ``ne[rows, cols]``, the part of the
-    centre row and column of ``ne`` turned ``facing`` quarter turns that
-    it holds."""
+def _turn_cross(ids: np.ndarray, ne: np.ndarray, facing: int):
+    """Write over ``ids``, a copy of ``ne``, the centre row and column of
+    ``ne`` turned ``facing`` quarter turns."""
     c = ne.shape[0] // 2
     turned = _rot90(ne, facing)
-    top = rows.indices(ne.shape[0])
-    left = cols.indices(ne.shape[1])
-    if c in range(*top):
-        ids[c - top[0]] = _TURNS[facing][turned[c, cols]]
-    if c in range(*left):
-        ids[:, c - left[0]] = _TURNS[facing][turned[rows, c]]
+    ids[c] = _TURNS[facing][turned[c]]
+    ids[:, c] = _TURNS[facing][turned[:, c]]
 
 
-def _facing_ids(
-    rank: int, facing: int, rows: slice = slice(None), cols: slice = slice(None)
-) -> np.ndarray:
-    """The rank-``rank`` supertile ``facing`` quarter turns from NE, or
-    its block of ``rows`` by ``cols`` (unit-step slices), read-only.
-
-    Each facing is the NE one turned, ``TURN^facing[np.rot90(ne, facing)]``,
-    and shares its quadrants.  So the NE facing's block is a view of the NE
-    grid, and any other facing's is a copy of that block with the part of
-    the facing's centre row and column that it holds written over the NE
-    ones.  A block of a few lines costs a copy of those lines only."""
+def _facing_ids(rank: int, facing: int) -> np.ndarray:
+    """The rank-``rank`` supertile ``facing`` quarter turns from NE,
+    read-only.  Each facing is the NE one turned, and shares its
+    quadrants: the NE grid itself, or a copy of it with the facing's
+    centre row and column written over the NE ones."""
     ne = _build_ids(rank)
     if facing == 0:
-        return ne[rows, cols]
-    ids = ne[rows, cols].copy()
-    _turn_cross(ids, ne, facing, rows, cols)
+        return ne
+    ids = ne.copy()
+    _turn_cross(ids, ne, facing)
     ids.setflags(write=False)
     return ids
 

@@ -594,6 +594,8 @@ def test_render_from_json(capsys, tmp_path):
         "[" * 200_000 + "]" * 200_000,
         '{"width":true,"height":true,"cells":[["corner",0,false]]}',
         '{"width":%d,"height":0,"cells":[]}' % 10**30,
+        '{"width":4294967296,"height":0,"cells":[]}',
+        '{"width":0,"height":16384,"cells":[]}',
     ],
     ids=[
         "unknown-prototile",
@@ -606,6 +608,8 @@ def test_render_from_json(capsys, tmp_path):
         "nested-too-deep",
         "boolean-sides",
         "side-past-numpy-dimensions",
+        "side-past-the-largest-supertile",
+        "height-past-the-largest-supertile",
     ],
 )
 def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):
@@ -616,6 +620,16 @@ def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):
     assert (code, out) == (1, "")
     assert err.startswith("error: grid JSON") and err.count("\n") == 1
     assert not svg_path.exists()
+
+
+def test_render_takes_a_side_up_to_the_largest_supertile(capsys, tmp_path):
+    # 16383 = 2^MAX_RANK - 1, the side of the largest grid ``supertile`` writes.
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text('{"width":16383,"height":0,"cells":[]}')
+    svg_path = tmp_path / "grid.svg"
+    code, out, _ = run_cli(capsys, "render", "--input", str(grid_path), "--out", str(svg_path))
+    assert (code, out) == (0, "")
+    assert svg_path.read_text().endswith("</svg>\n")
 
 
 def test_stdout_byte_identical_across_runs_and_threads(capsys):
@@ -750,10 +764,8 @@ def test_commands_load_only_the_modules_they_use():
 
 
 def test_sigterm_while_writing_a_file_leaves_no_temporary_file(tmp_path):
-    # A grid 2^62 columns wide and 0 high: its SVG never ends.
-    doc = tmp_path / "wide.json"
-    doc.write_text('{"width": 4611686018427387904, "height": 0, "cells": []}')
-    argv = ["render", "--input", str(doc), "--out", str(tmp_path / "wide.svg")]
+    # The rank-9 SVG, about 340 MB, takes seconds to write.
+    argv = ["supertile", "--rank", "9", "--out", "svg", "--output", str(tmp_path / "big.svg")]
     proc = subprocess.Popen(
         [sys.executable, "-m", "robinsonblocks.cli", *argv],
         stdout=subprocess.DEVNULL,
@@ -771,7 +783,7 @@ def test_sigterm_while_writing_a_file_leaves_no_temporary_file(tmp_path):
             proc.kill()
             proc.wait()
     assert (proc.returncode, err) == (-signal.SIGTERM, b"")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # A child whose every ``.rbps`` write receives SIGTERM once its temporary

@@ -96,7 +96,7 @@ def test_incremental_counts_equal_plain_extraction():
             for pos in POSITIONS:
                 rep = count_stabilized(n, 8, facing, corner_pos=pos)
                 for rank, count in rep.counts_by_rank:
-                    expected = _scan_value(n, pos)(full[rank])
+                    expected = _scan_value(n, pos, FACINGS[0])(full[rank])  # the facing's own set
                     assert count == restricted_count(n, pos, rank, facing) == expected
 
 
@@ -212,22 +212,36 @@ def test_window_index_keys_a_strip_once(monkeypatch):
 
 def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
     # At the scan's first rank, k = n.bit_length(), the quadrant side
-    # 2^(k-1) - 1 is below n, so every window touches the central cross
-    # and both strips the scan cuts span the whole supertile.
-    asked = []
+    # 2^(k-1) - 1 is below n, so every window touches the central cross:
+    # the scan cuts the whole NE supertile, once.  Every later rank is cut
+    # as two strips of 2n - 1 lines, views of its NE build.
+    grids, cut = {}, []
 
-    def spy(rank, facing, rows=slice(None), cols=slice(None)):
-        asked.append((rank, rows, cols))
-        return np.zeros((0, 0), dtype=np.uint8)  # nothing to key
+    def build_ids(rank):
+        s = (1 << rank) - 1
+        return grids.setdefault(rank, np.zeros((s, s), dtype=np.uint8))
 
-    monkeypatch.setattr(enumerator, "_facing_ids", spy)
+    def spy(ids, n, index):
+        cut.append(ids)
+        return index.windows  # nothing keyed
+
+    monkeypatch.setattr(enumerator, "_build_ids", build_ids)
+    monkeypatch.setattr(enumerator, "_unique_windows", spy)
     for n in range(1, 129):
         k = n.bit_length()
-        asked.clear()
-        assert next(enumerator._window_scan(n, range(k, k + 1), FACINGS[0]))[0] == k
-        s = (1 << k) - 1
-        whole = [(k, (0, s, 1), (0, s, 1))] * 2
-        assert [(r, rows.indices(s), cols.indices(s)) for r, rows, cols in asked] == whole, n
+        assert (1 << (k - 1)) - 1 < n
+        cut.clear()
+        scan = enumerator._window_scan(n, range(k, k + 2))
+        assert next(scan)[0] == k
+        assert len(cut) == 1 and cut[0] is grids[k], n
+        assert next(scan)[0] == k + 1
+        s = (1 << (k + 1)) - 1
+        c = s // 2
+        rows, cols = cut[1:]
+        assert rows.shape == (2 * n - 1, s) and cols.shape == (s, 2 * n - 1), n
+        assert rows.base is grids[k + 1] and cols.base is grids[k + 1], n
+        assert np.shares_memory(rows, grids[k + 1][c - n + 1]), n
+        assert np.shares_memory(cols, grids[k + 1][:, c + n - 1]), n
 
 
 def test_window_index_on_full_grids():
@@ -246,21 +260,28 @@ def test_window_index_on_full_grids():
 @pytest.mark.parametrize("facing", FACINGS)
 @pytest.mark.parametrize("pos", [None, *POSITIONS])
 def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monkeypatch):
-    # The scan asks for its own facing only, at every rank: the other
-    # facings' windows are its own slabs turned.  The plateau rank is the
-    # largest rank probed, so nothing above it is asked for or built.
+    # The scan cuts the NE build only, at every rank, whatever the facing:
+    # the other facings' windows are its own slabs turned, and the facing
+    # asked for is applied where a set is read.  No non-NE grid is made,
+    # and the plateau rank is the largest rank probed, so nothing above
+    # it is asked for or built.
     asked = []
-    facing_ids = enumerator._facing_ids
+    build_ids = enumerator._build_ids
 
-    def spy(rank, f, *block, **kw):
-        asked.append((rank, f))
-        return facing_ids(rank, f, *block, **kw)
+    def spy(rank):
+        asked.append(rank)
+        return build_ids(rank)
 
-    monkeypatch.setattr(enumerator, "_facing_ids", spy)
+    def facing_spy(rank, f):
+        raise AssertionError(f"the rank-{rank} grid of facing {f} was made")
+
+    monkeypatch.setattr(enumerator, "_build_ids", spy)
+    for module in (supertile, enumerator):
+        monkeypatch.setattr(module, "_facing_ids", facing_spy, raising=False)
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     rep = count_stabilized(8, 11, facing, corner_pos=pos)
     assert rep.stabilized
-    assert _facings_asked(asked, rep) == {facing.rotation}
+    _check_ranks_asked(asked, rep)
     # The one-rank readers take the scan's set at their rank and stop there.
     asked.clear()
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
@@ -268,16 +289,15 @@ def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monke
         distinct_patterns(8, rep.rank_used, facing)
     else:
         restricted_count(8, pos, rep.rank_used, facing)
-    assert _facings_asked(asked, rep) == {facing.rotation}
+    _check_ranks_asked(asked, rep)
 
 
-def _facings_asked(asked, rep):
-    """The facings among the ``(rank, facing)`` pairs the scan behind
-    ``rep`` ``asked`` for, which must name every probed rank and nothing
-    above ``rep.rank_used``."""
-    assert {k for k, _ in asked} == {k for k, _ in rep.counts_by_rank}
+def _check_ranks_asked(asked, rep):
+    """The ranks the scan behind ``rep`` ``asked`` for must name every
+    probed rank and nothing above ``rep.rank_used``, which is also the
+    largest rank built."""
+    assert set(asked) == {k for k, _ in rep.counts_by_rank}
     assert max(supertile._BUILD_MEMO) == rep.rank_used
-    return {f for _, f in asked}
 
 
 def test_mirrored_facing_is_rejected(tmp_path):

@@ -1,11 +1,12 @@
 """One facing per scan: the other facings' windows are its slabs turned.
 
-``_window_scan`` cuts only its own facing from each supertile.  Each
+``_window_scan`` cuts only the NE facing from each supertile.  Each
 other facing is that facing turned, ``TURN^t[np.rot90(ids, t)]``, so
 when the scan is resumed it adds the three turns of the new slabs of
-the rank it yielded.  These tests keep the scan that extracted all four
-facings' strips into one index as the reference, and check the gather
-of slabs and the turn of each slab on random arrays."""
+the rank it yielded, and any facing's set is the NE set turned.  These
+tests keep the scan that extracted all four facings' strips into one
+index as the reference, and check the gather of slabs and the turn of
+each slab on random arrays."""
 
 from unittest import mock
 
@@ -21,14 +22,17 @@ from robinsonblocks.enumerator import (
     _WindowIndex,
     _add_turned_slabs,
     _key_blocks,
+    _pattern_set,
     _ranks,
     _scan_value,
     _unique_windows,
     _window_scan,
     count_stabilized,
+    distinct_patterns,
+    restricted_count,
 )
 from robinsonblocks.supertile import _build_ids, _facing_ids
-from robinsonblocks.tileset import ALL_TILES, IDENTITY, TURN, Pose
+from robinsonblocks.tileset import ALL_TILES, BUMPY_IDS, IDENTITY, TURN, Pose
 
 FACINGS = [Pose(r, False) for r in range(4)]
 POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -57,24 +61,75 @@ def _four_facing_scan(n, ranks, facing):
                 extract(_facing_ids(k, f), n, index)
 
 
+def _turned_set(windows, n, turns):
+    """The window set ``windows`` with each window turned on its own, as
+    the supertile turned ``turns`` quarter turns turns its windows."""
+    rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n, n)
+    return {w.tobytes() for w in _turn_table(turns)[np.rot90(rows, turns, axes=(1, 2))]}
+
+
+def _hits(windows, n, pos):
+    """How many windows of a set have their bumpy-corner lattice start
+    at ``pos``, read cell by cell from each window."""
+    rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n, n)
+    parity = np.arange(n) % 2
+    want = (parity == pos[0] - 1)[:, None] & (parity == pos[1] - 1)[None, :]
+    return int((BUMPY_IDS[rows] == want).all(axis=(1, 2)).sum())
+
+
 @pytest.mark.parametrize("facing", FACINGS)
 def test_each_rank_yields_the_four_facing_set(facing):
+    # The scan yields the NE set at every rank; turned as the facing
+    # turns the supertile, it is the facing's own set.
     for n in range(1, 17):
         _, ranks = _ranks(n, 11, facing)
-        pairs = zip(_window_scan(n, ranks, facing), _four_facing_scan(n, ranks, facing))
+        pairs = zip(_window_scan(n, ranks), _four_facing_scan(n, ranks, facing))
         for (k, windows), (k_ref, reference) in pairs:
             assert k == k_ref
-            assert windows == reference, (n, k)
+            assert _turned_set(windows, n, facing.rotation) == reference, (n, k)
 
 
 @pytest.mark.parametrize("facing", FACINGS)
 def test_restricted_counts_by_rank_match_the_four_facing_scan(facing):
     for n in range(2, 7):
         for pos in POSITIONS:
-            value = _scan_value(n, pos)
+            value = _scan_value(n, pos, IDENTITY)  # on the facing's own set, not turned
             rep = count_stabilized(n, 9, facing, corner_pos=pos)
             reference = {k: value(w) for k, w in _four_facing_scan(n, _ranks(n, 9, facing)[1], facing)}
             assert all(count == reference[k] for k, count in rep.counts_by_rank), (n, pos)
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+def test_readers_in_every_facing_match_the_four_facing_scan(facing):
+    # ``distinct_patterns`` turns the NE windows it reads, and
+    # ``restricted_count`` turns its bumpy mask back: each must give the
+    # facing's own set and its own count, at every rank and position.
+    for n in range(1, 9):
+        positions = [pos for pos in POSITIONS if max(pos) <= n]
+        for k, reference in _four_facing_scan(n, _ranks(n, 8, facing)[1], facing):
+            assert distinct_patterns(n, k, facing) == _pattern_set(n, reference), (n, k)
+            for pos in positions:
+                assert restricted_count(n, pos, k, facing) == _hits(reference, n, pos), (n, k, pos)
+
+
+def test_scan_value_turns_its_mask_back():
+    # The scan's offset classes have equal sizes in every facing, so the
+    # mask's turn shows on made-up windows only: class i of these holds
+    # i + 1 windows, bumpy exactly on the lattice of ``POSITIONS[i]``.
+    rng = np.random.default_rng(2)
+    bumpy, plain = np.flatnonzero(BUMPY_IDS), np.flatnonzero(~BUMPY_IDS)
+    for n in range(2, 9):
+        parity = np.arange(n) % 2
+        windows = set()
+        for i, (r, c) in enumerate(POSITIONS):
+            mask = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
+            for _ in range(i + 1):
+                w = np.where(mask, rng.choice(bumpy, (n, n)), rng.choice(plain, (n, n)))
+                windows.add(w.astype(np.uint8).tobytes())
+        for facing in FACINGS:
+            turned = _turned_set(windows, n, facing.rotation)
+            for pos in POSITIONS:
+                assert _scan_value(n, pos, facing)(windows) == _hits(turned, n, pos), (n, pos)
 
 
 def test_turn_tables_have_order_four():
@@ -97,18 +152,24 @@ def test_turned_ne_build_is_each_facing(rank):
 
 
 def test_a_facing_block_is_cut_from_its_grid():
+    # The scan cuts its strips as views of the NE build, never copies:
+    # each is the NE facing's block, read-only.  Every other facing is
+    # one read-only grid, the NE one turned.
     rank, side = 6, 63
-    for f in range(4):
-        whole = _facing_ids(rank, f)
-        for rows, cols in (
-            (slice(25, 38), slice(None)),
-            (slice(None), slice(25, 38)),
-            (slice(0, 10), slice(40, 63)),
-            (slice(31, 32), slice(0, side)),
-        ):
-            block = _facing_ids(rank, f, rows=rows, cols=cols)
-            assert np.array_equal(block, whole[rows, cols]), (f, rows, cols)
-            assert not block.flags.writeable
+    ne = _build_ids(rank)
+    assert _facing_ids(rank, 0) is ne
+    for rows, cols in (
+        (slice(25, 38), slice(None)),
+        (slice(None), slice(25, 38)),
+        (slice(0, 10), slice(40, 63)),
+        (slice(31, 32), slice(0, side)),
+    ):
+        block = ne[rows, cols]
+        assert np.shares_memory(block, ne) and not block.flags.writeable, (rows, cols)
+        for f in range(1, 4):
+            whole = _facing_ids(rank, f)
+            assert not whole.flags.writeable
+            assert np.array_equal(whole[rows, cols], _turn_table(f)[np.rot90(ne, f)][rows, cols])
 
 
 pytest.importorskip("hypothesis")
@@ -146,7 +207,7 @@ def viewed_slab_cases(draw):
         c = side // 2
         width = draw(st.integers(1, side))
         band = slice(max(0, c - width + 1), min(c, side - width) + width)
-        ids = _facing_ids(rank, 0, **{"rows" if kind == "ne-rows" else "cols": band})
+        ids = _build_ids(rank)[band] if kind == "ne-rows" else _build_ids(rank)[:, band]
     else:
         height, width = draw(st.integers(2, 14)), draw(st.integers(2, 14))
         cells = draw(st.lists(st.integers(0, 3), min_size=height * width, max_size=height * width))
@@ -264,6 +325,6 @@ def test_the_plateau_holds_through_rank_13(monkeypatch):
     # test's own, so the rank-13 grid is let go afterwards.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     for n in range(2, 9):
-        counts = {k: len(w) for k, w in _window_scan(n, _ranks(n, 13, IDENTITY)[1], IDENTITY)}
+        counts = {k: len(w) for k, w in _window_scan(n, _ranks(n, 13, IDENTITY)[1])}
         plateau = count_stabilized(n, 13).rank_used - 1
         assert all(counts[k] == closed_form_A(n) for k in range(plateau, 14)), (n, counts)
