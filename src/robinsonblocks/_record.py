@@ -1,10 +1,9 @@
 """The base of the package's record types.
 
 A record names its fields in ``__match_args__``.  Its ``__init__``
-checks the arguments and stores each field, and the tuple of all of them
-as ``_values``, straight into the instance dict:
-
-    self.__dict__.update(rows=rows, cols=cols, _values=(rows, cols))
+checks the arguments and ends in one call, ``self._set(rows, cols)``
+with the values in that order, which stores each field, and the tuple
+of all of them as ``_values``, straight into the instance dict.
 
 From ``_values`` the base gives a record what ``@dataclass(frozen=True)``
 would: a ``repr`` of the fields by name, ``==`` and a ``hash`` of the
@@ -55,6 +54,11 @@ class Record:
         if order:
             for name, op in (("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)):
                 setattr(cls, name, _compare(op))
+
+    def _set(self, *values):
+        """Store ``values`` as the fields ``__match_args__`` names, in that
+        order, and their tuple as ``_values``."""
+        self.__dict__.update(zip(self.__match_args__, values), _values=values)
 
     def __repr__(self):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values))

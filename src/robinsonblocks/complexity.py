@@ -47,6 +47,19 @@ def _climb(n: int, depth: int, a: int, b: int, c: int, memo_A=None, memo_B=None)
     2h-square and h x h, h x (h+1), (h+1) x h, (h+1) x (h+1) in a
     (2h+1)-square.  So every count one level up is the sum of the counts
     of its four vacant shapes.
+
+    One step keeps the closed forms.  Let p be the band of h
+    (p <= h < 2p), A_p(m) = 32m^2 + 72mp - 48p^2 and
+    B_p(m) = 32m^2 + 32m + 72mp - 48p^2 + 36p.  Stepped from
+    (A_p(h), B_p(h), A_p(h+1)), the triple at m = 2h or 2h + 1 is
+    (A_2p(m), B_2p(m), A_2p(m+1)), 2p being m's band: five polynomial
+    identities.  At a band's edge A_p(2p) = A_2p(2p) = 224p^2, so the
+    last entry is A(m+1) in its own band too; B's two bands differ there
+    by 36p, and the step never reads B at m + 1.  From the base triple
+    (56, 124, 224) at m = 1, the recurrence and both closed forms
+    therefore agree for every n >= 1 (``closed_form_A`` for n >= 2).
+    That is a proof about the recurrence only, not that the tiling's
+    block counts obey it.
     """
     while depth:
         depth -= 1
@@ -165,12 +178,7 @@ class DecompositionTrace(Record):
     __match_args__ = ("n", "a_leaves", "b_leaves")
 
     def __init__(self, n: int, a_leaves: int, b_leaves: int):
-        self.__dict__.update(
-            n=n,
-            a_leaves=a_leaves,
-            b_leaves=b_leaves,
-            _values=(n, a_leaves, b_leaves),
-        )
+        self._set(n, a_leaves, b_leaves)
 
     def value(self) -> int:
         return self.a_leaves * A1 + self.b_leaves * B1
@@ -199,7 +207,7 @@ class VacantShape(Record):
     __match_args__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int):
-        self.__dict__.update(rows=rows, cols=cols, _values=(rows, cols))
+        self._set(rows, cols)
 
 
 _FIRST_STEP_CHOICES = ((1, 1), (2, 2), (1, 2), (2, 1))

@@ -99,7 +99,7 @@ class Pattern(Record):
     def __init__(self, n: int, data: bytes):
         if len(data) != 3 * n * n:  # row-major, 3 bytes per cell
             raise ValueError("pattern data length must be 3*n*n")
-        self.__dict__.update(n=n, data=data, _values=(n, data))
+        self._set(n, data)
 
 
 class PatternSet:
@@ -150,14 +150,7 @@ class CountReport(Record):
         self, n: int, rank_used: int, count: int, stabilized: bool, counts_by_rank: tuple
     ):
         # counts_by_rank is ((rank, count), ...), one pair per rank probed.
-        self.__dict__.update(
-            n=n,
-            rank_used=rank_used,
-            count=count,
-            stabilized=stabilized,
-            counts_by_rank=counts_by_rank,
-            _values=(n, rank_used, count, stabilized, counts_by_rank),
-        )
+        self._set(n, rank_used, count, stabilized, counts_by_rank)
 
 
 COUNT_CSV_HEADER = "n,rank,count,stabilized"
@@ -190,8 +183,8 @@ class _WindowIndex:
     (the window's tile ids in row-major order).  ``slabs`` holds the
     slabs met, per orientation (row slabs, column slabs), each keyed by
     its cells: the bytes of its n lines, one after another.  ``grown``
-    holds ``(blocks, by_columns)`` for each extraction whose new slabs
-    ``blocks`` added windows since ``_add_turned_slabs`` last ran.
+    holds ``(blocks, by_columns)`` for each extraction that met new slabs
+    ``blocks`` since ``_add_turned_slabs`` last ran.
     """
 
     __slots__ = ("windows", "slabs", "grown")
@@ -213,14 +206,14 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     keyed by their bytes.  Every window of the array lies in exactly
     one slab, at the line it starts on, so the array's windows are its
     slabs' windows.  Windows are keyed (``_key_blocks``) only for slabs
-    this index has not met in that orientation, and if that added any
-    window, those slabs go on ``index.grown``.  A cross strip of a scan
-    holds only a few times n distinct slabs, whatever the rank (112 of
-    2032 for n = 16 at rank 11), and a scan meets most of them at its
-    lower ranks.  In a scan a slab holds at most n*(2n - 1) cells: every
-    strip a scan cuts is at most 2n - 1 lines wide, the whole supertile
-    of its first rank included.  Slab keys are checked, and windows
-    keyed, in bands of about ``_GATHER_BYTES`` key bytes.
+    this index has not met in that orientation, and those slabs, if any,
+    go on ``index.grown``.  A cross strip of a scan holds only a few
+    times n distinct slabs, whatever the rank (112 of 2032 for n = 16 at
+    rank 11), and a scan meets most of them at its lower ranks.  In a
+    scan a slab holds at most n*(2n - 1) cells: every strip a scan cuts
+    is at most 2n - 1 lines wide, the whole supertile of its first rank
+    included.  Slab keys are checked, and windows keyed, in bands of
+    about ``_GATHER_BYTES`` key bytes.
     """
     if index is None:
         index = _WindowIndex()
@@ -232,9 +225,8 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     count, cells = lines.shape
     keys = np.ndarray((count - n + 1,), np.dtype((np.void, n * cells)), lines, strides=(cells,))
     blocks = _new_blocks(keys, n, index.slabs[by_columns])
-    size = len(index.windows)
-    _key_blocks(blocks, by_columns, index)
-    if len(index.windows) > size:
+    if len(blocks):
+        _key_blocks(blocks, by_columns, index)
         index.grown.append((blocks, by_columns))
     return index.windows
 
@@ -367,8 +359,9 @@ def _ranks(n: int, k_max: int, facing: Pose) -> tuple:
     the ``facing`` supertile probes, from the first whose supertile can
     host an n-by-n block through ``k_max``.  Raises ``TypeError`` for an
     n or k_max that is no integer (or is a bool), then ``BlockTooLarge``
-    if no rank can host the block, then ``ValueError`` for a mirrored
-    facing, before anything is built."""
+    if no rank can host the block, then ``TypeError`` for a facing that
+    is no ``Pose`` or ``ValueError`` for a mirrored one, before anything
+    is built."""
     n, k_max = _integer("block side", n), _integer("rank", k_max)
     if n < 1:
         raise ValueError(f"block side must be >= 1, got {n}")
@@ -400,11 +393,9 @@ def _window_scan(n: int, ranks: range):
     array's windows are its slabs' windows.  So the other facings of rank
     k add exactly the turns of the windows extracted up to rank k, and
     those are the turns of the new slabs keyed up to rank k:
-    ``_add_turned_slabs`` turns the cells of each new slab of an
-    extraction that grew the set, three times.  An extraction that added
-    no window needs no turns: each of its windows came from a slab keyed
-    before, plain or turned, whose turns are all added.  So facing t's
-    set is this set turned, and the readers of cells turn what they read.
+    ``_add_turned_slabs`` turns the cells of each new slab three times.
+    So facing t's set is this set turned, and the readers of cells turn
+    what they read.
 
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
@@ -499,7 +490,11 @@ def _scan_value(n: int, corner_pos, facing: Pose):
     ``corner_pos`` raises here, before any window set is made."""
     if corner_pos is None:
         return len
-    r, c = corner_pos
+    try:
+        r, c = corner_pos
+    except (TypeError, ValueError):
+        raise ValueError(f"corner_pos must be a [row, col] pair, got {corner_pos!r}") from None
+    r, c = _integer("corner_pos row", r), _integer("corner_pos column", c)
     if not (1 <= r <= min(2, n) and 1 <= c <= min(2, n)):
         raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
     parity = np.arange(n) % 2

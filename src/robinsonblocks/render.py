@@ -44,13 +44,7 @@ class RenderStyle(Record):
     ):
         if cell_size <= 0 or stroke_width <= 0:
             raise ValueError("style dimensions must be strictly positive")
-        self.__dict__.update(
-            cell_size=cell_size,
-            stroke_width=stroke_width,
-            emphasize_principal=emphasize_principal,
-            rank_overlay=rank_overlay,
-            _values=(cell_size, stroke_width, emphasize_principal, rank_overlay),
-        )
+        self._set(cell_size, stroke_width, emphasize_principal, rank_overlay)
 
 
 def _ascii_chunks(grid: TileGrid):

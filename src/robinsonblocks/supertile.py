@@ -99,9 +99,11 @@ class SupertileSpec(Record):
         rank = _integer("rank", rank)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
+        if not isinstance(pose, Pose):
+            raise TypeError(f"supertile facing must be a Pose, got {pose!r}")
         if pose.mirror:
             raise ValueError("supertile facing is restricted to the 4 rotations")
-        self.__dict__.update(rank=rank, pose=pose, _values=(rank, pose))
+        self._set(rank, pose)
 
     @property
     def side(self) -> int:
@@ -236,8 +238,8 @@ class TileGrid:
             raise ValueError("cell count does not match width*height")
         flat = bytearray([EMPTY]) * len(cells)
         # Tile id per distinct cell entry.  A hit returns what the code
-        # below returned for an equal entry: its unpacking, ``int`` and
-        # ``bool`` all agree on equal values.
+        # below returned for an equal entry: its unpacking, the prototile
+        # lookup and ``Pose`` all compare values, not types.
         memo = {}
         for i, entry in enumerate(cells):
             if entry is None:
@@ -252,8 +254,8 @@ class TileGrid:
                 key = None
             try:
                 name, rot, mirror = entry
-                tile = OrientedTile(_KEY_TO_PROTOTILE[name], Pose(int(rot), bool(mirror)))
-            except (KeyError, TypeError, ValueError, OverflowError):  # int(Infinity) overflows
+                tile = OrientedTile(_KEY_TO_PROTOTILE[name], Pose(rot, mirror))
+            except (KeyError, TypeError, ValueError):
                 r, c = divmod(i, width)
                 raise ValueError(
                     f"grid JSON cell [{r + 1}, {c + 1}] is not a [tile, rotation, mirror] "
@@ -462,20 +464,14 @@ class Violation(Record):
     def __init__(self, kind: str, row: int, col: int, detail: str = ""):
         # kind is "adjacency" or "parity"; row and col, 1-based, name the
         # west/north cell of a pair, or the top-left cell of a 2x2 window.
-        self.__dict__.update(
-            kind=kind,
-            row=row,
-            col=col,
-            detail=detail,
-            _values=(kind, row, col, detail),
-        )
+        self._set(kind, row, col, detail)
 
 
 class ValidationReport(Record):
     __match_args__ = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: tuple):
-        self.__dict__.update(ok=ok, violations=violations, _values=(ok, violations))
+        self._set(ok, violations)
 
     def __bool__(self):
         return self.ok

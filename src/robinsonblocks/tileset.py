@@ -17,7 +17,7 @@ arrow labels and are told apart by the parity rule alone.
 from __future__ import annotations
 
 import enum
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -74,7 +74,9 @@ class Pose(Record, order=True):
     def __init__(self, rotation: int = 0, mirror: bool = False):
         if rotation not in (0, 1, 2, 3):
             raise ValueError(f"rotation must be in 0..3, got {rotation}")
-        self.__dict__.update(rotation=rotation, mirror=mirror, _values=(rotation, mirror))
+        if mirror not in (False, True):
+            raise ValueError(f"mirror must be False or True, got {mirror!r}")
+        self._set(rotation, mirror)
 
     def compose(self, other: "Pose") -> "Pose":
         """The pose equal to applying ``other`` first, then ``self``."""
@@ -96,16 +98,11 @@ class Arrow(Record):
     __match_args__ = ("out", "principal")
 
     def __init__(self, out: bool, principal: bool):
-        self.__dict__.update(out=out, principal=principal, _values=(out, principal))
+        self._set(out, principal)
 
     @property
     def char(self) -> str:
-        return {
-            (True, True): "P",
-            (False, True): "p",
-            (True, False): "S",
-            (False, False): "s",
-        }[(self.out, self.principal)]
+        return _CHAR_BY_ARROW[self]
 
 
 _ARROW_BY_CHAR = {
@@ -115,6 +112,7 @@ _ARROW_BY_CHAR = {
     "s": Arrow(False, False),
     ".": None,
 }
+_CHAR_BY_ARROW = {arrow: char for char, arrow in _ARROW_BY_CHAR.items()}
 
 # An EdgeLabel is a 3-tuple of Arrow-or-None: (near-start, center, near-end).
 EdgeLabel = tuple
@@ -132,12 +130,12 @@ def _parse_label(text: str) -> EdgeLabel:
 
 
 def label_text(label: EdgeLabel) -> str:
-    return "".join("." if a is None else a.char for a in label)
+    return "".join(map(_CHAR_BY_ARROW.__getitem__, label))
 
 
 def _load_identity_table() -> dict:
     table = {}
-    data = resources.files(__package__).joinpath("tiles.dat").read_text()
+    data = Path(__file__).with_name("tiles.dat").read_text(encoding="utf-8")
     for line in data.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -185,15 +183,15 @@ _POSE_LABELS = {
 }
 
 # Canonical representative per (prototile, label 4-tuple): the
-# lexicographically smallest (rotation, mirror) among equal-label poses.
-# Labels are tuples of frozen Arrows, so they serve as keys directly.
-_CANONICAL_POSE: dict = {}
-for proto in Prototile:
-    by_labels: dict = {}
-    for pose in sorted(_ALL_POSES, key=lambda p: (p.rotation, p.mirror)):
-        by_labels.setdefault(_POSE_LABELS[(proto, pose)], pose)
-    for pose in _ALL_POSES:
-        _CANONICAL_POSE[(proto, pose)] = by_labels[_POSE_LABELS[(proto, pose)]]
+# lexicographically smallest (rotation, mirror) among equal-label poses,
+# the first met in pose order.  Labels are tuples of frozen Arrows, so
+# they serve as keys directly.
+_FIRST_POSE: dict = {}
+_CANONICAL_POSE = {
+    (proto, pose): _FIRST_POSE.setdefault((proto, _POSE_LABELS[(proto, pose)]), pose)
+    for proto in Prototile
+    for pose in sorted(_ALL_POSES)
+}
 
 
 class OrientedTile(Record, order=True):
@@ -204,7 +202,7 @@ class OrientedTile(Record, order=True):
     __match_args__ = ("prototile", "pose")
 
     def __init__(self, prototile: Prototile, pose: Pose = IDENTITY):
-        self.__dict__.update(prototile=prototile, pose=pose, _values=(prototile, pose))
+        self._set(prototile, pose)
 
     def labels(self):
         return _POSE_LABELS[(self.prototile, self.pose)]
@@ -245,19 +243,10 @@ def compatible(a: OrientedTile, b: OrientedTile, direction: Adjacency) -> bool:
     raise ValueError(f"direction must be Adjacency.EAST or SOUTH, got {direction!r}")
 
 
-def _build_canonical_list():
-    seen = set()
-    out = []
-    for proto in Prototile:
-        for pose in sorted(_ALL_POSES, key=lambda p: (p.rotation, p.mirror)):
-            tile = OrientedTile(proto, pose).canonical()
-            if tile not in seen:
-                seen.add(tile)
-                out.append(tile)
-    return tuple(sorted(out, key=lambda t: (t.prototile, t.pose.rotation, t.pose.mirror)))
-
-
-ALL_TILES = _build_canonical_list()
+# The canonical tiles in (prototile, rotation, mirror) order.
+ALL_TILES = tuple(
+    sorted({OrientedTile(proto, pose) for (proto, _), pose in _CANONICAL_POSE.items()})
+)
 TILE_INDEX = {tile: i for i, tile in enumerate(ALL_TILES)}
 
 

@@ -596,6 +596,12 @@ def test_render_from_json(capsys, tmp_path):
         '{"width":%d,"height":0,"cells":[]}' % 10**30,
         '{"width":4294967296,"height":0,"cells":[]}',
         '{"width":0,"height":16384,"cells":[]}',
+        '{"width":1,"height":1,"cells":[["arm_both",1.5,false]]}',
+        '{"width":1,"height":1,"cells":[["arm_both","1",false]]}',
+        '{"width":1,"height":1,"cells":[["arm_both",0,"no"]]}',
+        '{"width":1,"height":1,"cells":[["arm_both",0,2]]}',
+        '{"width":1,"height":1,"cells":[["corner",3,[1]]]}',
+        '{"width":1,"height":1,"cells":[{"corner":0,"2":0,"":0}]}',
     ],
     ids=[
         "unknown-prototile",
@@ -610,6 +616,12 @@ def test_render_from_json(capsys, tmp_path):
         "side-past-numpy-dimensions",
         "side-past-the-largest-supertile",
         "height-past-the-largest-supertile",
+        "rotation-a-fraction",
+        "rotation-a-string",
+        "mirror-a-string",
+        "mirror-an-int-not-0-or-1",
+        "mirror-a-list",
+        "cell-an-object",
     ],
 )
 def test_render_rejects_malformed_grid_json(capsys, tmp_path, doc):

@@ -3,6 +3,8 @@
 import pytest
 
 from robinsonblocks.complexity import (
+    A1,
+    B1,
     DomainError,
     RecurrenceTable,
     VacantShape,
@@ -17,6 +19,7 @@ from robinsonblocks.complexity import (
     vacant_places,
     verify_row,
     VERIFY_CSV_HEADER,
+    _climb,
 )
 
 
@@ -83,6 +86,49 @@ def test_recurrence_equals_closed_form_spot():
     table = RecurrenceTable()
     for n in list(range(2, 200)) + [255, 256, 257, 1023, 4096, 99999]:
         assert table.A(n) == closed_form_A(n), n
+
+
+def _closed_A(p: int, m: int) -> int:
+    """A's closed form at m, in the band of p."""
+    return 32 * m * m + 72 * m * p - 48 * p * p
+
+
+def _closed_B(p: int, m: int) -> int:
+    """B's closed form at m, in the band of p."""
+    return 32 * m * m + 32 * m + 72 * m * p - 48 * p * p + 36 * p
+
+
+def test_the_closed_forms_obey_the_recurrence_for_every_n():
+    # A proof, not a sample.  Each identity below has both sides
+    # polynomials of degree at most 2 in h and in p, so equality on the
+    # 3 x 3 grid h, p in {0, 1, 2} is equality for every h and p.
+    for h in range(3):
+        for p in range(3):
+            triple = (_closed_A(p, h), _closed_B(p, h), _closed_A(p, h + 1))
+            # One step to m = 2h and to m = 2h + 1, whose band is 2p when
+            # p is h's band: five distinct identities.
+            for m in (2 * h, 2 * h + 1):
+                assert _climb(m, 1, *triple) == (
+                    _closed_A(2 * p, m),
+                    _closed_B(2 * p, m),
+                    _closed_A(2 * p, m + 1),
+                ), (h, p, m)
+    for p in range(3):
+        # At a band's edge A is the same in both bands, so the triple's
+        # A(m + 1), read in m's band, is A in its own band too.  B is not,
+        # so the induction must never read B at m + 1, and it does not.
+        assert _closed_A(p, 2 * p) == _closed_A(2 * p, 2 * p) == 224 * p * p
+        assert _closed_B(2 * p, 2 * p) - _closed_B(p, 2 * p) == 36 * p
+    # The base triple at m = 1, band 1, is the recurrence's own.
+    base = (_closed_A(1, 1), _closed_B(1, 1), _closed_A(1, 2))
+    assert base == (A1, B1, 4 * A1) == (56, 124, 224)
+    # And the forms above are the package's and the README's, p = 2^floor(log2 m).
+    table = RecurrenceTable()
+    for m in range(1, 300):
+        p = 1 << (m.bit_length() - 1)
+        assert table.A(m) == _closed_A(p, m) and table.B(m) == _closed_B(p, m), m
+        if m >= 2:
+            assert closed_form_A(m) == _closed_A(p, m), m
 
 
 def test_sibling_identities_posthoc_on_memo():

@@ -339,6 +339,72 @@ def test_a_block_side_or_rank_that_is_no_integer_is_rejected(call, message, monk
     assert supertile._BUILD_MEMO == {}
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: count_stabilized(2, 5, "NE"),
+            TypeError,
+            "supertile facing must be a Pose, got 'NE'",
+        ),
+        (
+            lambda: distinct_patterns(2, 3, 1),
+            TypeError,
+            "supertile facing must be a Pose, got 1",
+        ),
+        (
+            lambda: restricted_count(2, (1, 1), 3, "NW"),
+            TypeError,
+            "supertile facing must be a Pose, got 'NW'",
+        ),
+        (
+            lambda: restricted_count(2, "12", 3),
+            TypeError,
+            "corner_pos row must be an integer, got '1'",
+        ),
+        (
+            lambda: restricted_count(2, (1.0, 2.0), 3),
+            TypeError,
+            "corner_pos row must be an integer, got 1.0",
+        ),
+        (
+            lambda: count_stabilized(2, 5, corner_pos=(1, True)),
+            TypeError,
+            "corner_pos column must be an integer, got True",
+        ),
+        (
+            lambda: restricted_count(2, (1, 1, 1), 3),
+            ValueError,
+            "corner_pos must be a [row, col] pair, got (1, 1, 1)",
+        ),
+        (
+            lambda: count_stabilized(2, 5, corner_pos=1),
+            ValueError,
+            "corner_pos must be a [row, col] pair, got 1",
+        ),
+        (
+            lambda: count_stabilized(2, 5, corner_pos=[2]),
+            ValueError,
+            "corner_pos must be a [row, col] pair, got [2]",
+        ),
+    ],
+)
+def test_a_facing_or_corner_position_of_the_wrong_kind_is_rejected(
+    call, error, message, monkeypatch
+):
+    # With the library's own message, before anything is built.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+    assert supertile._BUILD_MEMO == {}
+
+
+def test_numpy_integer_corner_positions_are_taken():
+    assert restricted_count(3, np.array([1, 2]), 8) == 124
+    assert count_stabilized(3, 8, corner_pos=(np.int8(1), np.uint16(2))).count == 124
+
+
 def test_numpy_integer_sides_and_ranks_give_int_results():
     rep = count_stabilized(np.int64(4), np.int64(11))
     assert rep == count_stabilized(4, 11) and repr(rep) == repr(count_stabilized(4, 11))

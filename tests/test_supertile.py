@@ -69,6 +69,10 @@ def test_spec_rejects_bad_input():
         SupertileSpec(0, Pose(0, False))
     with pytest.raises(ValueError):
         SupertileSpec(2, Pose(1, True))
+    for facing in ("NE", 0, (0, False), None):
+        with pytest.raises(TypeError) as info:
+            SupertileSpec(3, facing)
+        assert str(info.value) == f"supertile facing must be a Pose, got {facing!r}"
 
 
 @pytest.mark.parametrize(
@@ -337,18 +341,17 @@ def test_an_ne_build_holds_one_grid_per_rank(monkeypatch):
 
 def test_from_json_reads_each_cell_as_it_reads_it_alone():
     # Equal entries of different JSON types share one memo entry, so each
-    # must read as the same tile when read alone; an unhashable entry
-    # is read without the memo.
+    # must read as the same tile when read alone.
     entries = [
         ["bumpy_corner", 1, False],
         ["bumpy_corner", 1.0, 0],
         ["bumpy_corner", True, False],
-        ["corner", 3, [1]],
-        ["corner", 3, [1]],
+        ["corner", 3, 1.0],
+        ["corner", 3.0, 1.0],
         ["corner", 3, True],
         ["corner", 3, 0],
         ["bumpy_corner", 1, 1],
-        {"corner": 0, "2": 0, "": 0},
+        ["corner", 3, 0.0],
         None,
     ]
     doc = {"width": 5, "height": 2, "cells": entries}
@@ -360,6 +363,40 @@ def test_from_json_reads_each_cell_as_it_reads_it_alone():
     bad = json.dumps({"width": 2, "height": 2, "cells": cells})
     with pytest.raises(ValueError, match=r"cell \[2, 2\]"):
         TileGrid.from_json(bad)
+    # An unhashable mirror and an object cell name no pose, after an
+    # accepted cell or alone.
+    for entry in (["corner", 3, [1]], {"corner": 0, "2": 0, "": 0}):
+        for cells in ([entries[5], entry], [entry]):
+            doc = json.dumps({"width": len(cells), "height": 1, "cells": cells})
+            with pytest.raises(ValueError, match=rf"cell \[1, {len(cells)}\]"):
+                TileGrid.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["arm_both", 1.5, False],
+        ["arm_both", "1", False],
+        ["arm_both", 0, "no"],
+        ["arm_both", 0, 2],
+    ],
+)
+def test_from_json_rejects_a_rotation_or_mirror_it_would_misread(entry):
+    # Rotation and mirror are compared by value: none of these is one.
+    doc = json.dumps({"width": 1, "height": 1, "cells": [entry]})
+    with pytest.raises(ValueError, match=r"^grid JSON cell \[1, 1\] is not a "):
+        TileGrid.from_json(doc)
+
+
+def test_a_pose_takes_only_a_mirror_equal_to_false_or_true():
+    for mirror in (2, -1, "no", None, [1], 0.5):
+        with pytest.raises(ValueError, match="^mirror must be False or True, got "):
+            Pose(0, mirror)
+    # A mirror that compares equal to one is the same pose, and names a tile.
+    assert Pose(1, 1) == Pose(1, 1.0) == Pose(1, True) and Pose(2, 0) == Pose(2, False)
+    assert tile_id(OrientedTile(Prototile.ARM1, Pose(0, 1))) == tile_id(
+        OrientedTile(Prototile.ARM1, Pose(0, True))
+    )
 
 
 def test_grids_are_immutable():
