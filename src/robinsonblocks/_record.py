@@ -1,4 +1,4 @@
-"""The base of the package's record types.
+"""The base of the package's record types, and its one integer rule.
 
 A record names its fields in ``__match_args__``.  Its ``__init__``
 checks the arguments and ends in one call, ``self._set(rows, cols)``
@@ -19,7 +19,16 @@ tuple.  This module imports nothing outside the standard library, so
 ``complexity`` stays free of numpy.
 """
 
+import numbers
 from operator import attrgetter, ge, gt, le, lt
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer other than a bool (numpy
+    integers included); a TypeError naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frozen(action):

@@ -8,7 +8,7 @@ floating point enters any code path.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _integer
 
 A1 = 56
 B1 = 124
@@ -18,10 +18,21 @@ class DomainError(ValueError):
     """Argument outside an operation's stated domain."""
 
 
+def _domain(name: str, n, least: int) -> int:
+    """``n`` as an int if it is an integer (numpy integers too, bools not)
+    of at least ``least``; else a TypeError, or the DomainError naming
+    ``name``.  The one domain check of every function here that takes n,
+    each of which calls it only for n not an int in range."""
+    n = _integer("n", n)
+    if n < least:
+        raise DomainError(f"{name} needs n >= {least}, got {n}")
+    return n
+
+
 def floor_log2(n: int) -> int:
     """The unique e with 2^e <= n < 2^(e+1), via bit operations."""
-    if n <= 0:
-        raise DomainError(f"floor_log2 needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        n = _domain("floor_log2", n, 1)
     return n.bit_length() - 1
 
 
@@ -29,8 +40,8 @@ def closed_form_A(n: int) -> int:
     """Distinct n-by-n blocks of a one-infinite-supertile Robinson tiling,
     in closed form.  Valid for n >= 2 only; the n=1 restricted base
     quantity is not a block count."""
-    if n < 2:
-        raise DomainError(f"closed_form_A needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        n = _domain("closed_form_A", n, 2)
     p = 1 << (n.bit_length() - 1)
     return 32 * n * n + 72 * n * p - 48 * p * p
 
@@ -95,16 +106,16 @@ class RecurrenceTable(Record, frozen=False):
         self.memo_B = {1: B1} if memo_B is None else memo_B
 
     def A(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"recurrence_A needs n >= 1, got {n}")
+        if type(n) is not int or n < 1:
+            n = _domain("recurrence_A", n, 1)
         got = self.memo_A.get(n)
         if got is None:
             got = self._level(n)[0]
         return got
 
     def B(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"recurrence_B needs n >= 1, got {n}")
+        if type(n) is not int or n < 1:
+            n = _domain("recurrence_B", n, 1)
         got = self.memo_B.get(n)
         if got is None:
             got = self._level(n)[1]
@@ -157,16 +168,16 @@ def recurrence_B(n: int, table: RecurrenceTable | None = None) -> int:
 
 def coeff_a(n: int) -> int:
     """Multiplier of the A_1 base in the recurrence solution."""
-    if n < 1:
-        raise DomainError(f"coeff_a needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        n = _domain("coeff_a", n, 1)
     p = 1 << (n.bit_length() - 1)
     return 5 * n * n - 12 * n * p + 8 * p * p
 
 
 def coeff_b(n: int) -> int:
     """Multiplier of the B_1 base in the recurrence solution."""
-    if n < 1:
-        raise DomainError(f"coeff_b needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        n = _domain("coeff_b", n, 1)
     p = 1 << (n.bit_length() - 1)
     return -2 * n * n + 6 * n * p - 4 * p * p
 
@@ -193,8 +204,8 @@ def decomposition_trace(n: int) -> DecompositionTrace:
     alone.  Running the halving loop with unit bases, (A_1, B_1) = (1, 0)
     and then (0, 1), therefore yields a_n and b_n.
     """
-    if n < 1:
-        raise DomainError(f"decomposition_trace needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        n = _domain("decomposition_trace", n, 1)
     depth = n.bit_length() - 1
     a_leaves = _climb(n, depth, 1, 0, 4)[0]
     b_leaves = _climb(n, depth, 0, 1, 0)[0]
@@ -220,8 +231,8 @@ def vacant_places(n: int, first_step_choice) -> VacantShape:
     n = 2k leaves k x k for all four choices; odd n = 2k+1 leaves k x k,
     (k+1) x (k+1), or the two mixed shapes (the [2,1] shape is the
     transpose of [1,2], a fixed orientation convention)."""
-    if n < 2:
-        raise DomainError(f"vacant_places needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        n = _domain("vacant_places", n, 2)
     choice = tuple(first_step_choice)
     if choice not in _FIRST_STEP_CHOICES:
         raise DomainError(f"first_step_choice must be one of {_FIRST_STEP_CHOICES}")
@@ -232,8 +243,8 @@ def paperfolding_P(n: int) -> int:
     """The conjectured (Gaehler-Nilsson) count of distinct n-by-n blocks
     of the 2D paper-folding sequence.  Evaluated, not asserted: the
     formula is a conjecture in its source."""
-    if n < 3:
-        raise DomainError(f"paperfolding_P needs n >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        n = _domain("paperfolding_P", n, 3)
     p = 1 << (n.bit_length() - 1)
     return 12 * n * n + 24 * n * p - 16 * p * p - 4
 

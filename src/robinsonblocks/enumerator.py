@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._record import Record
-from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _build_ids, _integer
+from ._record import Record, _integer
+from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _build_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"

@@ -9,10 +9,12 @@ solved from the matching rules, and each cell must admit exactly one
 tile, so every rank doubles as a consistency check of the tile
 transcription.  Each other facing is the NE supertile turned and has
 the same quadrants, so it is the NE grid with its cross turned
-(``_facing_ids``).  The rules read only a cell's 3x3 neighbourhood, so
-the cross is solved one half-arm at a time from a memo keyed by that
-neighbourhood (``_solve_arm``); only a neighbourhood met for the first
-time runs the rules, and it must give exactly one tile.
+(``_facing_ids``).  Both local rules live in one kernel, ``_faults``,
+which serves the cross solver and ``validate`` alike.  The rules read
+only a cell's 3x3 neighbourhood, so the cross is solved one half-arm at
+a time from a memo keyed by that neighbourhood (``_solve_arm``); only a
+neighbourhood met for the first time runs the rules, and it must give
+exactly one tile.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, _integer
 from .tileset import (
     ALL_TILES,
     EAST_OK,
@@ -80,14 +82,6 @@ class CrossAmbiguous(Exception):
         self.candidates = candidates
         names = ", ".join(str(tile_from_id(i)) for i in candidates)
         super().__init__(f"{len(candidates)} tiles fit cross cell {list(pos)}: {names}")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, if it is an integer other than a bool (numpy
-    integers included); a TypeError naming it otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 class SupertileSpec(Record):
@@ -267,42 +261,42 @@ class TileGrid:
         return cls(np.frombuffer(flat, dtype=np.uint8).reshape(height, width))
 
 
+def _faults(ids: np.ndarray) -> tuple:
+    """Robinson's two local rules on grids shaped ``(..., height, width)``.
+
+    Returns the east pairs (by west cell) and south pairs (by north cell)
+    whose edges do not abut, the 2x2 windows (by top-left cell) without
+    exactly one bumpy corner, and each window's bumpy count.  A pair or
+    window touching an EMPTY cell is never at fault.
+    """
+    placed = ids != EMPTY
+    tiles = np.where(placed, ids, 0)  # EMPTY reads as tile 0; ``placed`` masks it
+    across = placed[..., :-1] & placed[..., 1:]
+    east = ~EAST_OK[tiles[..., :-1], tiles[..., 1:]] & across
+    south = ~SOUTH_OK[tiles[..., :-1, :], tiles[..., 1:, :]]
+    south &= placed[..., :-1, :] & placed[..., 1:, :]
+    bumpy = BUMPY_IDS[tiles] & placed
+    del tiles, placed  # each as large as the grids: freed before the window sums
+    row_pairs = bumpy[..., :-1].astype(np.int8) + bumpy[..., 1:]
+    counts = row_pairs[..., :-1, :] + row_pairs[..., 1:, :]
+    return east, south, (counts != 1) & across[..., :-1, :] & across[..., 1:, :], counts
+
+
 def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
     """Tile ids compatible with every placed neighbour of cell (r, c),
     0-based, of a grid given as ``padded``, the grid inside a one-cell
     EMPTY border (so the cell sits at ``padded[r + 1, c + 1]``).
 
-    Applies both local rules: arrow matching against the four neighbours
-    and the exactly-one-bumpy-corner parity over every fully placed 2x2
-    window through the cell (the rule that separates bumpy corners from
-    plain ones, whose arrows agree).  The rules read only the cell's 3x3
-    neighbourhood, in which the cell itself is ignored and cells outside
-    the grid (the border) read as EMPTY: an EMPTY neighbour adds no arrow
-    constraint, and a 2x2 window touching one is skipped.
+    Both rules come from ``_faults``, run on the 3x3 neighbourhood once
+    per tile id in the centre: a tile fits if no pair through the centre
+    and none of the four 2x2 windows (each holds it) is at fault.  The
+    border and EMPTY neighbours constrain nothing.
     """
-    nb = padded[r : r + 3, c : c + 3].ravel().tolist()
-    ok = np.ones(len(ALL_TILES), dtype=bool)
-    north, west, east, south = nb[1], nb[3], nb[5], nb[7]
-    if north != EMPTY:
-        ok &= SOUTH_OK[north, :]
-    if south != EMPTY:
-        ok &= SOUTH_OK[:, south]
-    if west != EMPTY:
-        ok &= EAST_OK[west, :]
-    if east != EMPTY:
-        ok &= EAST_OK[:, east]
-    for corner in (0, 1, 3, 4):  # top-left cell of each 2x2 window through the centre
-        others = [nb[i] for i in (corner, corner + 1, corner + 3, corner + 4) if i != 4]
-        if EMPTY in others:
-            continue
-        placed_bumpy = sum(bool(BUMPY_IDS[i]) for i in others)
-        if placed_bumpy == 0:
-            ok &= BUMPY_IDS
-        elif placed_bumpy == 1:
-            ok &= ~BUMPY_IDS
-        else:
-            ok &= False
-    return tuple(int(i) for i in np.nonzero(ok)[0])
+    nb = np.repeat(padded[None, r : r + 3, c : c + 3], len(ALL_TILES), axis=0)
+    nb[:, 1, 1] = np.arange(len(ALL_TILES))
+    east, south, parity, _ = _faults(nb)
+    bad = east[:, 1].any(axis=1) | south[:, :, 1].any(axis=1) | parity.any(axis=(1, 2))
+    return tuple(np.flatnonzero(~bad).tolist())
 
 
 def _solve(padded: np.ndarray, r: int, c: int) -> int:
@@ -478,42 +472,18 @@ class ValidationReport(Record):
 
 
 def validate(grid: TileGrid) -> ValidationReport:
-    """Check every adjacency and the exactly-one-bumpy-corner parity rule.
-
-    Violations are reported as data; empty cells are skipped (pairs and
-    2x2 windows touching an empty cell are vacuously fine).
-    """
-    placed = grid.ids != EMPTY
-    ids = np.where(placed, grid.ids, 0)  # EMPTY reads as tile 0; ``placed`` masks it
-    h, w = ids.shape
-    violations = []
-
-    if w > 1:
-        a, b = ids[:, :-1], ids[:, 1:]
-        bad = placed[:, :-1] & placed[:, 1:] & ~EAST_OK[a, b]
-        for r, c in zip(*np.nonzero(bad)):
-            violations.append(Violation("adjacency", int(r) + 1, int(c) + 1, "east"))
-    if h > 1:
-        a, b = ids[:-1, :], ids[1:, :]
-        bad = placed[:-1, :] & placed[1:, :] & ~SOUTH_OK[a, b]
-        for r, c in zip(*np.nonzero(bad)):
-            violations.append(Violation("adjacency", int(r) + 1, int(c) + 1, "south"))
-    if h > 1 and w > 1:
-        bumpy = BUMPY_IDS[ids] & placed
-        window_placed = (
-            placed[:-1, :-1] & placed[:-1, 1:] & placed[1:, :-1] & placed[1:, 1:]
-        )
-        counts = (
-            bumpy[:-1, :-1].astype(np.int8)
-            + bumpy[:-1, 1:]
-            + bumpy[1:, :-1]
-            + bumpy[1:, 1:]
-        )
-        bad = window_placed & (counts != 1)
-        for r, c in zip(*np.nonzero(bad)):
-            violations.append(
-                Violation("parity", int(r) + 1, int(c) + 1, f"{int(counts[r, c])} bumpy corners")
-            )
-
+    """Check every adjacency and the exactly-one-bumpy-corner parity rule:
+    report ``_faults``' masks of the grid as sorted ``Violation``s (pairs
+    and 2x2 windows touching an empty cell are vacuously fine)."""
+    east, south, parity, counts = _faults(grid.ids)
+    violations = [
+        Violation("adjacency", int(r) + 1, int(c) + 1, side)
+        for side, bad in (("east", east), ("south", south))
+        for r, c in zip(*np.nonzero(bad))
+    ]
+    violations += (
+        Violation("parity", int(r) + 1, int(c) + 1, f"{int(counts[r, c])} bumpy corners")
+        for r, c in zip(*np.nonzero(parity))
+    )
     violations.sort(key=lambda v: (v.row, v.col, v.kind, v.detail))
     return ValidationReport(not violations, tuple(violations))

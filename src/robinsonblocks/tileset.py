@@ -76,7 +76,9 @@ class Pose(Record, order=True):
             raise ValueError(f"rotation must be in 0..3, got {rotation}")
         if mirror not in (False, True):
             raise ValueError(f"mirror must be False or True, got {mirror!r}")
-        self._set(rotation, mirror)
+        # Stored as an int and a bool, whatever equal value was given, so
+        # a rotation of 1.0 indexes like 1; equality and hashes are alike.
+        self._set(int(rotation), bool(mirror))
 
     def compose(self, other: "Pose") -> "Pose":
         """The pose equal to applying ``other`` first, then ``self``."""

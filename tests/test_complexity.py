@@ -1,5 +1,6 @@
 """Closed form, recurrences, coefficients, traces, vacant places."""
 
+import numpy as np
 import pytest
 
 from robinsonblocks.complexity import (
@@ -21,6 +22,35 @@ from robinsonblocks.complexity import (
     VERIFY_CSV_HEADER,
     _climb,
 )
+
+
+# Every function here that takes n: its name in messages, a call on n,
+# and the least n it takes.
+DOMAINS = [
+    ("floor_log2", floor_log2, 1),
+    ("closed_form_A", closed_form_A, 2),
+    ("recurrence_A", lambda n: RecurrenceTable().A(n), 1),
+    ("recurrence_B", lambda n: RecurrenceTable().B(n), 1),
+    ("coeff_a", coeff_a, 1),
+    ("coeff_b", coeff_b, 1),
+    ("decomposition_trace", decomposition_trace, 1),
+    ("vacant_places", lambda n: vacant_places(n, (1, 2)), 2),
+    ("paperfolding_P", paperfolding_P, 3),
+]
+
+
+@pytest.mark.parametrize("name, call, least", DOMAINS, ids=[d[0] for d in DOMAINS])
+def test_one_domain_check_for_every_n(name, call, least):
+    with pytest.raises(DomainError) as info:
+        call(least - 1)
+    assert str(info.value) == f"{name} needs n >= {least}, got {least - 1}"
+    for bad in (2.5, True, "5"):
+        with pytest.raises(TypeError) as info:
+            call(bad)
+        assert str(info.value) == f"n must be an integer, got {bad!r}"
+    # A numpy integer is taken as the int it equals, down to the repr.
+    for n in (least, least + 5):
+        assert repr(call(np.int64(n))) == repr(call(n))
 
 
 def test_floor_log2_values():

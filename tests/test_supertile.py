@@ -8,6 +8,7 @@ import pytest
 
 import reference_layouts
 from robinsonblocks import supertile
+from robinsonblocks.enumerator import distinct_patterns
 from robinsonblocks.supertile import (
     EMPTY,
     CrossAmbiguous,
@@ -16,6 +17,8 @@ from robinsonblocks.supertile import (
     Pose,
     SupertileSpec,
     TileGrid,
+    ValidationReport,
+    Violation,
     _candidates,
     build,
     build_supertile,
@@ -399,6 +402,15 @@ def test_a_pose_takes_only_a_mirror_equal_to_false_or_true():
     )
 
 
+def test_a_pose_stores_an_int_rotation_and_a_bool_mirror():
+    # Equal values of another type index and print like the int and bool.
+    assert repr(Pose(True, 1.0)) == "Pose(rotation=1, mirror=True)"
+    assert distinct_patterns(2, 4, Pose(1.0, False)) == distinct_patterns(2, 4, Pose(1, False))
+    assert build_supertile(SupertileSpec(3, Pose(2.0, False))) == build_supertile(
+        SupertileSpec(3, Pose(2, False))
+    )
+
+
 def test_grids_are_immutable():
     g = build(2, "NE")
     with pytest.raises(ValueError):
@@ -430,6 +442,47 @@ def _reference_candidates(ids, r, c):
             bumpy = sum(bool(BUMPY_IDS[i]) for i in others)
             ok &= BUMPY_IDS if bumpy == 0 else ~BUMPY_IDS if bumpy == 1 else False
     return tuple(int(i) for i in np.nonzero(ok)[0])
+
+
+def _reference_validate(ids):
+    """The two rules checked one pair and one 2x2 window at a time, with
+    no shared masks, in ``validate``'s order: by top-left cell, then east
+    pair, south pair and window."""
+    h, w = ids.shape
+    found = []
+    for r in range(h):
+        for c in range(w):
+            for side, ok, rr, cc in (("east", EAST_OK, r, c + 1), ("south", SOUTH_OK, r + 1, c)):
+                if rr < h and cc < w and EMPTY not in (ids[r, c], ids[rr, cc]):
+                    if not ok[ids[r, c], ids[rr, cc]]:
+                        found.append(Violation("adjacency", r + 1, c + 1, side))
+            window = ids[r : r + 2, c : c + 2].ravel().tolist()
+            if len(window) == 4 and EMPTY not in window:
+                bumpy = sum(bool(BUMPY_IDS[i]) for i in window)
+                if bumpy != 1:
+                    found.append(Violation("parity", r + 1, c + 1, f"{bumpy} bumpy corners"))
+    return tuple(found)
+
+
+def test_validate_matches_a_per_pair_per_window_reference():
+    # Every shape from 0x0 to 5x5, the one-row and one-column grids
+    # included: cuts of a supertile (mostly lawful) and random tiles, each
+    # with some cells replaced by random tiles and some left EMPTY.
+    rng = np.random.default_rng(11)
+    whole = build(4, "NE").ids
+    for h in range(6):
+        for w in range(6):
+            for trial in range(24):
+                if trial % 2:
+                    ids = rng.integers(0, len(ALL_TILES), (h, w)).astype(np.uint8)
+                else:
+                    r, c = rng.integers(0, 16 - h), rng.integers(0, 16 - w)
+                    ids = whole[r : r + h, c : c + w].copy()
+                changed = rng.random((h, w))
+                ids[changed < 0.1] = rng.integers(0, len(ALL_TILES))
+                ids[changed > 0.8] = EMPTY
+                want = _reference_validate(ids)
+                assert validate(TileGrid(ids)) == ValidationReport(not want, want), ids
 
 
 def _padded(ids):
