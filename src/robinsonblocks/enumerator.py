@@ -7,9 +7,12 @@ rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.  A scan reaches its windows through slabs, runs of n
 whole rows or columns, each keyed by its own cells: a slab met before,
-cut from a supertile or turned from one, is skipped whole.  Every rank
-is cut from the NE build as its cross band, the whole supertile at the
-first rank: the lines that hold the windows touching the central cross.
+cut from a supertile, mirrored or turned from one, is skipped whole.
+Every rank cuts one strip of its NE build, the rows that hold the
+windows touching the central row, the whole supertile at the first
+rank.  The NE supertile is its own mirror image across its NE-SW
+diagonal, so the columns that hold the windows touching the central
+column are that strip mirrored, and are keyed by mirroring its slabs.
 
 ``_window_scan`` is the one route from a rank to its NE window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ._record import Record, _integer
-from .supertile import _TURNS, EMPTY, SupertileSpec, TileGrid, _build_ids
+from .supertile import _MIRROR, _TURNS, EMPTY, SupertileSpec, TileGrid, _build_ids
 from .tileset import ALL_TILES, BUMPY_IDS, IDENTITY, Pose
 
 MAGIC = b"RBLOCKPS"
@@ -63,6 +66,9 @@ _TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
 # ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
 # a byte past the tile ids maps to itself.
 _TURN_BYTES = [table.tobytes() for table in _TURNS]
+# ``_MIRROR``, each tile id's id in a grid's mirror image across its NE-SW
+# diagonal, as a ``bytes.translate`` table.
+_MIRROR_BYTES = _MIRROR.tobytes()
 
 # The one banding constant: about this many key bytes are made into
 # ``bytes`` objects per ``tolist`` call, slab keys in ``_new_blocks`` and
@@ -183,8 +189,8 @@ class _WindowIndex:
     (the window's tile ids in row-major order).  ``slabs`` holds the
     slabs met, per orientation (row slabs, column slabs), each keyed by
     its cells: the bytes of its n lines, one after another.  ``grown``
-    holds ``(blocks, by_columns)`` for each extraction that met new slabs
-    ``blocks`` since ``_add_turned_slabs`` last ran.
+    holds ``(blocks, by_columns)`` for each extraction or mirror image
+    that met new slabs ``blocks`` since ``_add_turned_slabs`` last ran.
     """
 
     __slots__ = ("windows", "slabs", "grown")
@@ -224,11 +230,18 @@ def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) 
     lines = np.ascontiguousarray(ids.T if by_columns else ids)
     count, cells = lines.shape
     keys = np.ndarray((count - n + 1,), np.dtype((np.void, n * cells)), lines, strides=(cells,))
+    _add_slabs(keys, n, by_columns, index)
+    return index.windows
+
+
+def _add_slabs(keys: np.ndarray, n: int, by_columns: bool, index: _WindowIndex) -> None:
+    """Key the windows of the slabs keyed by the 1-D void array ``keys``
+    that ``index`` has not met in their orientation, columns if
+    ``by_columns``, and put those slabs, if any, on ``index.grown``."""
     blocks = _new_blocks(keys, n, index.slabs[by_columns])
     if len(blocks):
         _key_blocks(blocks, by_columns, index)
         index.grown.append((blocks, by_columns))
-    return index.windows
 
 
 def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
@@ -258,22 +271,25 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
     so its window at row r is the n*n contiguous bytes starting at byte
     r*n, and a strided void view hands those bytes to ``tolist`` without
     copying each window.  A row slab's windows are copied out whole, one
-    after another.
+    after another, each as its n rows of n bytes: the copy moves n-byte
+    void items, not single cells.  A scan's row slabs are the mirror
+    images of its column slabs (``_add_mirrored_slabs``).
     """
     count, n, cells = blocks.shape
     if not count:
         return
     per_slab = cells - n + 1
-    # ``view[i]`` is slab i as it is copied out: (cells, n) for a column
-    # slab, its ``per_slab`` n-by-n windows for a row slab.
+    # ``view[i]`` is slab i as it is copied out: (cells, n) cells for a
+    # column slab, its ``per_slab`` windows of n n-byte rows for a row slab.
     if by_columns:
         view, stride = blocks.transpose(0, 2, 1), n
     else:
-        shape, strides = (count, per_slab, n, n), (n * cells, 1, cells, 1)
-        view, stride = np.ndarray(shape, np.uint8, np.ascontiguousarray(blocks), 0, strides), n * n
+        shape, strides = (count, per_slab, n), (n * cells, 1, cells)
+        rows = np.dtype((np.void, n))
+        view, stride = np.ndarray(shape, rows, np.ascontiguousarray(blocks), 0, strides), n * n
     step = max(1, _GATHER_BYTES // (per_slab * n * n))
     for i in range(0, count, step):
-        band = np.ascontiguousarray(view[i : i + step])
+        band = np.ascontiguousarray(view[i : i + step]).view(np.uint8)
         shape, strides = (len(band), per_slab), (band.strides[0], stride)
         keys = np.ndarray(shape, np.dtype((np.void, n * n)), band, 0, strides)
         index.windows.update(*keys.tolist())
@@ -315,6 +331,24 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     for (by_columns, cells), data in turned.items():
         keys = np.frombuffer(data, dtype=np.dtype((np.void, n * cells)))
         _key_blocks(_new_blocks(keys, n, index.slabs[by_columns]), by_columns, index)
+
+
+def _add_mirrored_slabs(index: _WindowIndex, n: int) -> None:
+    """Add to ``index`` the windows of the mirror image across the NE-SW
+    diagonal of each new slab on ``index.grown``, and put the mirrored
+    slabs it had not met on ``index.grown`` too.
+
+    The mirror image of an array H rows by L columns is
+    ``_MIRROR[ids[::-1, ::-1].T]``: its column at j becomes its row at
+    L - 1 - j, and its row at i a column at H - 1 - i.  So a slab's
+    mirror image is a slab of the other orientation, its lines and each
+    line's cells reversed and every tile mirrored: ``blocks[:, ::-1,
+    ::-1]`` translated by ``_MIRROR_BYTES``.
+    """
+    for blocks, by_columns in list(index.grown):
+        data = blocks[:, ::-1, ::-1].tobytes().translate(_MIRROR_BYTES)
+        keys = np.frombuffer(data, dtype=np.dtype((np.void, blocks[0].size)))
+        _add_slabs(keys, n, not by_columns, index)
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -378,13 +412,41 @@ def _window_scan(n: int, ranks: range):
     row bytes.
 
     Only windows that touch the central row or column are extracted, from
-    the two strips of lines that hold them, views of the NE build.  A
-    rank-(k+1) window either touches the central cross or lies inside a
-    quadrant, and the four quadrants are exactly the four facings of rank
-    k.  So the windows of every facing of rank k plus the NE supertile's
-    own cross-touching windows are the rank-(k+1) set.  At the first
-    rank, k = n.bit_length(), the quadrant side 2^(k-1) - 1 is below n,
-    so every window touches the cross: the whole supertile is cut, once.
+    the two strips of lines that hold them.  A rank-(k+1) window either
+    touches the central cross or lies inside a quadrant, and the four
+    quadrants are exactly the four facings of rank k.  So the windows of
+    every facing of rank k plus the NE supertile's own cross-touching
+    windows are the rank-(k+1) set.  At the first rank, k =
+    n.bit_length(), the quadrant side 2^(k-1) - 1 is below n, so every
+    window touches the cross and the strip of rows is the whole
+    supertile.
+
+    Only one strip is cut: the strip of rows, a view of the NE build, as
+    column slabs.  The strip of columns is its mirror image, because the
+    NE supertile is its own mirror image across its NE-SW diagonal,
+    ``ne == M[ne[::-1, ::-1].T]`` with ``M = _MIRROR``:
+
+    - the rules are invariant under the mirror: it makes an east pair
+      (a, b) the south pair (M[b], M[a]), and ``EAST_OK[a, b] ==
+      SOUTH_OK[M[b], M[a]]``; it makes a 2x2 window a 2x2 window, and
+      ``BUMPY_IDS[M] == BUMPY_IDS``;
+    - it keeps the centre corner and maps the quadrants onto each
+      other: it swaps the SE-facing and NW-facing ones and keeps the
+      other two.  Each facing is the NE supertile of the rank below
+      turned, that supertile is its own mirror image (by induction on
+      the rank), and the mirror makes a quarter turn its inverse;
+    - ``_build_ids`` solves each cross cell to exactly one tile, given
+      the quadrants, the centre and the cells solved before it; the
+      mirrored grid obeys the rules, so its tile at each cross cell is
+      that tile, and it is the same grid.
+
+    So the strip of columns' row slabs are the mirror images of the cut
+    column slabs, and ``_add_mirrored_slabs`` keys them from the new
+    ones.  A column slab met before needs no mirror image: its windows
+    are in the set, and so are theirs, since the set before a rank's cut
+    holds the windows of its quadrants, which the mirror maps onto each
+    other.  At the first rank the mirror images are the whole
+    supertile's row slabs, whose windows are in the set already.
 
     Only the NE facing is ever cut.  The facing t quarter turns on is the
     NE one turned, ``TURN^t[np.rot90(ids, t)]``, so its cross strips are
@@ -392,26 +454,25 @@ def _window_scan(n: int, ranks: range):
     odd t.  A turned array's windows are its windows turned, and an
     array's windows are its slabs' windows.  So the other facings of rank
     k add exactly the turns of the windows extracted up to rank k, and
-    those are the turns of the new slabs keyed up to rank k:
-    ``_add_turned_slabs`` turns the cells of each new slab three times.
-    So facing t's set is this set turned, and the readers of cells turn
-    what they read.
+    those are the turns of the new slabs keyed up to rank k, cut or
+    mirrored: ``_add_turned_slabs`` turns the cells of each new slab
+    three times.  So facing t's set is this set turned, and the readers
+    of cells turn what they read.
 
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
-    adds to it.  Rank k is yielded as soon as its strips are extracted;
-    the turned slabs of rank k belong to rank k+1's set and are added
-    only when the scan is resumed, so a scan that stops at its plateau
-    never turns the slabs of its last rank.
+    adds to it.  Rank k is yielded as soon as its strip and the strip's
+    mirror image are keyed; the turned slabs of rank k belong to rank
+    k+1's set and are added only when the scan is resumed, so a scan
+    that stops at its plateau never turns the slabs of its last rank.
     """
     index = _WindowIndex()
     for k in ranks:
         _add_turned_slabs(index, n)
         ne = _build_ids(k)
         c = ne.shape[0] // 2
-        band = slice(c - n + 1, c + n)
-        for strip in (ne,) if k == ranks.start else (ne[band], ne[:, band]):
-            _unique_windows(strip, n, index)
+        _unique_windows(ne[max(c - n + 1, 0) : c + n], n, index)
+        _add_mirrored_slabs(index, n)
         yield k, index.windows
 
 

@@ -36,6 +36,7 @@ from .tileset import (
     Pose,
     Prototile,
     _KEY_TO_PROTOTILE,
+    mirror_tile,
     tile_from_id,
     tile_id,
 )
@@ -261,25 +262,34 @@ class TileGrid:
         return cls(np.frombuffer(flat, dtype=np.uint8).reshape(height, width))
 
 
+# The two rules over every uint8 id, each id past the tile ids read as
+# EMPTY: such a pair always abuts, and such a cell weighs 8 bumpy
+# corners, so a 2x2 window holding one sums to 8 or more.
+_EAST_OK = np.ones((256, 256), dtype=bool)
+_EAST_OK[: len(ALL_TILES), : len(ALL_TILES)] = EAST_OK
+_SOUTH_OK = np.ones((256, 256), dtype=bool)
+_SOUTH_OK[: len(ALL_TILES), : len(ALL_TILES)] = SOUTH_OK
+_BUMPY_WEIGHT = np.full(256, 8, dtype=np.int8)
+_BUMPY_WEIGHT[: len(ALL_TILES)] = BUMPY_IDS
+
+
 def _faults(ids: np.ndarray) -> tuple:
-    """Robinson's two local rules on grids shaped ``(..., height, width)``.
+    """Robinson's two local rules on uint8 grids shaped ``(..., height,
+    width)``.
 
     Returns the east pairs (by west cell) and south pairs (by north cell)
     whose edges do not abut, the 2x2 windows (by top-left cell) without
     exactly one bumpy corner, and each window's bumpy count.  A pair or
-    window touching an EMPTY cell is never at fault.
+    window touching an EMPTY cell is never at fault; its count is 8 or
+    more.
     """
-    placed = ids != EMPTY
-    tiles = np.where(placed, ids, 0)  # EMPTY reads as tile 0; ``placed`` masks it
-    across = placed[..., :-1] & placed[..., 1:]
-    east = ~EAST_OK[tiles[..., :-1], tiles[..., 1:]] & across
-    south = ~SOUTH_OK[tiles[..., :-1, :], tiles[..., 1:, :]]
-    south &= placed[..., :-1, :] & placed[..., 1:, :]
-    bumpy = BUMPY_IDS[tiles] & placed
-    del tiles, placed  # each as large as the grids: freed before the window sums
-    row_pairs = bumpy[..., :-1].astype(np.int8) + bumpy[..., 1:]
+    east = ~_EAST_OK[ids[..., :-1], ids[..., 1:]]
+    south = ~_SOUTH_OK[ids[..., :-1, :], ids[..., 1:, :]]
+    weight = _BUMPY_WEIGHT[ids]
+    row_pairs = weight[..., :-1] + weight[..., 1:]
+    del weight  # as large as the grids: freed before the window sums
     counts = row_pairs[..., :-1, :] + row_pairs[..., 1:, :]
-    return east, south, (counts != 1) & across[..., :-1, :] & across[..., 1:, :], counts
+    return east, south, (counts != 1) & (counts < 8), counts
 
 
 def _candidates(padded: np.ndarray, r: int, c: int) -> tuple:
@@ -325,6 +335,14 @@ def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
 _TURNS = np.tile(np.arange(256, dtype=np.uint8), (4, 1))
 for _t in range(1, 4):
     _TURNS[_t, : len(TURN)] = TURN[_TURNS[_t - 1, : len(TURN)]]
+
+# Each id's id in a grid's mirror image across its NE-SW diagonal,
+# ``_MIRROR[ids[::-1, ::-1].T]``: the tile reflected across a vertical
+# axis, then turned three quarters; an id past the tile ids maps to
+# itself.  The NE supertile of every rank is its own mirror image (see
+# ``enumerator._window_scan``).
+_MIRROR = _TURNS[3].copy()
+_MIRROR[: len(TURN)] = _TURNS[3][[tile_id(mirror_tile(t)) for t in ALL_TILES]]
 
 
 def _rot90(ids: np.ndarray, t: int) -> np.ndarray:

@@ -17,6 +17,7 @@ arrow labels and are told apart by the parity rule alone.
 from __future__ import annotations
 
 import enum
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,10 @@ class Pose(Record, order=True):
     __match_args__ = ("rotation", "mirror")
 
     def __init__(self, rotation: int = 0, mirror: bool = False):
-        if rotation not in (0, 1, 2, 3):
+        # A complex number that equals 0..3 is still no rotation, and
+        # ``int`` rejects it.
+        unreal = isinstance(rotation, numbers.Complex) and not isinstance(rotation, numbers.Real)
+        if unreal or rotation not in (0, 1, 2, 3):
             raise ValueError(f"rotation must be in 0..3, got {rotation}")
         if mirror not in (False, True):
             raise ValueError(f"mirror must be False or True, got {mirror!r}")

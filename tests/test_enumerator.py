@@ -213,8 +213,9 @@ def test_window_index_keys_a_strip_once(monkeypatch):
 def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
     # At the scan's first rank, k = n.bit_length(), the quadrant side
     # 2^(k-1) - 1 is below n, so every window touches the central cross:
-    # the scan cuts the whole NE supertile, once.  Every later rank is cut
-    # as two strips of 2n - 1 lines, views of its NE build.
+    # the strip of rows is the whole NE supertile.  Every rank cuts one
+    # view of its NE build, that strip of at most 2n - 1 rows; the strip
+    # of columns is its mirror image and is never cut.
     grids, cut = {}, []
 
     def build_ids(rank):
@@ -233,15 +234,16 @@ def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
         cut.clear()
         scan = enumerator._window_scan(n, range(k, k + 2))
         assert next(scan)[0] == k
-        assert len(cut) == 1 and cut[0] is grids[k], n
+        (whole,) = cut
+        assert whole.shape == grids[k].shape and whole.base is grids[k], n
+        assert np.shares_memory(whole, grids[k][0]) and np.shares_memory(whole, grids[k][-1]), n
         assert next(scan)[0] == k + 1
         s = (1 << (k + 1)) - 1
         c = s // 2
-        rows, cols = cut[1:]
-        assert rows.shape == (2 * n - 1, s) and cols.shape == (s, 2 * n - 1), n
-        assert rows.base is grids[k + 1] and cols.base is grids[k + 1], n
+        _, rows = cut
+        assert rows.shape == (2 * n - 1, s) and rows.base is grids[k + 1], n
         assert np.shares_memory(rows, grids[k + 1][c - n + 1]), n
-        assert np.shares_memory(cols, grids[k + 1][:, c + n - 1]), n
+        assert np.shares_memory(rows, grids[k + 1][c + n - 1]), n
 
 
 def test_window_index_on_full_grids():

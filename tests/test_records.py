@@ -236,6 +236,7 @@ def test_construction_by_position_keyword_and_default(case):
     [
         (lambda: Pose(4), "rotation must be in 0..3, got 4"),
         (lambda: Pose(-1, True), "rotation must be in 0..3, got -1"),
+        (lambda: Pose(1 + 0j, False), "rotation must be in 0..3, got (1+0j)"),
         (lambda: SupertileSpec(0), "rank must be >= 1, got 0"),
         (lambda: SupertileSpec(2, Pose(1, True)), "supertile facing is restricted to the 4 rotations"),
         (lambda: Pattern(2, b"\x00" * 11), "pattern data length must be 3*n*n"),

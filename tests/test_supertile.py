@@ -32,9 +32,11 @@ from robinsonblocks.tileset import (
     SOUTH_OK,
     OrientedTile,
     Prototile,
+    TURN,
     Side,
     edge_label,
     label_text,
+    mirror_tile,
     tile_id,
 )
 
@@ -585,3 +587,38 @@ def test_a_memo_hit_never_hides_a_cross_error():
         with pytest.raises(CrossAmbiguous) as exc:
             solve_cross_cell(ambiguous, (1, 2))
         assert exc.value.pos == (1, 2) and len(exc.value.candidates) > 1
+
+
+def test_the_mirror_table_is_an_involution_that_keeps_the_rules():
+    # ``_MIRROR`` maps each id to its id in a grid's mirror image across
+    # the NE-SW diagonal: the tile reflected across a vertical axis, then
+    # turned three quarters.
+    table, tiles = supertile._MIRROR, len(ALL_TILES)
+    assert table.dtype == np.uint8 and table.shape == (256,)
+    mirrored = np.array([tile_id(mirror_tile(t)) for t in ALL_TILES])
+    assert np.array_equal(table[:tiles], TURN[TURN[TURN[mirrored]]])
+    assert np.array_equal(table[tiles:], np.arange(tiles, 256))
+    assert np.array_equal(table[table], np.arange(256))
+    # An east pair (a, b) becomes the south pair (M[b], M[a]); bumpy
+    # corners stay bumpy.
+    m = table[:tiles]
+    assert np.array_equal(EAST_OK, SOUTH_OK[m[None, :], m[:, None]])
+    assert np.array_equal(BUMPY_IDS[m], BUMPY_IDS)
+    for proto in (Prototile.CORNER, Prototile.BUMPY_CORNER):
+        centre = tile_id(OrientedTile(proto))
+        assert table[centre] == centre
+
+
+@pytest.mark.parametrize(
+    "rank", [pytest.param(k, marks=pytest.mark.slow if k > 12 else ()) for k in range(1, 15)]
+)
+def test_the_ne_supertile_is_its_own_mirror_image(rank, monkeypatch):
+    # ``ne == _MIRROR[ne[::-1, ::-1].T]``: the scan cuts only the strip
+    # of rows and keys the strip of columns as its mirror image.  Checked
+    # a band of rows at a time; rank 14 holds the NE grids of ranks 1..14.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    ne = supertile._build_ids(rank)
+    image = ne[::-1, ::-1].T
+    step = 1024
+    for r in range(0, ne.shape[0], step):
+        assert np.array_equal(ne[r : r + step], supertile._MIRROR[image[r : r + step]]), r

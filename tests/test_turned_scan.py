@@ -20,6 +20,7 @@ from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     _TURN_BYTES,
     _WindowIndex,
+    _add_mirrored_slabs,
     _add_turned_slabs,
     _key_blocks,
     _pattern_set,
@@ -318,10 +319,35 @@ def test_add_turned_slabs_adds_the_turned_windows(case):
     assert index.windows == _turned_windows(ids, n, by_columns, starts, (1, 2, 3))
 
 
+@settings(max_examples=100, deadline=None)
+@given(slab_cases())
+def test_add_mirrored_slabs_adds_the_mirror_images_and_grows(case):
+    # A slab mirrored across the NE-SW diagonal is a slab of the other
+    # orientation of the array's mirror image, its start counted from
+    # the other end.  It joins ``grown``, so the scan turns it too,
+    # unless it was met.
+    ids, n, by_columns, starts = case
+    image = supertile._MIRROR[ids[::-1, ::-1].T]
+    mirrored = [ids.shape[by_columns] - n - i for i in starts]
+    index = _WindowIndex()
+    index.grown.append((_blocks(ids, n, by_columns, starts), by_columns))
+    _add_mirrored_slabs(index, n)
+    _, (blocks, grown_by_columns) = index.grown
+    assert grown_by_columns == (not by_columns)
+    expected = _blocks(image, n, not by_columns, mirrored)
+    assert sorted(b.tobytes() for b in blocks) == sorted({b.tobytes() for b in expected})
+    assert index.windows == {w.tobytes() for w in _slab_windows(image, n, not by_columns, mirrored)}
+    met = _WindowIndex()
+    met.slabs[not by_columns].update(index.slabs[not by_columns])
+    met.grown.append(index.grown[0])
+    _add_mirrored_slabs(met, n)
+    assert len(met.grown) == 1 and not met.windows
+
+
 @pytest.mark.slow
 def test_the_plateau_holds_through_rank_13(monkeypatch):
-    # One facing per rank keeps rank 13 cheap: the scan cuts two strips
-    # of the NE build and turns only its new slabs.  The memo is the
+    # One facing per rank keeps rank 13 cheap: the scan cuts one strip
+    # of the NE build, mirrors it and turns only its new slabs.  The memo is the
     # test's own, so the rank-13 grid is let go afterwards.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     for n in range(2, 9):
