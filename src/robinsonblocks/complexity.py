@@ -233,7 +233,10 @@ def vacant_places(n: int, first_step_choice) -> VacantShape:
     transpose of [1,2], a fixed orientation convention)."""
     if type(n) is not int or n < 2:
         n = _domain("vacant_places", n, 2)
-    choice = tuple(first_step_choice)
+    try:
+        choice = tuple(first_step_choice)
+    except TypeError:  # not iterable
+        choice = None
     if choice not in _FIRST_STEP_CHOICES:
         raise DomainError(f"first_step_choice must be one of {_FIRST_STEP_CHOICES}")
     return VacantShape(*((n + o - 1) // 2 for o in choice))

@@ -6,13 +6,14 @@ Windows are deduplicated at the tile-id level, as a set of n*n-byte
 rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.  A scan reaches its windows through slabs, runs of n
-whole rows or columns, each keyed by its own cells: a slab met before,
-cut from a supertile, mirrored or turned from one, is skipped whole.
-Every rank cuts one strip of its NE build, the rows that hold the
-windows touching the central row, the whole supertile at the first
-rank.  The NE supertile is its own mirror image across its NE-SW
-diagonal, so the columns that hold the windows touching the central
-column are that strip mirrored, and are keyed by mirroring its slabs.
+whole columns, and their mirror images across the NE-SW diagonal, runs
+of n whole rows.  A column slab and its mirror image are one slab
+class, keyed by the column slab's cells: a class met before, cut from a
+supertile or turned from one, is skipped whole.  Every rank cuts one
+strip of its NE build, the rows that hold the windows touching the
+central row, the whole supertile at the first rank.  The NE supertile
+is its own mirror image, so the columns that hold the windows touching
+the central column are that strip mirrored, and its classes key both.
 
 ``_window_scan`` is the one route from a rank to its NE window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
@@ -63,12 +64,17 @@ _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
 _TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
 _TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
 
-# ``TURN`` applied t times, for t = 0..3, as ``bytes.translate`` tables;
-# a byte past the tile ids maps to itself.
-_TURN_BYTES = [table.tobytes() for table in _TURNS]
 # ``_MIRROR``, each tile id's id in a grid's mirror image across its NE-SW
 # diagonal, as a ``bytes.translate`` table.
 _MIRROR_BYTES = _MIRROR.tobytes()
+# The three slab classes the quarter turns make of one (``_add_turned_slabs``),
+# named by their column slabs T^2 c, M T c and M T^3 c: c's lines and cells
+# reversed (-1) or kept (1), and every tile translated by the table.
+_CLASS_TURNS = (
+    (-1, -1, _TURNS[2].tobytes()),
+    (1, -1, _MIRROR[_TURNS[1]].tobytes()),
+    (-1, 1, _MIRROR[_TURNS[3]].tobytes()),
+)
 
 # The one banding constant: about this many key bytes are made into
 # ``bytes`` objects per ``tolist`` call, slab keys in ``_new_blocks`` and
@@ -97,12 +103,23 @@ class PatternVersionMismatch(ValueError):
         )
 
 
+def _block_side(n) -> int:
+    """``n`` as an int if it is an integer (not a bool) of at least 0, the
+    side of a ``Pattern`` or ``PatternSet``; else a TypeError, or a
+    ValueError naming n."""
+    n = _integer("block side", n)
+    if n < 0:
+        raise ValueError(f"n={n}: a block side must be non-negative")
+    return n
+
+
 class Pattern(Record):
     """One deduplicated n-by-n block in canonical byte form."""
 
     __match_args__ = ("n", "data")
 
     def __init__(self, n: int, data: bytes):
+        n = _block_side(n)
         if len(data) != 3 * n * n:  # row-major, 3 bytes per cell
             raise ValueError("pattern data length must be 3*n*n")
         self._set(n, data)
@@ -112,7 +129,7 @@ class PatternSet:
     """Dedup store of same-sized Patterns with an exact count."""
 
     def __init__(self, n: int, members=()):
-        self.n = n
+        self.n = _block_side(n)
         self._members = set()
         for m in members:
             self.add(m)
@@ -187,61 +204,69 @@ class _WindowIndex:
 
     ``windows`` is the set of distinct n-by-n windows, as n*n-byte rows
     (the window's tile ids in row-major order).  ``slabs`` holds the
-    slabs met, per orientation (row slabs, column slabs), each keyed by
-    its cells: the bytes of its n lines, one after another.  ``grown``
-    holds ``(blocks, by_columns)`` for each extraction or mirror image
-    that met new slabs ``blocks`` since ``_add_turned_slabs`` last ran.
+    slab classes met (see ``_unique_windows``), each keyed by its column
+    slab: the bytes of its n columns, one after another.  ``grown``
+    holds, for each extraction that met new classes since
+    ``_add_turned_slabs`` last ran, their column slabs as one array.
     """
 
     __slots__ = ("windows", "slabs", "grown")
 
     def __init__(self):
         self.windows: set = set()
-        self.slabs = (set(), set())
+        self.slabs: set = set()
         self.grown: list = []
 
 
 def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) -> set:
-    """Add the distinct n-by-n windows of a tile-id array to ``index``
-    (a fresh one by default) and return its window set.
+    """Add the distinct n-by-n windows of a tile-id array and of its
+    mirror image across the NE-SW diagonal, ``_MIRROR[ids[::-1, ::-1].T]``,
+    to ``index`` (a fresh one by default) and return its window set.
 
     This is the one window-dedup kernel: set membership compares the
     row bytes for equality, so the dedup is exact.  The array is cut
-    into lines along its long axis (its columns if it is at least as
-    wide as tall, else its rows), and n consecutive lines make a slab,
-    keyed by their bytes.  Every window of the array lies in exactly
-    one slab, at the line it starts on, so the array's windows are its
-    slabs' windows.  Windows are keyed (``_key_blocks``) only for slabs
-    this index has not met in that orientation, and those slabs, if any,
-    go on ``index.grown``.  A cross strip of a scan holds only a few
-    times n distinct slabs, whatever the rank (112 of 2032 for n = 16 at
-    rank 11), and a scan meets most of them at its lower ranks.  In a
-    scan a slab holds at most n*(2n - 1) cells: every strip a scan cuts
-    is at most 2n - 1 lines wide, the whole supertile of its first rank
-    included.  Slab keys are checked, and windows keyed, in bands of
-    about ``_GATHER_BYTES`` key bytes.
+    into columns, and n consecutive columns make a column slab c.
+    Every window of the array lies in exactly one column slab, at the
+    column it starts on, so the array's windows are its column slabs'
+    windows.  The mirror image makes the array's column at j its row at
+    L - 1 - j (L the array's width), so it makes c a row slab M(c), its
+    lines and each line's cells reversed and every tile mirrored, and
+    the mirror image's windows are those row slabs' windows.  c and M(c)
+    are one slab class, keyed by c's bytes; ``_add_classes`` keys the
+    windows of both for each class this index has not met, and puts
+    those classes' column slabs, if any, on ``index.grown``.  A cross
+    strip of a scan holds only a few times n distinct classes, whatever
+    the rank (112 of 2032 for n = 16 at rank 11), and a scan meets most
+    of them at its lower ranks.  In a scan a column slab holds at most
+    n*(2n - 1) cells: every strip a scan cuts is at most 2n - 1 rows
+    high, the whole supertile of its first rank included.  Slab keys
+    are checked, and windows keyed, in bands of about ``_GATHER_BYTES``
+    key bytes.
     """
     if index is None:
         index = _WindowIndex()
     height, width = ids.shape
     if min(height, width) < n:
         return index.windows
-    by_columns = width >= height
-    lines = np.ascontiguousarray(ids.T if by_columns else ids)
-    count, cells = lines.shape
-    keys = np.ndarray((count - n + 1,), np.dtype((np.void, n * cells)), lines, strides=(cells,))
-    _add_slabs(keys, n, by_columns, index)
+    lines = np.ascontiguousarray(ids.T)
+    keys = np.ndarray((width - n + 1,), np.dtype((np.void, n * height)), lines, strides=(height,))
+    blocks = _add_classes(keys, n, index)
+    if len(blocks):
+        index.grown.append(blocks)
     return index.windows
 
 
-def _add_slabs(keys: np.ndarray, n: int, by_columns: bool, index: _WindowIndex) -> None:
-    """Key the windows of the slabs keyed by the 1-D void array ``keys``
-    that ``index`` has not met in their orientation, columns if
-    ``by_columns``, and put those slabs, if any, on ``index.grown``."""
-    blocks = _new_blocks(keys, n, index.slabs[by_columns])
-    if len(blocks):
-        _key_blocks(blocks, by_columns, index)
-        index.grown.append((blocks, by_columns))
+def _add_classes(keys: np.ndarray, n: int, index: _WindowIndex) -> np.ndarray:
+    """Key the windows of each slab class, named by a column slab of the
+    1-D void array ``keys``, that ``index`` has not met, and return those
+    column slabs as ``_new_blocks`` does.  A class {c, M(c)} is keyed as
+    c's windows and the windows of the row slab M(c): ``blocks[:, ::-1,
+    ::-1]`` translated by ``_MIRROR_BYTES``."""
+    blocks = _new_blocks(keys, n, index.slabs)
+    _key_blocks(blocks, True, index)
+    mirrored = blocks[:, ::-1, ::-1].tobytes().translate(_MIRROR_BYTES)
+    _key_blocks(np.frombuffer(mirrored, dtype=np.uint8).reshape(blocks.shape), False, index)
+    return blocks
 
 
 def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
@@ -272,8 +297,8 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
     r*n, and a strided void view hands those bytes to ``tolist`` without
     copying each window.  A row slab's windows are copied out whole, one
     after another, each as its n rows of n bytes: the copy moves n-byte
-    void items, not single cells.  A scan's row slabs are the mirror
-    images of its column slabs (``_add_mirrored_slabs``).
+    void items, not single cells.  The row slabs of a scan are the
+    mirror images of its column slabs (``_add_classes``).
     """
     count, n, cells = blocks.shape
     if not count:
@@ -295,60 +320,29 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
         index.windows.update(*keys.tolist())
 
 
-def _turn_reverses(by_columns: bool, t: int) -> bool:
-    """Whether ``t`` quarter turns of an array reverse the order of its
-    columns (if ``by_columns``) or of its rows.  A quarter turn makes the
-    column at j of an array L columns wide its row at L - 1 - j, and its
-    row at i a column at i."""
-    return t == 2 or by_columns == (t == 1)
-
-
 def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     """Add to ``index`` the windows of the other three quarter turns of
-    each new slab on ``index.grown``, and empty that list.
+    each new slab class on ``index.grown``, and empty that list.
 
-    An array turned ``t`` times is ``TURN^t[np.rot90(ids, t)]``, and its
-    slabs are the array's slabs turned, column slabs becoming row slabs
-    at odd t.  A slab's lines come out reversed if the turn reverses
-    their order, and each line's cells if it reverses the order of the
-    lines of the other orientation; every tile turns with them.  So turn
-    t of a block is ``blocks[:, ::a, ::b]`` translated by
-    ``_TURN_BYTES[t]``, its bytes the key the turned array's own slab
-    would have.  Turned blocks are gathered into one buffer per
-    orientation and line length they turn into, so a rank's turns take
-    one ``_new_blocks`` and one ``_key_blocks`` call per orientation.  A
-    turned slab whose key was met is skipped, as in ``_unique_windows``:
-    its windows are in the set already.
+    An array turned ``t`` times is ``T^t(ids) = TURN^t[np.rot90(ids,
+    t)]``, and the mirror M makes a quarter turn its inverse, ``T^t M ==
+    M T^-t``.  So turn t of a class {c, M(c)} is {T^t c, M T^-t c}, and
+    the three turns together are the classes of the column slabs T^2 c,
+    M T c and M T^3 c: turn 2 is the first, and turns 1 and 3 each give
+    one half of the other two.  Each of those column slabs is c with its
+    lines, its cells or both reversed and every tile through one row of
+    ``_CLASS_TURNS``, its bytes the key the turned array's own class
+    would have.  The turned slabs of each array on ``grown`` make one
+    buffer, put through ``_add_classes`` as a cut strip's slabs are: a
+    class whose key was met is skipped, its windows in the set already.
     """
     grown, index.grown = index.grown, []
-    turned: dict = {}
-    for blocks, by_columns in grown:
-        for t in (1, 2, 3):
-            a = -1 if _turn_reverses(by_columns, t) else 1
-            b = -1 if _turn_reverses(not by_columns, t) else 1
-            data = turned.setdefault((by_columns != (t % 2 == 1), blocks.shape[2]), bytearray())
-            data += blocks[:, ::a, ::b].tobytes().translate(_TURN_BYTES[t])
-    for (by_columns, cells), data in turned.items():
-        keys = np.frombuffer(data, dtype=np.dtype((np.void, n * cells)))
-        _key_blocks(_new_blocks(keys, n, index.slabs[by_columns]), by_columns, index)
-
-
-def _add_mirrored_slabs(index: _WindowIndex, n: int) -> None:
-    """Add to ``index`` the windows of the mirror image across the NE-SW
-    diagonal of each new slab on ``index.grown``, and put the mirrored
-    slabs it had not met on ``index.grown`` too.
-
-    The mirror image of an array H rows by L columns is
-    ``_MIRROR[ids[::-1, ::-1].T]``: its column at j becomes its row at
-    L - 1 - j, and its row at i a column at H - 1 - i.  So a slab's
-    mirror image is a slab of the other orientation, its lines and each
-    line's cells reversed and every tile mirrored: ``blocks[:, ::-1,
-    ::-1]`` translated by ``_MIRROR_BYTES``.
-    """
-    for blocks, by_columns in list(index.grown):
-        data = blocks[:, ::-1, ::-1].tobytes().translate(_MIRROR_BYTES)
-        keys = np.frombuffer(data, dtype=np.dtype((np.void, blocks[0].size)))
-        _add_slabs(keys, n, not by_columns, index)
+    for blocks in grown:
+        data = b"".join(
+            blocks[:, ::lines, ::cells].tobytes().translate(table)
+            for lines, cells, table in _CLASS_TURNS
+        )
+        _add_classes(np.frombuffer(data, dtype=np.dtype((np.void, blocks[0].size))), n, index)
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
@@ -440,13 +434,12 @@ def _window_scan(n: int, ranks: range):
       mirrored grid obeys the rules, so its tile at each cross cell is
       that tile, and it is the same grid.
 
-    So the strip of columns' row slabs are the mirror images of the cut
-    column slabs, and ``_add_mirrored_slabs`` keys them from the new
-    ones.  A column slab met before needs no mirror image: its windows
-    are in the set, and so are theirs, since the set before a rank's cut
-    holds the windows of its quadrants, which the mirror maps onto each
-    other.  At the first rank the mirror images are the whole
-    supertile's row slabs, whose windows are in the set already.
+    So the strip of columns is the mirror image of the strip of rows,
+    and ``_unique_windows``, which keys the windows of an array and of its
+    mirror image, keys both from the cut: each column slab c of the strip
+    of rows and its mirror image M(c), a row slab of the strip of
+    columns, are one slab class.  At the first rank the mirror image is
+    the whole supertile again.
 
     Only the NE facing is ever cut.  The facing t quarter turns on is the
     NE one turned, ``TURN^t[np.rot90(ids, t)]``, so its cross strips are
@@ -454,17 +447,17 @@ def _window_scan(n: int, ranks: range):
     odd t.  A turned array's windows are its windows turned, and an
     array's windows are its slabs' windows.  So the other facings of rank
     k add exactly the turns of the windows extracted up to rank k, and
-    those are the turns of the new slabs keyed up to rank k, cut or
-    mirrored: ``_add_turned_slabs`` turns the cells of each new slab
-    three times.  So facing t's set is this set turned, and the readers
-    of cells turn what they read.
+    those are the turns of the new slab classes keyed up to rank k:
+    ``_add_turned_slabs`` makes the three turned classes of each.  So
+    facing t's set is this set turned, and the readers of cells turn
+    what they read.
 
     Every extraction adds into one window index, so the yielded set is
     the scan's own, live: it is valid until the scan is resumed, which
-    adds to it.  Rank k is yielded as soon as its strip and the strip's
-    mirror image are keyed; the turned slabs of rank k belong to rank
-    k+1's set and are added only when the scan is resumed, so a scan
-    that stops at its plateau never turns the slabs of its last rank.
+    adds to it.  Rank k is yielded as soon as its strip's slab classes
+    are keyed; the turned classes of rank k belong to rank k+1's set and
+    are added only when the scan is resumed, so a scan that stops at its
+    plateau never turns the classes of its last rank.
     """
     index = _WindowIndex()
     for k in ranks:
@@ -472,7 +465,6 @@ def _window_scan(n: int, ranks: range):
         ne = _build_ids(k)
         c = ne.shape[0] // 2
         _unique_windows(ne[max(c - n + 1, 0) : c + n], n, index)
-        _add_mirrored_slabs(index, n)
         yield k, index.windows
 
 
@@ -685,13 +677,11 @@ def save_pattern_set(ps: PatternSet, path) -> None:
     The file ``path`` names, through symlinks or not, is written under a
     temporary name beside it and renamed over it, so a writer that fails
     or is killed by SIGTERM midway never leaves a truncated file there,
-    and a symlink stays a symlink.  A negative n, an n whose 3n^2-byte
-    records overflow their length field, or a member with a triple that
-    names no canonical tile, raises ``ValueError`` before the path is
-    opened.
+    and a symlink stays a symlink.  An n whose 3n^2-byte records
+    overflow their length field, or a member with a triple that names no
+    canonical tile, raises ``ValueError`` before the path is opened; a
+    negative n is refused when the set is made.
     """
-    if ps.n < 0:
-        raise ValueError(f"n={ps.n}: a block side must be non-negative")
     if 3 * ps.n * ps.n >> 32:
         raise ValueError(f"n={ps.n}: a 3n^2-byte record overflows its length field")
     triples = np.frombuffer(b"".join(ps._members), dtype=np.uint8).reshape(-1, 3)

@@ -322,8 +322,15 @@ def _solve(padded: np.ndarray, r: int, c: int) -> int:
 
 def solve_cross_cell(partial: TileGrid, pos) -> OrientedTile:
     """The unique tile fitting ``pos`` (1-based [row, col]) given the
-    already-placed neighbours.  Raises CrossUnsolvable / CrossAmbiguous."""
-    row, col = pos
+    already-placed neighbours.  Raises CrossUnsolvable / CrossAmbiguous.
+    A ``pos`` that is no pair raises ValueError, a pair of non-integers
+    TypeError and a cell outside the grid ValueError, before anything is
+    solved."""
+    try:
+        row, col = pos
+    except (TypeError, ValueError):
+        raise ValueError(f"cell must be a [row, col] pair, got {pos!r}") from None
+    row, col = _integer("cell row", row), _integer("cell column", col)
     if not (1 <= row <= partial.height and 1 <= col <= partial.width):
         raise ValueError(f"cell {list(pos)} lies outside {partial!r}")
     padded = np.pad(partial.ids, 1, constant_values=EMPTY)

@@ -245,6 +245,15 @@ def test_vacant_places_domain():
         vacant_places(5, (3, 1))
 
 
+@pytest.mark.parametrize("choice", [5, None, 1.5, (1,), (1, 1, 1), "11", [[1, 1]]])
+def test_vacant_places_names_its_choices(choice):
+    # A choice that is no offset pair, iterable or not, gets the
+    # DomainError listing the four offsets, not Python's own message.
+    with pytest.raises(DomainError) as exc:
+        vacant_places(4, choice)
+    assert str(exc.value) == "first_step_choice must be one of ((1, 1), (2, 2), (1, 2), (2, 1))"
+
+
 def test_paperfolding_values():
     assert paperfolding_P(3) == 184
     assert paperfolding_P(4) == 316

@@ -90,7 +90,7 @@ def test_incremental_counts_equal_plain_extraction():
             full = {}
             rep = count_stabilized(n, 8, facing)
             for rank, count in rep.counts_by_rank:
-                full[rank] = _unique_windows(supertile._facing_ids(rank, facing.rotation), n)
+                full[rank] = _plain_windows(supertile._facing_ids(rank, facing.rotation), n)
                 assert count == len(full[rank])
                 assert distinct_patterns(n, rank, facing) == _pattern_set(n, full[rank])
             for pos in POSITIONS:
@@ -103,7 +103,25 @@ def test_incremental_counts_equal_plain_extraction():
 def _reference_rows(ids, n):
     """Distinct n-by-n windows of ``ids`` by an independent method: one
     sort over every window row at once, no bands, no sets."""
-    return np.unique(sliding_window_view(ids, (n, n)).reshape(-1, n * n), axis=0)
+    rows = np.ascontiguousarray(sliding_window_view(ids, (n, n)).reshape(-1, n * n))
+    keys = rows.view(np.dtype((np.void, n * n))).reshape(-1)
+    return np.unique(keys).view(np.uint8).reshape(-1, n * n)
+
+
+def _plain_windows(ids, n):
+    """The distinct n-by-n windows of ``ids`` alone, as row bytes."""
+    return {row.tobytes() for row in _reference_rows(ids, n)}
+
+
+def _mirror(ids):
+    """The mirror image of a tile-id array across its NE-SW diagonal."""
+    return supertile._MIRROR[ids[::-1, ::-1].T]
+
+
+def _kernel_reference(ids, n):
+    """What ``_unique_windows`` yields for ``ids``: the plain windows of
+    the array and of its mirror image."""
+    return _plain_windows(ids, n) | _plain_windows(_mirror(ids), n)
 
 
 def _count_keyed_slabs(monkeypatch):
@@ -120,13 +138,12 @@ def _count_keyed_slabs(monkeypatch):
     return shapes
 
 
-def _gather_bands(shapes):
-    """The gather bands ``_key_blocks`` cuts those blocks into: each band
-    holds as many slabs as fit their windows in ``_GATHER_BYTES``."""
-    return sum(
-        -(-slabs // max(1, _GATHER_BYTES // ((cells - n + 1) * n * n)))
-        for slabs, n, cells in shapes
-    )
+def _gather_bands(shape):
+    """The gather bands ``_key_blocks`` cuts a block of slabs of that
+    shape into: each band holds as many slabs as fit their windows in
+    ``_GATHER_BYTES``."""
+    slabs, n, cells = shape
+    return -(-slabs // max(1, _GATHER_BYTES // ((cells - n + 1) * n * n)))
 
 
 def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
@@ -138,53 +155,60 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
         shapes = _count_keyed_slabs(monkeypatch)
         rows = _reference_rows(ids, n)
         windows = _unique_windows(ids, n)
-        assert windows == {row.tobytes() for row in rows}
-        assert _gather_bands(shapes) > 1  # a gather band boundary is crossed
+        # The NE supertile is its own mirror image: its windows alone.
+        assert windows == {row.tobytes() for row in rows} == _kernel_reference(ids, n)
+        assert sum(map(_gather_bands, shapes)) > 2  # a gather band boundary is crossed
         expected = sorted(triples[row].tobytes() for row in rows)
         assert _pattern_set(n, windows).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
-    # any band boundary, or at either edge of the array, shows.  A tall
-    # array is cut into row slabs, a wide one into column slabs; each
-    # crosses at least two band boundaries.
+    # any band boundary, or at either edge of the array or its mirror
+    # image, shows.  Every array, wide, tall, square or a strided view,
+    # is cut into column slabs; for the tall and the wide one each block
+    # of them and of their mirror images crosses at least two band
+    # boundaries.
     rng = np.random.default_rng(0)
     for n in (1, 2, 3):
-        row_slabs = 2 * _GATHER_BYTES // ((40 - n + 1) * n * n) + 7
-        col_slabs = 2 * _GATHER_BYTES // (40 * n) + 7
-        tall = rng.integers(0, len(ALL_TILES), (row_slabs + n - 1, 40), dtype=np.uint8)
-        wide = rng.integers(0, len(ALL_TILES), (40, col_slabs + n - 1), dtype=np.uint8)
-        for noise in (tall, wide):
+        slabs = 2 * _GATHER_BYTES // (40 * n) + 7
+        tall = rng.integers(0, len(ALL_TILES), (2 * _GATHER_BYTES // (40 * n * n) + 7, 40))
+        wide = rng.integers(0, len(ALL_TILES), (40, slabs + n - 1))
+        square = rng.integers(0, len(ALL_TILES), (300, 300))
+        for noise in (tall, wide, square, square[::-1, 1::2], wide.T[::2]):
+            noise = noise.astype(np.uint8)
             shapes = _count_keyed_slabs(monkeypatch)
-            expected = {row.tobytes() for row in _reference_rows(noise, n)}
-            assert _unique_windows(noise, n) == expected
-            assert _gather_bands(shapes) >= 3
+            assert _unique_windows(noise, n) == _kernel_reference(noise, n)
+            assert len(shapes) == 2
+            if noise is tall or noise is wide:
+                assert min(map(_gather_bands, shapes)) >= 3
 
 
 def test_dedup_kernel_on_a_non_contiguous_cross_strip():
+    # The strip of columns of the NE supertile is the mirror image of
+    # its strip of rows, so either strip gives the whole cross band.
     n = 3
     ids = build(9).ids
     c = (ids.shape[0] - 1) // 2
     strip = ids[:, c - n + 1 : c + n]
     assert not strip.flags.c_contiguous
-    expected = {row.tobytes() for row in _reference_rows(strip, n)}
-    assert _unique_windows(strip, n) == expected
+    rows = ids[c - n + 1 : c + n]
+    assert np.array_equal(_mirror(strip), rows)
+    expected = _plain_windows(strip, n) | _plain_windows(rows, n)
+    assert _unique_windows(strip, n) == _unique_windows(rows, n) == expected
 
 
-def test_window_index_keeps_row_and_column_slabs_apart():
-    # An array and its transpose share every line's bytes and so every
-    # slab key, but not their slabs' windows: the transpose's row slabs
-    # must not be taken for the column slabs already met.  Slabs of
-    # lines of different lengths must never share a key either.
+def test_window_index_keys_a_class_by_its_whole_column_slab():
+    # A slab class is keyed by the bytes of its column slab, which are
+    # the slab itself: whichever array a slab is cut from, its class is
+    # keyed once, and an array and its transpose fed into one index give
+    # the windows of both and of their mirror images.
     rng = np.random.default_rng(1)
     for shape in ((3, 40), (40, 3), (12, 12), (5, 6)):
         a = rng.integers(0, 3, shape, dtype=np.uint8)  # few values, many repeated slabs
         for n in (1, 2, 3):
             index = _WindowIndex()
             _unique_windows(a, n, index)
-            assert index.windows == {row.tobytes() for row in _reference_rows(a, n)}
+            assert index.windows == _kernel_reference(a, n)
             _unique_windows(a.T, n, index)
-            expected = {row.tobytes() for row in _reference_rows(a, n)}
-            expected |= {row.tobytes() for row in _reference_rows(a.T, n)}
-            assert index.windows == expected
+            assert index.windows == _kernel_reference(a, n) | _kernel_reference(a.T, n)
     # Every column of the 2x8 array is a prefix of a column of the 3x9
     # one, so only keys of whole lines keep the 3x9 array's slabs apart.
     short = np.zeros((2, 8), dtype=np.uint8)
@@ -192,7 +216,8 @@ def test_window_index_keeps_row_and_column_slabs_apart():
     long[-1] = 1
     index = _WindowIndex()
     _unique_windows(short, 2, index)
-    assert _unique_windows(long, 2, index) == {bytes(4), bytes([0, 0, 1, 1])}
+    expected = {bytes(4), bytes([0, 0, 1, 1])} | _kernel_reference(long, 2)
+    assert _unique_windows(long, 2, index) == expected
 
 
 def test_window_index_keys_a_strip_once(monkeypatch):
@@ -202,10 +227,10 @@ def test_window_index_keys_a_strip_once(monkeypatch):
         for strip in (ids[c - n + 1 : c + n, :], ids[:, c - n + 1 : c + n]):
             index = _WindowIndex()
             first = set(_unique_windows(strip, n, index))
-            assert first == {row.tobytes() for row in _reference_rows(strip, n)}
+            assert first == _kernel_reference(strip, n)
             shapes = _count_keyed_slabs(monkeypatch)
             assert _unique_windows(strip, n, index) == first
-            # Every slab was met: none is handed over, so no window is keyed again.
+            # Every class was met: none is handed over, so no window is keyed again.
             assert sum(slabs for slabs, _, _ in shapes) == 0
             monkeypatch.undo()
 
@@ -247,16 +272,20 @@ def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
 
 
 def test_window_index_on_full_grids():
-    # A full grid is one orientation's slabs only; feeding all four
-    # facings of a rank into one index gives the union of their sets.
+    # Feeding all four facings of a rank into one index gives the union
+    # of their sets and their mirror images' sets.  The mirror keeps the
+    # NE and SW facings and swaps the NW and SE ones, so the union of
+    # the four is the union of their own sets.
     for n in (2, 4):
         index = _WindowIndex()
         expected = set()
         for f in range(4):
             ids = supertile._facing_ids(6, f)
-            expected |= {row.tobytes() for row in _reference_rows(ids, n)}
+            expected |= _kernel_reference(ids, n)
             _unique_windows(ids, n, index)
             assert index.windows == expected
+        own = [_plain_windows(supertile._facing_ids(6, f), n) for f in range(4)]
+        assert expected == set().union(*own)
 
 
 @pytest.mark.parametrize("facing", FACINGS)
@@ -731,15 +760,33 @@ def test_header_n_whose_records_overflow_the_length_field_is_rejected(tmp_path, 
     assert not (tmp_path / "out.rbps").exists()
 
 
-@pytest.mark.parametrize("members", [(), (bytes(3),)])
-def test_save_rejects_a_negative_n(tmp_path, members):
-    # The header's n field is unsigned, so a negative n gets the library's
-    # error, naming n, before the path is opened.  A set of n = -1 takes
-    # 3-byte members, because 3n^2 = 3.
-    with pytest.raises(ValueError) as exc:
-        save_pattern_set(PatternSet(-1, members), tmp_path / "out.rbps")
-    assert str(exc.value) == "n=-1: a block side must be non-negative"
-    assert not (tmp_path / "out.rbps").exists()
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: Pattern(n, bytes(3)),  # 3n^2 = 3 for n = -1
+        lambda n: Pattern(n, bytes(3 * 2 * 2)),
+        PatternSet,
+        lambda n: PatternSet(n, [bytes(3)]),
+    ],
+)
+def test_a_block_side_is_a_non_negative_integer(tmp_path, make):
+    # Pattern and PatternSet take their side as ``_ranks`` takes a block
+    # side: a bool or a non-integer is a TypeError naming it, and a
+    # negative side (the header's n field is unsigned) the library's
+    # error naming n; n = 0 is a side.
+    for bad in (-1, -2, np.int64(-1)):
+        with pytest.raises(ValueError) as exc:
+            make(bad)
+        assert str(exc.value) == f"n={bad}: a block side must be non-negative"
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(TypeError) as exc:
+            make(bad)
+        assert str(exc.value) == f"block side must be an integer, got {bad!r}"
+    assert Pattern(0, b"").n == PatternSet(0).n == 0
+    assert type(PatternSet(np.int64(2)).n) is int
+    assert Pattern(np.int64(1), bytes(3)) == Pattern(1, bytes(3))
+    save_pattern_set(PatternSet(0, [b""]), tmp_path / "zero.rbps")
+    assert load_pattern_set(tmp_path / "zero.rbps") == PatternSet(0, [b""])
 
 
 def test_largest_header_n_whose_records_fit_is_read(tmp_path, capsys):

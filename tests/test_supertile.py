@@ -253,6 +253,27 @@ def test_solve_rejects_a_cell_outside_the_grid(pos):
         solve_cross_cell(partial, pos)
 
 
+@pytest.mark.parametrize(
+    "pos, error, message",
+    [
+        ((1.5, 1), TypeError, "cell row must be an integer, got 1.5"),
+        ((1, 2.0), TypeError, "cell column must be an integer, got 2.0"),
+        ((True, 1), TypeError, "cell row must be an integer, got True"),
+        (5, ValueError, "cell must be a [row, col] pair, got 5"),
+        ((1, 2, 3), ValueError, "cell must be a [row, col] pair, got (1, 2, 3)"),
+        (None, ValueError, "cell must be a [row, col] pair, got None"),
+    ],
+)
+def test_solve_rejects_a_cell_that_is_no_pair_of_integers(pos, error, message):
+    # The check names the cell, not numpy's slicing or Python's unpacking.
+    partial = TileGrid.from_tiles([[OrientedTile(Prototile.CORNER), None, None]] * 2)
+    with pytest.raises(error) as exc:
+        solve_cross_cell(partial, pos)
+    assert str(exc.value) == message
+    with pytest.raises(CrossAmbiguous):  # numpy integers name a cell, which is solved
+        solve_cross_cell(partial, (np.int64(1), np.int64(2)))
+
+
 def test_border_side_arrows_concentrate_at_facing_midpoints():
     # The supertile acts as a scaled corner tile: its border shows side
     # arrows only at the midpoint cells of the two facing sides; every

@@ -4,9 +4,10 @@
 other facing is that facing turned, ``TURN^t[np.rot90(ids, t)]``, so
 when the scan is resumed it adds the three turns of the new slabs of
 the rank it yielded, and any facing's set is the NE set turned.  These
-tests keep the scan that extracted all four facings' strips into one
-index as the reference, and check the gather of slabs and the turn of
-each slab on random arrays."""
+tests keep the scan that extracted the plain windows of all four
+facings' strips into one set as the reference, and check the gather of
+slabs, the keying of a slab class and the turn of each class on random
+arrays."""
 
 from unittest import mock
 
@@ -18,9 +19,9 @@ from test_cross_turn import _turn_table
 from robinsonblocks import enumerator, supertile
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
-    _TURN_BYTES,
+    _CLASS_TURNS,
     _WindowIndex,
-    _add_mirrored_slabs,
+    _add_classes,
     _add_turned_slabs,
     _key_blocks,
     _pattern_set,
@@ -32,34 +33,52 @@ from robinsonblocks.enumerator import (
     distinct_patterns,
     restricted_count,
 )
-from robinsonblocks.supertile import _build_ids, _facing_ids
+from robinsonblocks.supertile import _MIRROR, _TURNS, _build_ids, _facing_ids
 from robinsonblocks.tileset import ALL_TILES, BUMPY_IDS, IDENTITY, TURN, Pose
 
 FACINGS = [Pose(r, False) for r in range(4)]
 POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _reference_cross_band(ids, n, index):
+def _plain_windows(ids, n):
+    """The distinct n-by-n windows of ``ids`` alone, not of its mirror
+    image, as row bytes: ``sliding_window_view`` over each distinct slab
+    of n lines along the array's long axis, found by one ``np.unique``."""
+    if min(ids.shape) < n:
+        return set()
+    tall = ids.shape[0] > ids.shape[1]
+    lines = ids.T if tall else ids
+    height = lines.shape[0]
+    slabs = np.ascontiguousarray(sliding_window_view(lines, n, axis=1).transpose(1, 0, 2))
+    slabs = np.unique(slabs.reshape(-1, height * n).view(np.dtype((np.void, height * n))))
+    # windows[s, r, j, i] is cell (r + i, j) of slab s of ``lines``.
+    windows = sliding_window_view(slabs.view(np.uint8).reshape(-1, height, n), n, axis=1)
+    return set(map(bytes, (windows if tall else windows.transpose(0, 1, 3, 2)).reshape(-1, n * n)))
+
+
+def _reference_cross_band(ids, n):
     """The windows of the whole grid ``ids`` that touch its central row
-    or column, added to ``index``: both strips cut from ``ids``."""
+    or column: both strips cut from ``ids``."""
     s = ids.shape[0]
     c = (s - 1) // 2
     lo, hi = max(0, c - n + 1), min(c, s - n)
-    _unique_windows(ids[lo : hi + n, :], n, index)
-    return _unique_windows(ids[:, lo : hi + n], n, index)
+    return _plain_windows(ids[lo : hi + n, :], n) | _plain_windows(ids[:, lo : hi + n], n)
 
 
 def _four_facing_scan(n, ranks, facing):
     """The scan as it was before it turned slabs: every facing of every
-    rank below the last is made whole and its strips extracted into one
-    index, after the rank is yielded."""
-    index = _WindowIndex()
+    rank below the last is made whole and the plain windows of its
+    strips added to one set, after the rank is yielded.  A facing's
+    windows are its own: the NW and SE facings are each other's mirror
+    images, not their own."""
+    windows = set()
     for k in ranks:
-        extract = _unique_windows if k == ranks.start else _reference_cross_band
-        yield k, extract(_facing_ids(k, facing.rotation), n, index)
+        extract = _plain_windows if k == ranks.start else _reference_cross_band
+        windows |= extract(_facing_ids(k, facing.rotation), n)
+        yield k, windows
         for f in range(4):
             if f != facing.rotation:
-                extract(_facing_ids(k, f), n, index)
+                windows |= extract(_facing_ids(k, f), n)
 
 
 def _turned_set(windows, n, turns):
@@ -134,22 +153,52 @@ def test_scan_value_turns_its_mask_back():
 
 
 def test_turn_tables_have_order_four():
-    identity = bytes(range(256))
-    assert _TURN_BYTES[0] == identity
+    identity = np.arange(256)
+    assert np.array_equal(_TURNS[0], identity)
     for t in range(1, 4):
-        assert _TURN_BYTES[t] == _TURN_BYTES[t - 1].translate(_TURN_BYTES[1])
-        assert np.array_equal(np.frombuffer(_TURN_BYTES[t], np.uint8)[: len(TURN)], _turn_table(t))
-    assert _TURN_BYTES[3].translate(_TURN_BYTES[1]) == identity  # TURN^4, every byte
+        assert np.array_equal(_TURNS[t], _TURNS[1][_TURNS[t - 1]])
+        assert np.array_equal(_TURNS[t][: len(TURN)], _turn_table(t))
+    assert np.array_equal(_TURNS[1][_TURNS[3]], identity)  # TURN^4, every byte
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_turned_ne_build_is_each_facing(rank):
-    # The scan turns its slabs by ``np.rot90`` and ``_TURN_BYTES``.
+    # The scan's turned classes are the NE build's, turned by ``np.rot90``
+    # and a 256-byte table.
     ne = _build_ids(rank)
     for t in range(4):
         turned = np.rot90(ne, t)
-        cells = np.frombuffer(turned.tobytes().translate(_TURN_BYTES[t]), dtype=np.uint8)
+        cells = np.frombuffer(turned.tobytes().translate(_TURNS[t].tobytes()), dtype=np.uint8)
         assert np.array_equal(cells.reshape(turned.shape), _facing_ids(rank, t)), t
+
+
+def _mirror(ids):
+    """The mirror image of a tile-id array across its NE-SW diagonal."""
+    return _MIRROR[ids[::-1, ::-1].T]
+
+
+def _turn(ids, t):
+    """A tile-id array turned ``t`` quarter turns, as a facing turns."""
+    return _turn_table(t)[np.rot90(ids, t)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_class_turn_rows_are_the_turned_arrays_column_slabs(seed):
+    # Row i of the table makes each column slab c of an array a the
+    # column slab of T^2 a, M T a or M T^3 a that is T^2 c, M T c or
+    # M T^3 c: c at start j is the slab at L - n - j of T^2 a and of
+    # M T^3 a (L the width of a), and at j of M T a.
+    rng = np.random.default_rng(seed)
+    height, width = rng.integers(1, 20, 2)
+    a = rng.integers(0, len(ALL_TILES), (height, width), dtype=np.uint8)
+    n = int(rng.integers(1, min(height, width) + 1))
+    images = (_turn(a, 2), _mirror(_turn(a, 1)), _mirror(_turn(a, 3)))
+    for (lines, cells, table), image, flip in zip(_CLASS_TURNS, images, (True, False, True)):
+        for j in range(width - n + 1):
+            slab = a[:, j : j + n].T  # its n columns, each one line of cells
+            got = np.frombuffer(slab[::lines, ::cells].tobytes().translate(table), np.uint8)
+            start = width - n - j if flip else j
+            assert np.array_equal(got, image[:, start : start + n].T.reshape(-1)), j
 
 
 def test_a_facing_block_is_cut_from_its_grid():
@@ -179,19 +228,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 @st.composite
 def slab_cases(draw):
-    """A random tile-id array, wide, tall or square, with n, the
-    orientation of its slabs and some of their starts.  Its cells take
-    four tile ids at most, so slabs and their turns often repeat."""
+    """A random tile-id array, wide, tall or square, with n and the
+    starts of some of its column slabs.  Its cells take four tile ids at
+    most, so slabs and their turns often repeat."""
     height = draw(st.integers(1, 12))
     width = draw(st.sampled_from([height, draw(st.integers(1, 12))]))
     cells = draw(st.lists(st.integers(0, 3), min_size=height * width, max_size=height * width))
     tiles = draw(st.lists(st.integers(0, len(ALL_TILES) - 1), min_size=4, max_size=4))
     ids = np.array(tiles, dtype=np.uint8)[np.array(cells).reshape(height, width)]
     n = draw(st.integers(1, min(height, width)))
-    by_columns = draw(st.booleans())
-    length = ids.shape[by_columns]
-    starts = draw(st.lists(st.integers(0, length - n), min_size=1, unique=True))
-    return ids, n, by_columns, starts
+    starts = draw(st.lists(st.integers(0, width - n), min_size=1, unique=True))
+    return ids, n, starts
 
 
 @st.composite
@@ -276,78 +323,76 @@ def _slab_windows(ids, n, by_columns, starts):
     return [w for i in starts for w in (windows[:, i] if by_columns else windows[i])]
 
 
-def _turned_windows(ids, n, by_columns, starts, turns):
-    """Each window of those slabs turned on its own, as row bytes."""
-    return {
-        _turn_table(t)[np.rot90(w, t)].tobytes()
-        for t in turns
-        for w in _slab_windows(ids, n, by_columns, starts)
-    }
+def _class_windows(ids, n, starts, turns):
+    """The windows of the slab classes of ``ids`` at ``starts``, each
+    turned on its own ``t`` times for each t in ``turns``, as row bytes:
+    those of its column slabs at ``starts`` and of its mirror image's
+    row slabs, whose starts count from the other end."""
+    width = ids.shape[1]
+    windows = _slab_windows(ids, n, True, starts)
+    windows += _slab_windows(_mirror(ids), n, False, [width - n - j for j in starts])
+    return {_turn(w, t).tobytes() for t in turns for w in windows}
 
 
 @settings(max_examples=100, deadline=None)
-@given(slab_cases().filter(lambda case: case[0].shape[0] != case[0].shape[1]))
-def test_turned_block_keys_are_the_turned_arrays_slab_keys(case):
-    # ``_unique_windows`` keys a non-square array's slabs along its long
-    # axis, so the turned array's slabs are keyed in the turned
-    # orientation: row slabs at odd turns of a wide array, and so on.
-    ids, n, _, _ = case
-    by_columns = ids.shape[1] > ids.shape[0]
+@given(slab_cases())
+def test_add_classes_keys_each_slab_and_its_mirror_image(case):
+    # A column slab c and its mirror image M(c), a row slab of the
+    # array's mirror image, are one class, keyed by c: the windows of
+    # both are keyed the first time c is met, and c is handed back once.
+    ids, n, starts = case
+    slabs = np.ascontiguousarray(_blocks(ids, n, True, starts))
+    keys = slabs.reshape(len(starts), -1).view(np.dtype((np.void, slabs[0].size))).reshape(-1)
+    index = _WindowIndex()
+    blocks = _add_classes(keys, n, index)
+    assert sorted(b.tobytes() for b in blocks) == sorted(set(keys.tolist())) == sorted(index.slabs)
+    assert index.windows == _class_windows(ids, n, starts, (0,))
+    met = _WindowIndex()
+    met.slabs.update(index.slabs)
+    assert len(_add_classes(keys, n, met)) == 0 and not met.windows
+
+
+@settings(max_examples=100, deadline=None)
+@given(slab_cases())
+def test_turned_class_keys_are_the_turned_arrays_class_keys(case):
+    # The three turned classes of each column slab c of an array a are
+    # the classes of the column slabs of T^2 a, M T a and M T^3 a: the
+    # classes ``_unique_windows`` keys for those arrays, whose windows
+    # are those of the three turns of a and of its mirror image.
+    ids, n, _ = case
     index = _WindowIndex()
     _unique_windows(ids, n, index)
-    (blocks, grown_by_columns), = index.grown  # every slab, once
-    assert grown_by_columns == by_columns
-    index.slabs[by_columns].clear()
+    (blocks,) = index.grown  # every class, once
+    assert len(blocks) == len(index.slabs)
+    index.slabs.clear()
+    index.windows.clear()
     _add_turned_slabs(index, n)
     reference = _WindowIndex()
-    for t in (1, 2, 3):
-        _unique_windows(_turn_table(t)[np.rot90(ids, t)], n, reference)
+    for image in (_turn(ids, 2), _mirror(_turn(ids, 1)), _mirror(_turn(ids, 3))):
+        _unique_windows(image, n, reference)
     assert index.slabs == reference.slabs
+    every = range(ids.shape[1] - n + 1)
+    assert index.windows == reference.windows == _class_windows(ids, n, every, (1, 2, 3))
 
 
 @settings(max_examples=100, deadline=None)
 @given(slab_cases())
 def test_add_turned_slabs_adds_the_turned_windows(case):
-    # Through the resume step itself: the three turns of the slabs on
-    # ``grown``, each skipped if its key was met (another turn of one of
-    # them), and keyed otherwise.
-    ids, n, by_columns, starts = case
+    # Through the resume step itself: the three turned classes of the
+    # classes on ``grown``, each skipped if its key was met (another turn
+    # of one of them), and keyed otherwise.
+    ids, n, starts = case
     index = _WindowIndex()
-    index.grown.append((_blocks(ids, n, by_columns, starts), by_columns))
+    index.grown.append(_blocks(ids, n, True, starts))
     _add_turned_slabs(index, n)
     assert index.grown == []
-    assert index.windows == _turned_windows(ids, n, by_columns, starts, (1, 2, 3))
-
-
-@settings(max_examples=100, deadline=None)
-@given(slab_cases())
-def test_add_mirrored_slabs_adds_the_mirror_images_and_grows(case):
-    # A slab mirrored across the NE-SW diagonal is a slab of the other
-    # orientation of the array's mirror image, its start counted from
-    # the other end.  It joins ``grown``, so the scan turns it too,
-    # unless it was met.
-    ids, n, by_columns, starts = case
-    image = supertile._MIRROR[ids[::-1, ::-1].T]
-    mirrored = [ids.shape[by_columns] - n - i for i in starts]
-    index = _WindowIndex()
-    index.grown.append((_blocks(ids, n, by_columns, starts), by_columns))
-    _add_mirrored_slabs(index, n)
-    _, (blocks, grown_by_columns) = index.grown
-    assert grown_by_columns == (not by_columns)
-    expected = _blocks(image, n, not by_columns, mirrored)
-    assert sorted(b.tobytes() for b in blocks) == sorted({b.tobytes() for b in expected})
-    assert index.windows == {w.tobytes() for w in _slab_windows(image, n, not by_columns, mirrored)}
-    met = _WindowIndex()
-    met.slabs[not by_columns].update(index.slabs[not by_columns])
-    met.grown.append(index.grown[0])
-    _add_mirrored_slabs(met, n)
-    assert len(met.grown) == 1 and not met.windows
+    assert index.windows == _class_windows(ids, n, starts, (1, 2, 3))
 
 
 @pytest.mark.slow
 def test_the_plateau_holds_through_rank_13(monkeypatch):
     # One facing per rank keeps rank 13 cheap: the scan cuts one strip
-    # of the NE build, mirrors it and turns only its new slabs.  The memo is the
+    # of the NE build and turns only its new slab classes.  The memo is the
     # test's own, so the rank-13 grid is let go afterwards.
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     for n in range(2, 9):
