@@ -230,7 +230,8 @@ def vacant_places(n: int, first_step_choice) -> VacantShape:
     lattice sits at offset o leaves (n + o - 1) // 2 vacant lines: even
     n = 2k leaves k x k for all four choices; odd n = 2k+1 leaves k x k,
     (k+1) x (k+1), or the two mixed shapes (the [2,1] shape is the
-    transpose of [1,2], a fixed orientation convention)."""
+    transpose of [1,2], a fixed orientation convention).  An offset equal
+    to 1 or 2 that is no integer, or is a bool, raises ``TypeError``."""
     if type(n) is not int or n < 2:
         n = _domain("vacant_places", n, 2)
     try:
@@ -239,7 +240,7 @@ def vacant_places(n: int, first_step_choice) -> VacantShape:
         choice = None
     if choice not in _FIRST_STEP_CHOICES:
         raise DomainError(f"first_step_choice must be one of {_FIRST_STEP_CHOICES}")
-    return VacantShape(*((n + o - 1) // 2 for o in choice))
+    return VacantShape(*((n + _integer("first_step_choice offset", o) - 1) // 2 for o in choice))
 
 
 def paperfolding_P(n: int) -> int:

@@ -18,10 +18,11 @@ the central column are that strip mirrored, and its classes key both.
 ``_window_scan`` is the one route from a rank to its NE window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
 plain or restricted to a corner position, and with or without a
-``.rbps`` cache directory (NE facing only).  ``distinct_patterns`` and
-``restricted_count`` take the set the scan yields at their rank and
-stop there.  Any other facing's set is the NE set turned, so a facing
-is applied only where a window's cells are read.
+``.rbps`` cache directory of NE sets, read in any facing.
+``distinct_patterns`` and ``restricted_count`` take the set the scan
+yields at their rank and stop there.  Any other facing's set is the NE
+set turned, so a facing is applied only where a window's cells are
+read.
 
 The ``.rbps`` cache layout is known here alone.  A file's body is a byte
 matrix of one record per row.  It is written from one sorted matrix with
@@ -67,7 +68,7 @@ _TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
 # ``_MIRROR``, each tile id's id in a grid's mirror image across its NE-SW
 # diagonal, as a ``bytes.translate`` table.
 _MIRROR_BYTES = _MIRROR.tobytes()
-# The three slab classes the quarter turns make of one (``_add_turned_slabs``),
+# The three slab classes the quarter turns make of one (``_turned_keys``),
 # named by their column slabs T^2 c, M T c and M T^3 c: c's lines and cells
 # reversed (-1) or kept (1), and every tile translated by the table.
 _CLASS_TURNS = (
@@ -199,73 +200,21 @@ def canonical_encode(window: TileGrid) -> Pattern:
     return Pattern(window.width, _triples(ids).tobytes())
 
 
-class _WindowIndex:
-    """What one scan of the dedup kernel has met so far.
-
-    ``windows`` is the set of distinct n-by-n windows, as n*n-byte rows
-    (the window's tile ids in row-major order).  ``slabs`` holds the
-    slab classes met (see ``_unique_windows``), each keyed by its column
-    slab: the bytes of its n columns, one after another.  ``grown``
-    holds, for each extraction that met new classes since
-    ``_add_turned_slabs`` last ran, their column slabs as one array.
-    """
-
-    __slots__ = ("windows", "slabs", "grown")
-
-    def __init__(self):
-        self.windows: set = set()
-        self.slabs: set = set()
-        self.grown: list = []
-
-
-def _unique_windows(ids: np.ndarray, n: int, index: _WindowIndex | None = None) -> set:
-    """Add the distinct n-by-n windows of a tile-id array and of its
-    mirror image across the NE-SW diagonal, ``_MIRROR[ids[::-1, ::-1].T]``,
-    to ``index`` (a fresh one by default) and return its window set.
-
-    This is the one window-dedup kernel: set membership compares the
-    row bytes for equality, so the dedup is exact.  The array is cut
-    into columns, and n consecutive columns make a column slab c.
-    Every window of the array lies in exactly one column slab, at the
-    column it starts on, so the array's windows are its column slabs'
-    windows.  The mirror image makes the array's column at j its row at
-    L - 1 - j (L the array's width), so it makes c a row slab M(c), its
-    lines and each line's cells reversed and every tile mirrored, and
-    the mirror image's windows are those row slabs' windows.  c and M(c)
-    are one slab class, keyed by c's bytes; ``_add_classes`` keys the
-    windows of both for each class this index has not met, and puts
-    those classes' column slabs, if any, on ``index.grown``.  A cross
-    strip of a scan holds only a few times n distinct classes, whatever
-    the rank (112 of 2032 for n = 16 at rank 11), and a scan meets most
-    of them at its lower ranks.  In a scan a column slab holds at most
-    n*(2n - 1) cells: every strip a scan cuts is at most 2n - 1 rows
-    high, the whole supertile of its first rank included.  Slab keys
-    are checked, and windows keyed, in bands of about ``_GATHER_BYTES``
-    key bytes.
-    """
-    if index is None:
-        index = _WindowIndex()
+def _column_slabs(ids: np.ndarray, n: int) -> np.ndarray:
+    """The column slabs of a tile-id array at least n high and n wide, as
+    a 1-D void array: item j keys slab j, the array's columns j to
+    j + n - 1, by their bytes, one column after another."""
     height, width = ids.shape
-    if min(height, width) < n:
-        return index.windows
     lines = np.ascontiguousarray(ids.T)
-    keys = np.ndarray((width - n + 1,), np.dtype((np.void, n * height)), lines, strides=(height,))
-    blocks = _add_classes(keys, n, index)
-    if len(blocks):
-        index.grown.append(blocks)
-    return index.windows
+    return np.ndarray((width - n + 1,), np.dtype((np.void, n * height)), lines, strides=(height,))
 
 
-def _add_classes(keys: np.ndarray, n: int, index: _WindowIndex) -> np.ndarray:
-    """Key the windows of each slab class, named by a column slab of the
-    1-D void array ``keys``, that ``index`` has not met, and return those
-    column slabs as ``_new_blocks`` does.  A class {c, M(c)} is keyed as
-    c's windows and the windows of the row slab M(c): ``blocks[:, ::-1,
-    ::-1]`` translated by ``_MIRROR_BYTES``."""
-    blocks = _new_blocks(keys, n, index.slabs)
-    _key_blocks(blocks, True, index)
-    mirrored = blocks[:, ::-1, ::-1].tobytes().translate(_MIRROR_BYTES)
-    _key_blocks(np.frombuffer(mirrored, dtype=np.uint8).reshape(blocks.shape), False, index)
+def _add_classes(keys: np.ndarray, n: int, windows: set, slabs: set) -> np.ndarray:
+    """Add to ``windows`` the windows of each slab class, named by a
+    column slab of the 1-D void array ``keys``, that ``slabs`` lacks, and
+    return those column slabs as ``_new_blocks`` does."""
+    blocks = _new_blocks(keys, n, slabs)
+    _key_blocks(blocks, windows)
     return blocks
 
 
@@ -285,10 +234,22 @@ def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
     return np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(len(fresh), n, keys.itemsize // n)
 
 
-def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> None:
-    """Add to ``index`` the windows of the slabs ``blocks``, an array of
-    shape ``(slabs, n, cells)`` holding each slab's n lines: columns if
-    ``by_columns``, else rows.
+def _key_blocks(blocks: np.ndarray, windows: set) -> None:
+    """Add to ``windows`` the n-by-n windows of the slab classes whose
+    column slabs are ``blocks``, an array of shape ``(slabs, n, cells)``
+    holding each slab's n columns.
+
+    This is the one window-dedup kernel: set membership compares the
+    row bytes (a window's tile ids in row-major order) for equality, so
+    the dedup is exact.  Every window of an array lies in exactly one
+    column slab c, at the column it starts on, so an array's windows are
+    its column slabs' windows.  The mirror image across the NE-SW
+    diagonal, ``_MIRROR[ids[::-1, ::-1].T]``, makes an array's column at
+    j its row at L - 1 - j (L the array's width), so it makes c a row
+    slab M(c): ``c[::-1, ::-1]`` translated by ``_MIRROR_BYTES``, its
+    lines and each line's cells reversed and every tile mirrored.  c and
+    M(c) are one slab class, and both are keyed here: c's windows, then
+    M(c)'s.
 
     The slabs are copied out in bands whose windows hold about
     ``_GATHER_BYTES``, and each band's windows are added to the set by
@@ -297,32 +258,28 @@ def _key_blocks(blocks: np.ndarray, by_columns: bool, index: _WindowIndex) -> No
     r*n, and a strided void view hands those bytes to ``tolist`` without
     copying each window.  A row slab's windows are copied out whole, one
     after another, each as its n rows of n bytes: the copy moves n-byte
-    void items, not single cells.  The row slabs of a scan are the
-    mirror images of its column slabs (``_add_classes``).
+    void items, not single cells.
     """
     count, n, cells = blocks.shape
-    if not count:
-        return
     per_slab = cells - n + 1
-    # ``view[i]`` is slab i as it is copied out: (cells, n) cells for a
-    # column slab, its ``per_slab`` windows of n n-byte rows for a row slab.
-    if by_columns:
-        view, stride = blocks.transpose(0, 2, 1), n
-    else:
-        shape, strides = (count, per_slab, n), (n * cells, 1, cells)
-        rows = np.dtype((np.void, n))
-        view, stride = np.ndarray(shape, rows, np.ascontiguousarray(blocks), 0, strides), n * n
+    mirrored = blocks[:, ::-1, ::-1].tobytes().translate(_MIRROR_BYTES)
+    shape, strides = (count, per_slab, n), (n * cells, 1, cells)
+    rows = np.ndarray(shape, np.dtype((np.void, n)), mirrored, 0, strides)
     step = max(1, _GATHER_BYTES // (per_slab * n * n))
-    for i in range(0, count, step):
-        band = np.ascontiguousarray(view[i : i + step]).view(np.uint8)
-        shape, strides = (len(band), per_slab), (band.strides[0], stride)
-        keys = np.ndarray(shape, np.dtype((np.void, n * n)), band, 0, strides)
-        index.windows.update(*keys.tolist())
+    # ``view[i]`` is slab i as it is copied out: (cells, n) cells for c,
+    # its ``per_slab`` windows of n n-byte rows for M(c).
+    for view, stride in ((blocks.transpose(0, 2, 1), n), (rows, n * n)):
+        for i in range(0, count, step):
+            band = np.ascontiguousarray(view[i : i + step]).view(np.uint8)
+            shape, strides = (len(band), per_slab), (band.strides[0], stride)
+            keys = np.ndarray(shape, np.dtype((np.void, n * n)), band, 0, strides)
+            windows.update(*keys.tolist())
 
 
-def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
-    """Add to ``index`` the windows of the other three quarter turns of
-    each new slab class on ``index.grown``, and empty that list.
+def _turned_keys(blocks: np.ndarray) -> np.ndarray:
+    """The keys of the slab classes the other three quarter turns make
+    of the classes whose column slabs are ``blocks``, a ``(slabs, n,
+    cells)`` array, as one 1-D void array.
 
     An array turned ``t`` times is ``T^t(ids) = TURN^t[np.rot90(ids,
     t)]``, and the mirror M makes a quarter turn its inverse, ``T^t M ==
@@ -332,21 +289,17 @@ def _add_turned_slabs(index: _WindowIndex, n: int) -> None:
     one half of the other two.  Each of those column slabs is c with its
     lines, its cells or both reversed and every tile through one row of
     ``_CLASS_TURNS``, its bytes the key the turned array's own class
-    would have.  The turned slabs of each array on ``grown`` make one
-    buffer, put through ``_add_classes`` as a cut strip's slabs are: a
-    class whose key was met is skipped, its windows in the set already.
+    would have.
     """
-    grown, index.grown = index.grown, []
-    for blocks in grown:
-        data = b"".join(
-            blocks[:, ::lines, ::cells].tobytes().translate(table)
-            for lines, cells, table in _CLASS_TURNS
-        )
-        _add_classes(np.frombuffer(data, dtype=np.dtype((np.void, blocks[0].size))), n, index)
+    data = b"".join(
+        blocks[:, ::lines, ::cells].tobytes().translate(table)
+        for lines, cells, table in _CLASS_TURNS
+    )
+    return np.frombuffer(data, dtype=np.dtype((np.void, blocks.shape[1] * blocks.shape[2])))
 
 
 def _id_rows(windows, n: int) -> np.ndarray:
-    """A window set, from ``_unique_windows`` or a cache file, as one
+    """A window set, from ``_window_scan`` or a cache file, as one
     n*n-byte row per window.  An array of rows is passed through."""
     if isinstance(windows, np.ndarray):
         return windows
@@ -435,11 +388,16 @@ def _window_scan(n: int, ranks: range):
       that tile, and it is the same grid.
 
     So the strip of columns is the mirror image of the strip of rows,
-    and ``_unique_windows``, which keys the windows of an array and of its
-    mirror image, keys both from the cut: each column slab c of the strip
-    of rows and its mirror image M(c), a row slab of the strip of
-    columns, are one slab class.  At the first rank the mirror image is
-    the whole supertile again.
+    and ``_key_blocks``, which keys the windows of a column slab and of
+    its mirror image, keys both from the cut: each column slab c of the
+    strip of rows and its mirror image M(c), a row slab of the strip of
+    columns, are one slab class, and a class met before is skipped whole.
+    At the first rank the mirror image is the whole supertile again.  A
+    cross strip holds only a few times n distinct classes, whatever the
+    rank (112 of 2032 for n = 16 at rank 11), and a scan meets most of
+    them at its lower ranks.  A column slab holds at most n*(2n - 1)
+    cells: every strip is at most 2n - 1 rows high, the whole supertile
+    of the first rank included.
 
     Only the NE facing is ever cut.  The facing t quarter turns on is the
     NE one turned, ``TURN^t[np.rot90(ids, t)]``, so its cross strips are
@@ -448,24 +406,27 @@ def _window_scan(n: int, ranks: range):
     array's windows are its slabs' windows.  So the other facings of rank
     k add exactly the turns of the windows extracted up to rank k, and
     those are the turns of the new slab classes keyed up to rank k:
-    ``_add_turned_slabs`` makes the three turned classes of each.  So
-    facing t's set is this set turned, and the readers of cells turn
-    what they read.
+    ``_turned_keys`` names the three turned classes of each.  So facing
+    t's set is this set turned, and the readers of cells turn what they
+    read.
 
-    Every extraction adds into one window index, so the yielded set is
-    the scan's own, live: it is valid until the scan is resumed, which
-    adds to it.  Rank k is yielded as soon as its strip's slab classes
-    are keyed; the turned classes of rank k belong to rank k+1's set and
-    are added only when the scan is resumed, so a scan that stops at its
-    plateau never turns the classes of its last rank.
+    The scan keeps three things: ``windows``, the set of windows keyed;
+    ``slabs``, the keys of the classes met; and ``new``, the column slabs
+    of the classes the last cut met first.  The yielded set is the
+    scan's own, live: it is valid until the scan is resumed, which adds
+    to it.  Rank k is yielded as soon as its strip's classes are keyed;
+    the turned classes of rank k belong to rank k+1's set and are keyed
+    only when the scan is resumed, so a scan that stops at its plateau
+    never turns the classes of its last rank.
     """
-    index = _WindowIndex()
+    windows, slabs = set(), set()
+    new = np.empty((0, n, n), dtype=np.uint8)  # no class is met before the first cut
     for k in ranks:
-        _add_turned_slabs(index, n)
+        _add_classes(_turned_keys(new), n, windows, slabs)
         ne = _build_ids(k)
         c = ne.shape[0] // 2
-        _unique_windows(ne[max(c - n + 1, 0) : c + n], n, index)
-        yield k, index.windows
+        new = _add_classes(_column_slabs(ne[max(c - n + 1, 0) : c + n], n), n, windows, slabs)
+        yield k, windows
 
 
 def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
@@ -512,8 +473,9 @@ def count_stabilized(
     ``corner_pos`` counts only windows whose bumpy-corner lattice starts
     there (see ``restricted_count``).  ``cache`` is a directory of one
     ``.rbps`` file per rank, read where present and written otherwise;
-    the file names carry no facing, so it takes the NE facing only.
-    Every argument is checked before anything is built or written.
+    a file holds the rank's NE set, which serves every facing, as the
+    scan's own set does.  Every argument is checked before anything is
+    built or written.
 
     The stop rule is a heuristic plateau, not a proven bound.
     Non-stabilization within k_max is reported, not raised.
@@ -522,8 +484,6 @@ def count_stabilized(
     value = _scan_value(n, corner_pos, facing)
     scan = _window_scan(n, ranks)
     if cache is not None:
-        if facing != IDENTITY:
-            raise ValueError(f"a pattern cache holds NE-facing sets only, got {facing}")
         scan = _cached_window_scan(n, ranks, scan, Path(cache))
     counts = []
     for k, windows in scan:

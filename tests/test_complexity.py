@@ -254,6 +254,22 @@ def test_vacant_places_names_its_choices(choice):
     assert str(exc.value) == "first_step_choice must be one of ((1, 1), (2, 2), (1, 2), (2, 1))"
 
 
+@pytest.mark.parametrize("choice", [(1.0, 2.0), (True, 2), (2, np.float64(1.0)), (np.bool_(True), 1)])
+def test_vacant_places_offsets_are_integers(choice):
+    # An offset equal to 1 or 2 that is no integer, or is a bool, is
+    # named, not used: the shape's fields stay ints.
+    with pytest.raises(TypeError, match="first_step_choice offset must be an integer"):
+        vacant_places(5, choice)
+
+
+@pytest.mark.parametrize("offsets", [(1, 2), (2, 1), (1, 1), (2, 2)])
+def test_vacant_places_takes_numpy_integer_offsets(offsets):
+    for kind in (np.int8, np.int64, np.uint16):
+        shape = vacant_places(5, tuple(map(kind, offsets)))
+        assert shape == vacant_places(5, offsets)
+        assert type(shape.rows) is int and type(shape.cols) is int
+
+
 def test_paperfolding_values():
     assert paperfolding_P(3) == 184
     assert paperfolding_P(4) == 316

@@ -37,10 +37,10 @@ from robinsonblocks import supertile
 from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
     _GATHER_BYTES,
-    _WindowIndex,
+    _add_classes,
+    _column_slabs,
     _pattern_set,
     _scan_value,
-    _unique_windows,
 )
 from robinsonblocks.supertile import Pose, TileGrid, build
 from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
@@ -118,30 +118,40 @@ def _mirror(ids):
     return supertile._MIRROR[ids[::-1, ::-1].T]
 
 
+def _kernel(ids, n, windows=None, slabs=None):
+    """Key the slab classes of the column slabs of ``ids`` as the scan
+    keys a cut strip's, into ``windows`` and ``slabs`` (fresh sets by
+    default), and return ``windows``."""
+    windows = set() if windows is None else windows
+    _add_classes(_column_slabs(ids, n), n, windows, set() if slabs is None else slabs)
+    return windows
+
+
 def _kernel_reference(ids, n):
-    """What ``_unique_windows`` yields for ``ids``: the plain windows of
-    the array and of its mirror image."""
+    """What ``_kernel`` yields for ``ids``: the plain windows of the
+    array and of its mirror image."""
     return _plain_windows(ids, n) | _plain_windows(_mirror(ids), n)
 
 
 def _count_keyed_slabs(monkeypatch):
-    """Record the shape ``(slabs, n, cells)`` of each block of slabs the
-    kernel hands ``_key_blocks`` from now on."""
+    """Record the shape ``(slabs, n, cells)`` of each block of slab
+    classes the kernel hands ``_key_blocks`` from now on."""
     shapes = []
     real = enumerator._key_blocks
 
-    def counting(blocks, by_columns, index):
+    def counting(blocks, windows):
         shapes.append(blocks.shape)
-        return real(blocks, by_columns, index)
+        return real(blocks, windows)
 
     monkeypatch.setattr(enumerator, "_key_blocks", counting)
     return shapes
 
 
 def _gather_bands(shape):
-    """The gather bands ``_key_blocks`` cuts a block of slabs of that
-    shape into: each band holds as many slabs as fit their windows in
-    ``_GATHER_BYTES``."""
+    """The gather bands ``_key_blocks`` cuts each of its two passes over
+    a block of slab classes of that shape into, the column slabs' and
+    their mirror images': each band holds as many slabs as fit their
+    windows in ``_GATHER_BYTES``."""
     slabs, n, cells = shape
     return -(-slabs // max(1, _GATHER_BYTES // ((cells - n + 1) * n * n)))
 
@@ -154,18 +164,18 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
     for n in (2, 3):
         shapes = _count_keyed_slabs(monkeypatch)
         rows = _reference_rows(ids, n)
-        windows = _unique_windows(ids, n)
+        windows = _kernel(ids, n)
         # The NE supertile is its own mirror image: its windows alone.
         assert windows == {row.tobytes() for row in rows} == _kernel_reference(ids, n)
-        assert sum(map(_gather_bands, shapes)) > 2  # a gather band boundary is crossed
+        assert sum(map(_gather_bands, shapes)) > 1  # a gather band boundary is crossed
         expected = sorted(triples[row].tobytes() for row in rows)
         assert _pattern_set(n, windows).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
     # any band boundary, or at either edge of the array or its mirror
     # image, shows.  Every array, wide, tall, square or a strided view,
-    # is cut into column slabs; for the tall and the wide one each block
-    # of them and of their mirror images crosses at least two band
-    # boundaries.
+    # is cut into column slabs, keyed with their mirror images as one
+    # block of classes; for the tall and the wide one the slabs and
+    # their mirror images each cross at least two band boundaries.
     rng = np.random.default_rng(0)
     for n in (1, 2, 3):
         slabs = 2 * _GATHER_BYTES // (40 * n) + 7
@@ -175,8 +185,8 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
         for noise in (tall, wide, square, square[::-1, 1::2], wide.T[::2]):
             noise = noise.astype(np.uint8)
             shapes = _count_keyed_slabs(monkeypatch)
-            assert _unique_windows(noise, n) == _kernel_reference(noise, n)
-            assert len(shapes) == 2
+            assert _kernel(noise, n) == _kernel_reference(noise, n)
+            assert len(shapes) == 1
             if noise is tall or noise is wide:
                 assert min(map(_gather_bands, shapes)) >= 3
 
@@ -192,47 +202,68 @@ def test_dedup_kernel_on_a_non_contiguous_cross_strip():
     rows = ids[c - n + 1 : c + n]
     assert np.array_equal(_mirror(strip), rows)
     expected = _plain_windows(strip, n) | _plain_windows(rows, n)
-    assert _unique_windows(strip, n) == _unique_windows(rows, n) == expected
+    assert _kernel(strip, n) == _kernel(rows, n) == expected
 
 
-def test_window_index_keys_a_class_by_its_whole_column_slab():
+def test_slab_set_keys_a_class_by_its_whole_column_slab():
     # A slab class is keyed by the bytes of its column slab, which are
     # the slab itself: whichever array a slab is cut from, its class is
-    # keyed once, and an array and its transpose fed into one index give
-    # the windows of both and of their mirror images.
+    # keyed once, and an array and its transpose fed into one window set
+    # and slab set give the windows of both and of their mirror images.
     rng = np.random.default_rng(1)
     for shape in ((3, 40), (40, 3), (12, 12), (5, 6)):
         a = rng.integers(0, 3, shape, dtype=np.uint8)  # few values, many repeated slabs
         for n in (1, 2, 3):
-            index = _WindowIndex()
-            _unique_windows(a, n, index)
-            assert index.windows == _kernel_reference(a, n)
-            _unique_windows(a.T, n, index)
-            assert index.windows == _kernel_reference(a, n) | _kernel_reference(a.T, n)
+            windows, slabs = set(), set()
+            _kernel(a, n, windows, slabs)
+            assert windows == _kernel_reference(a, n)
+            _kernel(a.T, n, windows, slabs)
+            assert windows == _kernel_reference(a, n) | _kernel_reference(a.T, n)
     # Every column of the 2x8 array is a prefix of a column of the 3x9
     # one, so only keys of whole lines keep the 3x9 array's slabs apart.
     short = np.zeros((2, 8), dtype=np.uint8)
     long = np.zeros((3, 9), dtype=np.uint8)
     long[-1] = 1
-    index = _WindowIndex()
-    _unique_windows(short, 2, index)
+    windows, slabs = set(), set()
+    _kernel(short, 2, windows, slabs)
     expected = {bytes(4), bytes([0, 0, 1, 1])} | _kernel_reference(long, 2)
-    assert _unique_windows(long, 2, index) == expected
+    assert _kernel(long, 2, windows, slabs) == expected
 
 
-def test_window_index_keys_a_strip_once(monkeypatch):
+def test_slab_set_keys_a_strip_once(monkeypatch):
     ids = build(9).ids
     c = (ids.shape[0] - 1) // 2
     for n in (2, 5):
         for strip in (ids[c - n + 1 : c + n, :], ids[:, c - n + 1 : c + n]):
-            index = _WindowIndex()
-            first = set(_unique_windows(strip, n, index))
+            windows, slabs = set(), set()
+            first = set(_kernel(strip, n, windows, slabs))
             assert first == _kernel_reference(strip, n)
             shapes = _count_keyed_slabs(monkeypatch)
-            assert _unique_windows(strip, n, index) == first
+            assert _kernel(strip, n, windows, slabs) == first
             # Every class was met: none is handed over, so no window is keyed again.
             assert sum(slabs for slabs, _, _ in shapes) == 0
             monkeypatch.undo()
+
+
+def test_scan_meets_10n_plus_44p_slab_classes(monkeypatch):
+    # When ``count_stabilized(n, 12)`` stops, the scan has met exactly
+    # 10n + 44p slab classes, p = 2^floor(log2(n - 1)) the power of two
+    # with p < n <= 2p: no class is keyed more or fewer than the law
+    # says.  The set is read where every class is checked against it.
+    met = []
+    real = enumerator._new_blocks
+
+    def recording(keys, n, slabs):
+        met.append(slabs)
+        return real(keys, n, slabs)
+
+    monkeypatch.setattr(enumerator, "_new_blocks", recording)
+    for n in range(2, 33):
+        met.clear()
+        assert count_stabilized(n, 12).stabilized
+        p = 1 << ((n - 1).bit_length() - 1)
+        assert len({id(slabs) for slabs in met}) == 1, n  # one set per scan
+        assert len(met[-1]) == 10 * n + 44 * p, n
 
 
 def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
@@ -247,12 +278,12 @@ def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
         s = (1 << rank) - 1
         return grids.setdefault(rank, np.zeros((s, s), dtype=np.uint8))
 
-    def spy(ids, n, index):
+    def spy(ids, n):
         cut.append(ids)
-        return index.windows  # nothing keyed
+        return np.empty(0, np.dtype((np.void, n * n)))  # no slab, so nothing keyed
 
     monkeypatch.setattr(enumerator, "_build_ids", build_ids)
-    monkeypatch.setattr(enumerator, "_unique_windows", spy)
+    monkeypatch.setattr(enumerator, "_column_slabs", spy)
     for n in range(1, 129):
         k = n.bit_length()
         assert (1 << (k - 1)) - 1 < n
@@ -271,19 +302,18 @@ def test_first_rank_cross_band_is_the_whole_grid(monkeypatch):
         assert np.shares_memory(rows, grids[k + 1][c + n - 1]), n
 
 
-def test_window_index_on_full_grids():
-    # Feeding all four facings of a rank into one index gives the union
+def test_slab_set_on_full_grids():
+    # Feeding all four facings of a rank into one window set gives the union
     # of their sets and their mirror images' sets.  The mirror keeps the
     # NE and SW facings and swaps the NW and SE ones, so the union of
     # the four is the union of their own sets.
     for n in (2, 4):
-        index = _WindowIndex()
-        expected = set()
+        windows, slabs, expected = set(), set(), set()
         for f in range(4):
             ids = supertile._facing_ids(6, f)
             expected |= _kernel_reference(ids, n)
-            _unique_windows(ids, n, index)
-            assert index.windows == expected
+            _kernel(ids, n, windows, slabs)
+            assert windows == expected
         own = [_plain_windows(supertile._facing_ids(6, f), n) for f in range(4)]
         assert expected == set().union(*own)
 
@@ -511,9 +541,19 @@ def test_library_cache_matches_uncached_and_cli(n, capsys, tmp_path):
     assert files and files == sorted(p.name for p in cli.iterdir())
     for name in files:
         assert (lib / name).read_bytes() == (cli / name).read_bytes()
-    with pytest.raises(ValueError, match="NE-facing sets only, got Pose"):
-        count_stabilized(n, 11, Pose(1, False), cache=tmp_path / "nw")
-    assert not (tmp_path / "nw").exists()
+    # A cache holds NE sets, which every facing reads turned: in each
+    # facing, a cold and then a warm cached count is the uncached count,
+    # and the files written are the NE run's.
+    for facing in FACINGS:
+        for i, pos in enumerate((None, *POSITIONS)):
+            fresh = tmp_path / f"facing{facing.rotation}-{i}"
+            plain = count_stabilized(n, 11, facing, corner_pos=pos)
+            for _ in ("cold", "warm"):
+                assert count_stabilized(n, 11, facing, corner_pos=pos, cache=fresh) == plain
+            written = sorted(p.name for p in fresh.iterdir())
+            assert written and set(written) <= set(files), (facing, pos)
+            for name in written:
+                assert (fresh / name).read_bytes() == (lib / name).read_bytes()
 
 
 def test_facing_independence_of_stabilized_counts():

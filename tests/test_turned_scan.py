@@ -20,14 +20,13 @@ from robinsonblocks import enumerator, supertile
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     _CLASS_TURNS,
-    _WindowIndex,
     _add_classes,
-    _add_turned_slabs,
+    _column_slabs,
     _key_blocks,
     _pattern_set,
     _ranks,
     _scan_value,
-    _unique_windows,
+    _turned_keys,
     _window_scan,
     count_stabilized,
     distinct_patterns,
@@ -274,8 +273,10 @@ def viewed_slab_cases(draw):
 
 
 def _blocks(ids, n, by_columns, starts):
-    """The slabs of ``ids`` at ``starts`` as ``_key_blocks`` takes them:
-    one ``(slabs, n, cells)`` array of each slab's n lines."""
+    """The slabs of ``ids`` at ``starts`` as one ``(slabs, n, cells)``
+    array of each slab's n lines: the column slabs of ``ids`` if
+    ``by_columns``, else those of ``ids.T``, as ``_key_blocks`` takes
+    them."""
     lines = ids.T if by_columns else ids
     return lines[np.add.outer(starts, np.arange(n))]
 
@@ -305,16 +306,22 @@ def _gathered_by_sliding_window_view(ids, n, starts, by_columns):
     st.sampled_from(["copy", "read-only", "reversed"]),
 )
 def test_key_blocks_keys_what_sliding_window_view_gathers(case, gather_bytes, layout):
+    # The blocks are column slabs of ``a``, ``ids`` or its transpose, and
+    # their mirror images the row slabs of ``a``'s mirror image, whose
+    # starts count from the other end: both layouts are keyed.
     ids, n, by_columns, starts = case
     blocks = _blocks(ids, n, by_columns, starts)
     if layout == "read-only":  # as the scan hands them over, from ``np.frombuffer``
         blocks = np.frombuffer(blocks.tobytes(), dtype=np.uint8).reshape(blocks.shape)
     elif layout == "reversed":  # a strided view: the same slabs, last first
         blocks = blocks[::-1]
-    index = _WindowIndex()
+    windows = set()
     with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):  # one slab a band, or more
-        _key_blocks(blocks, by_columns, index)
-    assert index.windows == _gathered_by_sliding_window_view(ids, n, starts, by_columns)
+        _key_blocks(blocks, windows)
+    a = ids if by_columns else ids.T
+    mirrored = [a.shape[1] - n - j for j in starts]
+    columns = _gathered_by_sliding_window_view(a, n, starts, True)
+    assert windows == columns | _gathered_by_sliding_window_view(_mirror(a), n, mirrored, False)
 
 
 def _slab_windows(ids, n, by_columns, starts):
@@ -343,13 +350,12 @@ def test_add_classes_keys_each_slab_and_its_mirror_image(case):
     ids, n, starts = case
     slabs = np.ascontiguousarray(_blocks(ids, n, True, starts))
     keys = slabs.reshape(len(starts), -1).view(np.dtype((np.void, slabs[0].size))).reshape(-1)
-    index = _WindowIndex()
-    blocks = _add_classes(keys, n, index)
-    assert sorted(b.tobytes() for b in blocks) == sorted(set(keys.tolist())) == sorted(index.slabs)
-    assert index.windows == _class_windows(ids, n, starts, (0,))
-    met = _WindowIndex()
-    met.slabs.update(index.slabs)
-    assert len(_add_classes(keys, n, met)) == 0 and not met.windows
+    windows, slabs = set(), set()
+    blocks = _add_classes(keys, n, windows, slabs)
+    assert sorted(b.tobytes() for b in blocks) == sorted(set(keys.tolist())) == sorted(slabs)
+    assert windows == _class_windows(ids, n, starts, (0,))
+    again = set()
+    assert len(_add_classes(keys, n, again, set(slabs))) == 0 and not again
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,36 +363,60 @@ def test_add_classes_keys_each_slab_and_its_mirror_image(case):
 def test_turned_class_keys_are_the_turned_arrays_class_keys(case):
     # The three turned classes of each column slab c of an array a are
     # the classes of the column slabs of T^2 a, M T a and M T^3 a: the
-    # classes ``_unique_windows`` keys for those arrays, whose windows
-    # are those of the three turns of a and of its mirror image.
+    # classes the scan keys for those arrays, whose windows are those of
+    # the three turns of a and of its mirror image.
     ids, n, _ = case
-    index = _WindowIndex()
-    _unique_windows(ids, n, index)
-    (blocks,) = index.grown  # every class, once
-    assert len(blocks) == len(index.slabs)
-    index.slabs.clear()
-    index.windows.clear()
-    _add_turned_slabs(index, n)
-    reference = _WindowIndex()
+    slabs = set()
+    blocks = _add_classes(_column_slabs(ids, n), n, set(), slabs)  # every class, once
+    assert len(blocks) == len(slabs)
+    windows, turned = set(), set()
+    _add_classes(_turned_keys(blocks), n, windows, turned)
+    reference, reference_slabs = set(), set()
     for image in (_turn(ids, 2), _mirror(_turn(ids, 1)), _mirror(_turn(ids, 3))):
-        _unique_windows(image, n, reference)
-    assert index.slabs == reference.slabs
+        _add_classes(_column_slabs(image, n), n, reference, reference_slabs)
+    assert turned == reference_slabs
     every = range(ids.shape[1] - n + 1)
-    assert index.windows == reference.windows == _class_windows(ids, n, every, (1, 2, 3))
+    assert windows == reference == _class_windows(ids, n, every, (1, 2, 3))
 
 
 @settings(max_examples=100, deadline=None)
 @given(slab_cases())
-def test_add_turned_slabs_adds_the_turned_windows(case):
+def test_turned_keys_add_the_turned_windows(case):
     # Through the resume step itself: the three turned classes of the
-    # classes on ``grown``, each skipped if its key was met (another turn
-    # of one of them), and keyed otherwise.
+    # classes a cut met first, each skipped if its key was met (another
+    # turn of one of them), and keyed otherwise.
     ids, n, starts = case
-    index = _WindowIndex()
-    index.grown.append(_blocks(ids, n, True, starts))
-    _add_turned_slabs(index, n)
-    assert index.grown == []
-    assert index.windows == _class_windows(ids, n, starts, (1, 2, 3))
+    windows = set()
+    _add_classes(_turned_keys(_blocks(ids, n, True, starts)), n, windows, set())
+    assert windows == _class_windows(ids, n, starts, (1, 2, 3))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 16))
+def test_scan_turns_each_cut_class_once_a_rank_later(n, monkeypatch):
+    # The classes a cut meets first are turned once, when the scan is
+    # resumed past their rank, and never again; the classes of the last
+    # rank are never turned, even when the scan runs out.
+    added, turned = [], []
+    add_classes, turned_keys = enumerator._add_classes, enumerator._turned_keys
+
+    def recording_add(keys, n, windows, slabs):
+        blocks = add_classes(keys, n, windows, slabs)
+        added.append(blocks)
+        return blocks
+
+    def recording_turn(blocks):
+        turned.append(blocks)
+        return turned_keys(blocks)
+
+    monkeypatch.setattr(enumerator, "_add_classes", recording_add)
+    monkeypatch.setattr(enumerator, "_turned_keys", recording_turn)
+    ranks = _ranks(n, 9, IDENTITY)[1]
+    for i, (k, _) in enumerate(_window_scan(n, ranks)):
+        # Each rank keys the turned classes, then the cut's.
+        assert len(turned) == i + 1 and len(added) == 2 * (i + 1), k
+        assert all(t is c for t, c in zip(turned[1:], added[1::2])), k
+    assert len(turned[0]) == 0  # nothing is met before the first cut
+    assert len(turned) == len(ranks) and sum(map(len, added[1::2])) > 0
 
 
 @pytest.mark.slow
