@@ -25,15 +25,18 @@ set turned, so a facing is applied only where a window's cells are
 read.
 
 The ``.rbps`` cache layout is known here alone.  A file's body is a byte
-matrix of one record per row.  It is written from one sorted matrix with
-one ``write`` and read by viewing it as one: a cached rank reaches the
-count as its array of id rows, never as a set.  The same array passes
-that check a file find its first bad record.
+matrix of one record per row.  It is written and read a band of rows at
+a time, so neither copies a whole set or file body: a cached rank
+reaches the count as its array of id rows, never as a set, and the same
+bands that fill it find a file's first bad record.  Every per-cell table
+lookup over a window set is a ``bytes.translate`` of a band.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
+import itertools
 import os
 import stat
 import struct
@@ -51,18 +54,19 @@ FORMAT_VERSION = 1
 # and count as ">HIQ".
 _BODY = len(MAGIC) + struct.calcsize(">HIQ")
 
-# Per-tile-id canonical (prototile, rotation, mirror) triple, flattened.
-_TRIPLE_LUT = np.array(
-    [
-        [t.prototile, t.pose.rotation, int(t.pose.mirror)]
-        for t in ALL_TILES
-    ],
-    dtype=np.uint8,
+# Each tile id's canonical (prototile, rotation, mirror) triple, as three
+# ``bytes.translate`` tables, one a field; a byte past the tile ids maps
+# to 0.
+_TRIPLE_BYTES = tuple(
+    bytes(field).ljust(256, b"\0")
+    for field in zip(*((t.prototile, t.pose.rotation, int(t.pose.mirror)) for t in ALL_TILES))
 )
 # Its inverse, keyed by p*8 + r*2 + m: the tile id of each canonical
 # (prototile, rotation, mirror) triple, EMPTY for every other uint8 key.
 _TRIPLE_IDS = np.full(256, EMPTY, dtype=np.uint8)
-_TRIPLE_IDS[_TRIPLE_LUT @ np.array([8, 2, 1], dtype=np.uint8)] = np.arange(len(ALL_TILES))
+_TRIPLE_IDS[[p * 8 + r * 2 + m for p, r, m in zip(*_TRIPLE_BYTES)][: len(ALL_TILES)]] = np.arange(
+    len(ALL_TILES)
+)
 _TRIPLE_ID_BYTES = _TRIPLE_IDS.tobytes()  # as a ``bytes.translate`` table
 
 # ``_MIRROR``, each tile id's id in a grid's mirror image across its NE-SW
@@ -80,8 +84,9 @@ _CLASS_TURNS = (
 # The one banding constant: about this many key bytes are made into
 # ``bytes`` objects per ``tolist`` call, slab keys in ``_new_blocks`` and
 # window keys in ``_key_blocks``, which copies out the slabs of one band
-# at a time; and ``_write_records`` gathers the triples of about this
-# many tile ids per ``np.take``, which makes its indices 8-byte intp.
+# at a time; and a path that reads a whole window set (``_bands``) or
+# an ``.rbps`` body makes about this many bytes of one band of rows or
+# records at a time.
 _GATHER_BYTES = 1 << 16
 
 
@@ -298,25 +303,47 @@ def _turned_keys(blocks: np.ndarray) -> np.ndarray:
     return np.frombuffer(data, dtype=np.dtype((np.void, blocks.shape[1] * blocks.shape[2])))
 
 
-def _id_rows(windows, n: int) -> np.ndarray:
-    """A window set, from ``_window_scan`` or a cache file, as one
-    n*n-byte row per window.  An array of rows is passed through."""
+def _bands(windows, n: int, row_bytes: int):
+    """A collection of n*n-byte id rows, an array of them from a cache
+    file or an iterable of ``bytes`` (a scan's set, a sorted list), as
+    uint8 arrays of consecutive rows, ``_GATHER_BYTES // row_bytes`` of
+    them (at least one) a band: a reader that makes ``row_bytes`` bytes
+    of each row holds about ``_GATHER_BYTES`` at a time."""
+    step = max(1, _GATHER_BYTES // max(1, row_bytes))
     if isinstance(windows, np.ndarray):
-        return windows
-    return np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
+        for i in range(0, len(windows), step):
+            yield windows[i : i + step]
+        return
+    rows = iter(windows)
+    while band := list(itertools.islice(rows, step)):
+        yield np.frombuffer(b"".join(band), dtype=np.uint8).reshape(len(band), n * n)
 
 
 def _pattern_set(n: int, windows) -> PatternSet:
-    """The Patterns of a window set from ``_window_scan`` or a cache file.
-    One bytes object per row, which keeps the one member of an n = 0 set."""
-    triples = _triples(_id_rows(windows, n)).reshape(len(windows), 3 * n * n)
-    return PatternSet(n, map(bytes, triples))
+    """The Patterns of a window set from ``_window_scan`` or a cache file,
+    made a band at a time.  One bytes object per row, which keeps the one
+    member of an n = 0 set."""
+    size = 3 * n * n
+    triples = (_triples(band).reshape(len(band), size) for band in _bands(windows, n, size))
+    return PatternSet(n, itertools.chain.from_iterable(map(bytes, t) for t in triples))
 
 
-def _triples(ids: np.ndarray) -> np.ndarray:
-    """``_TRIPLE_LUT[ids]``: the (prototile, rotation, mirror) triple of
-    each tile id in ``ids``, along a new last axis."""
-    return np.take(_TRIPLE_LUT, ids, axis=0)
+def _lookup(ids: np.ndarray, table: bytes) -> np.ndarray:
+    """``table[ids]`` for a uint8 array and a 256-byte table, as one
+    ``bytes.translate``: no index array is made."""
+    return np.frombuffer(ids.tobytes().translate(table), dtype=np.uint8).reshape(ids.shape)
+
+
+def _triples(ids: np.ndarray, out=None) -> np.ndarray:
+    """The (prototile, rotation, mirror) triple of each tile id in the
+    uint8 array ``ids``, along a new last axis, written into ``out`` (of
+    that shape) if given: one ``bytes.translate`` a field."""
+    if out is None:
+        out = np.empty(ids.shape + (3,), dtype=np.uint8)
+    data = ids.tobytes()
+    for i, table in enumerate(_TRIPLE_BYTES):
+        out[..., i] = np.frombuffer(data.translate(table), dtype=np.uint8).reshape(ids.shape)
+    return out
 
 
 def _tile_ids(triples: np.ndarray) -> np.ndarray:
@@ -327,8 +354,7 @@ def _tile_ids(triples: np.ndarray) -> np.ndarray:
     key = p * 8
     key += r * 2
     key += m
-    ids = np.frombuffer(key.tobytes().translate(_TRIPLE_ID_BYTES), dtype=np.uint8)
-    ids = ids.reshape(key.shape)
+    ids = _lookup(key, _TRIPLE_ID_BYTES)
     # The uint8 key names its triple only while it cannot wrap or alias.
     if key.size and (p.max() >= 32 or r.max() >= 4 or m.max() >= 2):
         ids = np.where((p >= 32) | (r >= 4) | (m >= 2), EMPTY, ids).astype(np.uint8)
@@ -445,8 +471,9 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
                 raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
         else:
             windows = next(w for k, w in scan if k == rank)
-            _write_records(path, n, _id_rows(windows, n))
+            _write_records(path, n, windows)
         yield rank, windows
+        del windows  # a rank read from its file goes before the next is read
 
 
 def _windows_at(n: int, ranks: range) -> set:
@@ -460,8 +487,9 @@ def distinct_patterns(n: int, rank: int, facing: Pose = IDENTITY) -> PatternSet:
     """All distinct n-by-n windows of the rank-``rank`` supertile: the
     NE set with each window turned as the facing turns the supertile."""
     n, ranks = _ranks(n, rank, facing)
-    f, rows = facing.rotation, _id_rows(_windows_at(n, ranks), n).reshape(-1, n, n)
-    return _pattern_set(n, _TURNS[f][np.rot90(rows, f, axes=(1, 2))].reshape(-1, n * n))
+    f, rows = facing.rotation, np.frombuffer(b"".join(_windows_at(n, ranks)), dtype=np.uint8)
+    turned = _lookup(np.rot90(rows.reshape(-1, n, n), f, axes=(1, 2)), _TURNS[f].tobytes())
+    return _pattern_set(n, turned.reshape(-1, n * n))
 
 
 def count_stabilized(
@@ -488,6 +516,7 @@ def count_stabilized(
     counts = []
     for k, windows in scan:
         counts.append((k, value(windows)))
+        del windows  # a rank read from its file goes before the next is read
         if len(counts) > 1 and counts[-2][1] == counts[-1][1]:
             return CountReport(n, k, counts[-1][1], True, tuple(counts))
     return CountReport(n, ranks[-1], counts[-1][1], False, tuple(counts))
@@ -499,8 +528,10 @@ def _scan_value(n: int, corner_pos, facing: Pose):
     window w: its size, or with ``corner_pos`` ([row, col], 1-based, both
     in 1..2) how many of its windows have their bumpy-corner lattice
     start exactly there.  ``TURN`` keeps bumpy corners bumpy, so that
-    mask is turned back, ``np.rot90(mask, -f)``, not the windows.  A bad
-    ``corner_pos`` raises here, before any window set is made."""
+    mask is turned back, ``np.rot90(mask, -f)``, not the windows.  The
+    windows are read a band at a time, each cell through a 0/1 bumpy
+    table.  A bad ``corner_pos`` raises here, before any window set is
+    made."""
     if corner_pos is None:
         return len
     try:
@@ -513,9 +544,12 @@ def _scan_value(n: int, corner_pos, facing: Pose):
     parity = np.arange(n) % 2
     want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
     want = np.rot90(want, -facing.rotation).reshape(-1)
+    bumpy = BUMPY_IDS.tobytes().ljust(256, b"\0")
 
     def hits(windows) -> int:
-        return int((BUMPY_IDS[_id_rows(windows, n)] == want).all(axis=1).sum())
+        # A band's rows are read, looked up and compared: three bytes a cell.
+        bands = _bands(windows, n, 3 * n * n)
+        return sum(int((_lookup(band, bumpy) == want).all(axis=1).sum()) for band in bands)
 
     return hits
 
@@ -604,30 +638,28 @@ def _atomic_open(path, mode: str):
             raise
 
 
-def _write_records(path, n: int, rows: np.ndarray) -> None:
-    """Write an ``.rbps`` file whose members are given by the rows of the
-    uint8 array ``rows``, distinct rows of n*n tile ids.
+def _write_records(path, n: int, windows) -> None:
+    """Write an ``.rbps`` file whose members are given by ``windows``,
+    distinct n*n-byte rows of tile ids as ``bytes``.
 
-    The rows are sorted as void keys; id rows sort as their members do,
-    because tile ids sort as their ``_TRIPLE_LUT`` triples.  The header
-    and the body are filled into one buffer, the body viewed as a byte
+    The rows are taken in the order Python's ``sorted`` gives their
+    bytes; id rows sort as their members do, because tile ids sort as
+    their triples.  The header is written first, then the records a band
+    of about ``_GATHER_BYTES`` at a time, each band filled into one byte
     matrix of one record per row: the big-endian length field in columns
-    0-3, the member after it, filled a band of rows at a time.  The
-    buffer is written by one call."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
-    rows = np.sort(keys).view(np.uint8).reshape(rows.shape)
-    count, size = len(rows), 3 * n * n
-    out = np.empty(_BODY + count * (4 + size), dtype=np.uint8)
-    out[:_BODY] = list(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count))
-    records = out[_BODY:].reshape(count, 4 + size)
-    records[:, :4] = list(size.to_bytes(4, "big"))
-    members = records[:, 4:].reshape(count, n * n, 3)
-    step = max(1, _GATHER_BYTES // max(1, n * n))
-    for i in range(0, count, step):
-        members[i : i + step] = _triples(rows[i : i + step])
+    0-3, the member after it."""
+    rows = sorted(windows)
+    size = 3 * n * n
+    records = np.empty((0, 4 + size), dtype=np.uint8)  # one band's, made at the first band
     with _atomic_open(path, "wb") as fh:
-        fh.write(out)
+        fh.write(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, len(rows)))
+        for ids in _bands(rows, n, 4 + size):
+            if len(records) < len(ids):
+                records = np.empty((len(ids), 4 + size), dtype=np.uint8)
+                records[:, :4] = list(size.to_bytes(4, "big"))
+            band = records[: len(ids)]
+            _triples(ids, band[:, 4:].reshape(len(ids), n * n, 3))
+            fh.write(band)
 
 
 def save_pattern_set(ps: PatternSet, path) -> None:
@@ -648,33 +680,45 @@ def save_pattern_set(ps: PatternSet, path) -> None:
     ids = _tile_ids(triples)
     if (ids == EMPTY).any():
         raise ValueError("a pattern-set member has a triple that names no canonical tile")
-    _write_records(path, ps.n, ids.reshape(ps.count, ps.n * ps.n))
+    _write_records(path, ps.n, map(bytes, ids.reshape(ps.count, ps.n * ps.n)))
 
 
-def _read_pattern_file(path) -> tuple:
+def _read_pattern_file(path, keep: bool = True) -> tuple:
     """Check an ``.rbps`` file as ``load_pattern_set`` states, and return
     its header n and the tile ids of its members, one ``n*n``-byte row
-    per member in file order."""
+    per member in file order; or, if not ``keep``, their count.  A file
+    that is not a regular one (a pipe, a device) is read whole first, so
+    that its size is known."""
     with open(path, "rb") as fh:
-        return _parse_pattern_file(fh.read())
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh = io.BytesIO(fh.read())
+        return _parse_pattern_file(fh, keep)
 
 
-def _parse_pattern_file(blob: bytes) -> tuple:
-    """``_read_pattern_file`` on the bytes of a file.
+def _parse_pattern_file(fh, keep: bool = True) -> tuple:
+    """``_read_pattern_file`` on a seekable binary stream.
 
-    The body's complete records are viewed as one byte matrix, a record
-    per row, so every length field, order and triple is checked in a few
-    array passes.  The records before the first bad one sit at fixed
-    offsets, so the first bad record is the first row with a wrong
-    length field or not greater than the row before it, or else the
-    first record the body cuts short; the record-by-record checks are
-    then run on that record alone.  Trailing bytes come next, and the
-    first row with a triple that names no canonical tile last."""
-    if len(blob) < _BODY:
-        raise CorruptPatternFile(len(blob), "truncated header")
-    if blob[: len(MAGIC)] != MAGIC:
+    The body is read a band of records at a time, about
+    ``_GATHER_BYTES``, and each band's complete records are viewed as a
+    byte matrix, a record per row, so its length fields, order and
+    triples are checked in a few array passes; a band's first record is
+    compared with the last record before it.  The records before the
+    first bad one sit at fixed offsets, so the first bad record is the
+    first row with a wrong length field or not greater than the row
+    before it, or else the first record the body cuts short; the
+    record-by-record checks are then run on that record alone.
+    Trailing bytes come next, and the first row with a triple that
+    names no canonical tile last.  The id rows are kept in one array
+    sized by the header count, or by the records the stream can hold if
+    that is fewer, and filled a band at a time."""
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    head = fh.read(_BODY)
+    if len(head) < _BODY:
+        raise CorruptPatternFile(len(head), "truncated header")
+    if head[: len(MAGIC)] != MAGIC:
         raise CorruptPatternFile(0, "bad magic")
-    version, n, count = struct.unpack_from(">HIQ", blob, len(MAGIC))
+    version, n, count = struct.unpack_from(">HIQ", head, len(MAGIC))
     if version != FORMAT_VERSION:
         raise PatternVersionMismatch(version)
     size = 3 * n * n
@@ -682,31 +726,45 @@ def _parse_pattern_file(blob: bytes) -> tuple:
         msg = f"n={n}: a 3n^2-byte record overflows its length field"
         raise CorruptPatternFile(len(MAGIC) + 2, msg)
     width = 4 + size
-    whole = min(count, (len(blob) - _BODY) // width)
-    records = np.frombuffer(blob, np.uint8, whole * width, _BODY).reshape(whole, width)
-    ids = _tile_ids(records[:, 4:].reshape(whole, n * n, 3))
-    bad = (ids == EMPTY).any(axis=1)
-    fault = (records[:, :4] != list(size.to_bytes(4, "big"))).any(axis=1)
-    # Tile ids sort as their triples, so the id rows keep the members'
-    # order once every triple is canonical.
-    fault[1:] |= ~_increasing(records[:, 4:] if bad.any() else ids)
-    first = int(fault.argmax()) if fault.any() else whole
-    offset = _BODY + first * width
-    if first < count:
-        if offset + 4 > len(blob):
-            raise CorruptPatternFile(offset, "truncated record length")
-        (length,) = struct.unpack_from(">I", blob, offset)
-        if length != size:
-            raise CorruptPatternFile(offset, f"record length {length}, expected {size}")
-        if offset + 4 + length > len(blob):
-            raise CorruptPatternFile(offset + 4, "truncated record")
-        raise CorruptPatternFile(offset, "records not in strictly increasing order")
-    if offset != len(blob):
-        raise CorruptPatternFile(offset, "trailing bytes")
-    if bad.any():
-        offset = _BODY + int(bad.argmax()) * width
-        raise CorruptPatternFile(offset, "triple names no canonical tile")
-    return n, ids
+    length = list(size.to_bytes(4, "big"))
+    rows = np.empty((min(count, (end - _BODY) // width) if keep else 0, n * n), dtype=np.uint8)
+    step = max(1, _GATHER_BYTES // width)
+    done, last, bad = 0, None, None
+    while done < count:
+        want, offset = min(step, count - done), _BODY + done * width
+        band = fh.read(min(want * width, end - offset))  # a short band is the file's end
+        whole = len(band) // width
+        records = np.frombuffer(band, np.uint8, whole * width).reshape(whole, width)
+        ids = _tile_ids(records[:, 4:].reshape(whole, n * n, 3))
+        stray = (ids == EMPTY).any(axis=1)
+        fault = (records[:, :4] != length).any(axis=1)
+        # Tile ids sort as their triples, so the id rows keep the members'
+        # order once every triple is canonical.
+        fault[1:] |= ~_increasing(records[:, 4:] if stray.any() else ids)
+        if whole and last is not None:
+            fault[0] |= records[0, 4:].tobytes() <= last
+        first = int(fault.argmax()) if fault.any() else whole
+        if first < want:
+            at = first * width
+            if at + 4 > len(band):
+                raise CorruptPatternFile(offset + at, "truncated record length")
+            (got,) = struct.unpack_from(">I", band, at)
+            if got != size:
+                raise CorruptPatternFile(offset + at, f"record length {got}, expected {size}")
+            if at + 4 + got > len(band):
+                raise CorruptPatternFile(offset + at + 4, "truncated record")
+            raise CorruptPatternFile(offset + at, "records not in strictly increasing order")
+        if bad is None and stray.any():
+            bad = offset + int(stray.argmax()) * width
+        if keep:
+            rows[done : done + whole] = ids
+        last = records[-1, 4:].tobytes()
+        done += whole
+    if _BODY + count * width != end:
+        raise CorruptPatternFile(_BODY + count * width, "trailing bytes")
+    if bad is not None:
+        raise CorruptPatternFile(bad, "triple names no canonical tile")
+    return n, rows if keep else count
 
 
 def _increasing(rows: np.ndarray) -> np.ndarray:
@@ -735,6 +793,5 @@ def load_pattern_set(path) -> PatternSet:
 
 def inspect_pattern_file(path) -> tuple:
     """The header n and the member count of an ``.rbps`` file, after
-    every check ``load_pattern_set`` makes; no ``PatternSet`` is built."""
-    n, ids = _read_pattern_file(path)
-    return n, len(ids)
+    every check ``load_pattern_set`` makes; no member is kept."""
+    return _read_pattern_file(path, keep=False)

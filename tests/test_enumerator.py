@@ -2,12 +2,15 @@
 counts, and the cache file format."""
 
 import contextlib
+import io
 import itertools
 import os
 import signal
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +39,7 @@ from robinsonblocks.enumerator import (
 from robinsonblocks import supertile
 from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
+    _BODY,
     _GATHER_BYTES,
     _add_classes,
     _column_slabs,
@@ -43,7 +47,7 @@ from robinsonblocks.enumerator import (
     _scan_value,
 )
 from robinsonblocks.supertile import Pose, TileGrid, build
-from robinsonblocks.tileset import ALL_TILES, OrientedTile, Prototile
+from robinsonblocks.tileset import ALL_TILES, BUMPY_IDS, IDENTITY, OrientedTile, Prototile
 
 FACINGS = [Pose(r, False) for r in range(4)]
 POSITIONS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -832,7 +836,7 @@ def test_a_block_side_is_a_non_negative_integer(tmp_path, make):
 def test_largest_header_n_whose_records_fit_is_read(tmp_path, capsys):
     n = 37837  # 3n^2 = 4,294,915,707 < 2^32
     blob = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)
-    found, ids = enumerator._parse_pattern_file(blob)
+    found, ids = enumerator._parse_pattern_file(io.BytesIO(blob))
     assert (found, ids.shape) == (n, (0, n * n))
     # An empty set of such an n is saved as that 22-byte header, also
     # from n = 26755, where a 4 + 3n^2-byte record passes 2^31 bytes.
@@ -946,7 +950,7 @@ def test_sigterm_inside_a_save_leaves_the_old_file(tmp_path, through):
 def test_tile_ids_sort_as_their_triples():
     # The .rbps reader checks member order on tile-id rows, and the
     # writer sorts id rows: both rely on this.
-    triples = [tuple(t) for t in enumerator._TRIPLE_LUT.tolist()]
+    triples = list(zip(*enumerator._TRIPLE_BYTES))[: len(ALL_TILES)]
     assert triples == sorted(set(triples))
     assert len(triples) == len(ALL_TILES)
 
@@ -962,6 +966,77 @@ def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
     header = len(MAGIC) + struct.calcsize(">HIQ")
     assert calls == [path.stat().st_size - header - 4 * len(got)]
     assert enumerator._pattern_set(3, got) == load_pattern_set(path)
+
+
+def _allocated(call):
+    """``call()`` and the peak bytes it allocated, as ``tracemalloc``
+    counts them."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rbps_io_and_the_corner_mask_hold_a_few_bands(tmp_path):
+    # The writer, the reader and the corner mask each work a band of
+    # about ``_GATHER_BYTES`` at a time.  On a set of 16 bands of id rows,
+    # whose file is 48 bands of records, each allocates at most 3 bands
+    # beyond the set, or beyond the id rows it returns; ``inspect`` keeps
+    # no row.  A path that copies the whole set or body allocates 16 or
+    # 48 bands more.
+    n, band = 32, _GATHER_BYTES
+    rng = np.random.default_rng(32)
+    bumpy, plain = np.flatnonzero(BUMPY_IDS), np.flatnonzero(~BUMPY_IDS)
+    parity = np.arange(n) % 2
+    lattice = ((parity == 0)[:, None] & (parity == 1)[None, :]).reshape(-1)  # corner_pos (1, 2)
+    rows = rng.choice(plain, (16 * band // (n * n), n * n)).astype(np.uint8)
+    rows[::3] = np.where(lattice, rng.choice(bumpy, n * n), rows[::3])  # every third row hits
+    windows = set(map(bytes, rows))
+    path = tmp_path / "w.rbps"
+
+    _, written = _allocated(lambda: enumerator._write_records(path, n, windows))
+    (found, ids), read = _allocated(lambda: enumerator._read_pattern_file(path))
+    inspected, inspecting = _allocated(lambda: inspect_pattern_file(path))
+    value = _scan_value(n, (1, 2), IDENTITY)
+    from_set, counting_set = _allocated(lambda: value(windows))
+    from_rows, counting_rows = _allocated(lambda: value(ids))
+
+    assert path.stat().st_size >= 48 * band and ids.nbytes >= 16 * band
+    assert written <= 3 * band
+    assert read - ids.nbytes <= 3 * band
+    assert inspecting <= 3 * band
+    assert counting_set <= 3 * band and counting_rows <= 3 * band
+    assert found == n and sorted(map(bytes, ids)) == sorted(windows)
+    assert inspected == (n, len(windows))
+    assert from_set == from_rows == len({r.tobytes() for r in rows[::3]})
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_pattern_file_is_read_from_a_fifo(tmp_path):
+    # A pipe has no size to seek to, so it is read whole and then checked
+    # as a file is: the same set, count and first fault.
+    ps = distinct_patterns(3, 5)
+    save_pattern_set(ps, tmp_path / "p.rbps")
+    blob = (tmp_path / "p.rbps").read_bytes()
+    fifo = tmp_path / "p.fifo"
+    os.mkfifo(fifo)
+    cut = len(blob) - 7
+    fault = (_BODY + (cut - _BODY) // 31 * 31 + 4, "truncated record")  # n = 3: 31-byte records
+    for data, read, expected in (
+        (blob, load_pattern_set, ps),
+        (blob, inspect_pattern_file, (3, ps.count)),
+        (blob[:cut], inspect_pattern_file, fault),
+    ):
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            got = read(fifo)
+        except CorruptPatternFile as exc:
+            got = exc.offset, str(exc).split(": ", 1)[1]
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert got == expected
 
 
 def test_count_report_csv_shape():

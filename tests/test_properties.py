@@ -3,16 +3,19 @@ trip, the .rbps reader against a record-by-record reference and
 supertile validation on random inputs."""
 
 import functools
+import io
 import itertools
 import json
 import os
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
     _BODY,
     FORMAT_VERSION,
@@ -36,6 +39,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 CELL_IDS = st.sampled_from([*range(len(ALL_TILES)), EMPTY])
+# Band sizes for the .rbps writer and reader and the corner mask: one
+# record or row a band, a few records a band (the files below split into
+# 2 to 48 bands), and the default, one band a file.
+GATHER_BYTES = [1, 160, enumerator._GATHER_BYTES]
 
 
 @st.composite
@@ -69,6 +76,7 @@ def test_ascii_matches_one_character_per_cell_and_round_trips(grid):
     assert parse_ascii(text) == grid
 
 
+@pytest.mark.parametrize("gather_bytes", GATHER_BYTES)
 @given(
     st.integers(1, 3).flatmap(
         lambda n: st.tuples(
@@ -80,17 +88,28 @@ def test_ascii_matches_one_character_per_cell_and_round_trips(grid):
         )
     )
 )
-def test_rbps_save_load_round_trip(case):
+def test_rbps_save_load_round_trip(gather_bytes, case):
     n, windows = case
     windows = {bytes(w) for w in windows}
     ps = _pattern_set(n, windows)
     assert ps.count == len(windows)
-    with tempfile.TemporaryDirectory() as tmp:
-        # A scan yielding ``windows`` at rank 1 writes the cache file; a
-        # second pass, with nothing to scan, reads it back as id rows.
+    # The format written record by record: the header, then each member
+    # after its length field, in lexicographic order.
+    size = 3 * n * n
+    header = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, ps.count)
+    expected = header + b"".join(size.to_bytes(4, "big") + m for m in ps.members())
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes),
+    ):
+        # A scan yielding ``windows`` at rank 1 writes the cache file, a
+        # band of records at a time; a second pass, with nothing to scan,
+        # reads it back as id rows.
         saved = list(_cached_window_scan(n, range(1, 2), iter([(1, windows)]), Path(tmp)))
         assert saved == [(1, windows)]
-        assert load_pattern_set(os.path.join(tmp, f"patterns_n{n}_rank1.rbps")) == ps
+        path = os.path.join(tmp, f"patterns_n{n}_rank1.rbps")
+        assert Path(path).read_bytes() == expected
+        assert load_pattern_set(path) == ps
         ((_, rows),) = _cached_window_scan(n, range(1, 2), iter(()), Path(tmp))
         assert rows.shape == (len(windows), n * n)
         assert {row.tobytes() for row in rows} == windows
@@ -201,14 +220,22 @@ def edited_rbps_files(draw):
     return bytes(blob)
 
 
+def _parse_in_bands(blob: bytes) -> tuple:
+    """``_parse_pattern_file`` on the bytes of a file."""
+    return _parse_pattern_file(io.BytesIO(blob))
+
+
+@pytest.mark.parametrize("gather_bytes", GATHER_BYTES)
 @settings(max_examples=300)
 @given(edited_rbps_files())
-def test_rbps_fast_reader_agrees_with_the_record_loop(blob):
+def test_rbps_fast_reader_agrees_with_the_record_loop(gather_bytes, blob):
     # The array reader and the record-by-record reference must reject an
     # edited file with the same exception, offset and message, or both
     # accept it and return the same rows; so the array reader accepts
-    # every file the reference accepts.
-    assert _parsed(_parse_pattern_file, blob) == _parsed(_parse_record_by_record, blob)
+    # every file the reference accepts.  The reader checks a band of
+    # records at a time, so every fault is also met across band edges.
+    with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):
+        assert _parsed(_parse_in_bands, blob) == _parsed(_parse_record_by_record, blob)
 
 
 @st.composite

@@ -64,27 +64,33 @@ def _reference_cross_band(ids, n):
     return _plain_windows(ids[lo : hi + n, :], n) | _plain_windows(ids[:, lo : hi + n], n)
 
 
-def _four_facing_scan(n, ranks, facing):
+def _four_facing_scan(n, ranks, facing, memo=None):
     """The scan as it was before it turned slabs: every facing of every
     rank below the last is made whole and the plain windows of its
     strips added to one set, after the rank is yielded.  A facing's
     windows are its own: the NW and SE facings are each other's mirror
-    images, not their own."""
+    images, not their own.  ``memo``, a dict, keeps each facing's
+    windows by (n, first rank, rank, facing) for the next scan."""
+    memo = {} if memo is None else memo
     windows = set()
     for k in ranks:
         extract = _plain_windows if k == ranks.start else _reference_cross_band
-        windows |= extract(_facing_ids(k, facing.rotation), n)
-        yield k, windows
-        for f in range(4):
-            if f != facing.rotation:
-                windows |= extract(_facing_ids(k, f), n)
+        for f in [facing.rotation] + [f for f in range(4) if f != facing.rotation]:
+            key = n, ranks.start, k, f
+            if key not in memo:
+                memo[key] = extract(_facing_ids(k, f), n)
+            windows |= memo[key]
+            if f == facing.rotation:
+                yield k, windows
 
 
 def _turned_set(windows, n, turns):
     """The window set ``windows`` with each window turned on its own, as
     the supertile turned ``turns`` quarter turns turns its windows."""
     rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n, n)
-    return {w.tobytes() for w in _turn_table(turns)[np.rot90(rows, turns, axes=(1, 2))]}
+    table = _turn_table(turns).tobytes().ljust(256, b"\0")
+    turned = np.frombuffer(np.rot90(rows, turns, axes=(1, 2)).tobytes().translate(table), np.uint8)
+    return set(turned.view(np.dtype((np.void, n * n))).tolist())
 
 
 def _hits(windows, n, pos):
@@ -96,13 +102,21 @@ def _hits(windows, n, pos):
     return int((BUMPY_IDS[rows] == want).all(axis=(1, 2)).sum())
 
 
+@pytest.fixture(scope="module")
+def facing_windows():
+    """One memo of each facing's plain windows, rank by rank, for the
+    four parametrisations of a test: each facing's windows are made
+    once, not once a parametrisation."""
+    return {}
+
+
 @pytest.mark.parametrize("facing", FACINGS)
-def test_each_rank_yields_the_four_facing_set(facing):
+def test_each_rank_yields_the_four_facing_set(facing, facing_windows):
     # The scan yields the NE set at every rank; turned as the facing
     # turns the supertile, it is the facing's own set.
     for n in range(1, 17):
         _, ranks = _ranks(n, 11, facing)
-        pairs = zip(_window_scan(n, ranks), _four_facing_scan(n, ranks, facing))
+        pairs = zip(_window_scan(n, ranks), _four_facing_scan(n, ranks, facing, facing_windows))
         for (k, windows), (k_ref, reference) in pairs:
             assert k == k_ref
             assert _turned_set(windows, n, facing.rotation) == reference, (n, k)
@@ -131,10 +145,14 @@ def test_readers_in_every_facing_match_the_four_facing_scan(facing):
                 assert restricted_count(n, pos, k, facing) == _hits(reference, n, pos), (n, k, pos)
 
 
-def test_scan_value_turns_its_mask_back():
+@pytest.mark.parametrize("gather_bytes", [1, 100, enumerator._GATHER_BYTES])
+def test_scan_value_turns_its_mask_back(gather_bytes):
     # The scan's offset classes have equal sizes in every facing, so the
     # mask's turn shows on made-up windows only: class i of these holds
     # i + 1 windows, bumpy exactly on the lattice of ``POSITIONS[i]``.
+    # The mask reads a band of windows at a time: one window a band, a
+    # few (each set's 10 windows split into 2 to 10 bands as n grows), or
+    # all.
     rng = np.random.default_rng(2)
     bumpy, plain = np.flatnonzero(BUMPY_IDS), np.flatnonzero(~BUMPY_IDS)
     for n in range(2, 9):
@@ -145,10 +163,14 @@ def test_scan_value_turns_its_mask_back():
             for _ in range(i + 1):
                 w = np.where(mask, rng.choice(bumpy, (n, n)), rng.choice(plain, (n, n)))
                 windows.add(w.astype(np.uint8).tobytes())
+        rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
         for facing in FACINGS:
             turned = _turned_set(windows, n, facing.rotation)
             for pos in POSITIONS:
-                assert _scan_value(n, pos, facing)(windows) == _hits(turned, n, pos), (n, pos)
+                with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):
+                    value = _scan_value(n, pos, facing)
+                    got = value(windows), value(rows)  # a scan's set, a cache file's rows
+                assert got == (_hits(turned, n, pos),) * 2, (n, pos)
 
 
 def test_turn_tables_have_order_four():
