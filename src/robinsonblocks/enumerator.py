@@ -2,7 +2,7 @@
 supertiles, deduplicate the blocks exactly, and detect when the count
 stops growing with rank.
 
-Windows are deduplicated at the tile-id level, as a set of n*n-byte
+Windows are deduplicated at the tile-id level, as sets of n*n-byte
 rows (one byte per cell, ids already canonical); the externally visible
 Pattern bytes spell each cell out as its canonical (prototile, rotation,
 mirror) triple.  A scan reaches its windows through slabs, runs of n
@@ -14,12 +14,18 @@ strip of its NE build, the rows that hold the windows touching the
 central row, the whole supertile at the first rank.  The NE supertile
 is its own mirror image, so the columns that hold the windows touching
 the central column are that strip mirrored, and its classes key both.
+So the scan's window set is closed under the mirror, and it is kept as
+an index of mirror pairs, ``_MirrorPairs``: each pair of a window w and
+its mirror image M(w) is keyed once, by the lesser of the two, and a
+window equal to its mirror image on its own.  The index holds half the
+set's windows; iterating it makes the mirror images a band at a time,
+and the corner mask reads a pair's key for both of its windows.
 
 ``_window_scan`` is the one route from a rank to its NE window set, and
 ``count_stabilized`` the one function that runs it to its plateau:
 plain or restricted to a corner position, and with or without a
 ``.rbps`` cache directory of NE sets, read in any facing.
-``distinct_patterns`` and ``restricted_count`` take the set the scan
+``distinct_patterns`` and ``restricted_count`` take the index the scan
 yields at their rank and stop there.  Any other facing's set is the NE
 set turned, so a facing is applied only where a window's cells are
 read.
@@ -84,9 +90,9 @@ _CLASS_TURNS = (
 # The one banding constant: about this many key bytes are made into
 # ``bytes`` objects per ``tolist`` call, slab keys in ``_new_blocks`` and
 # window keys in ``_key_blocks``, which copies out the slabs of one band
-# at a time; and a path that reads a whole window set (``_bands``) or
-# an ``.rbps`` body makes about this many bytes of one band of rows or
-# records at a time.
+# at a time; and a path that reads a whole window set (``_bands``, the
+# mirror images ``_MirrorPairs`` makes) or an ``.rbps`` body makes about
+# this many bytes of one band of rows or records at a time.
 _GATHER_BYTES = 1 << 16
 
 
@@ -214,7 +220,36 @@ def _column_slabs(ids: np.ndarray, n: int) -> np.ndarray:
     return np.ndarray((width - n + 1,), np.dtype((np.void, n * height)), lines, strides=(height,))
 
 
-def _add_classes(keys: np.ndarray, n: int, windows: set, slabs: set) -> np.ndarray:
+class _MirrorPairs:
+    """A window set closed under the mirror M across the NE-SW diagonal,
+    ``M(w) = _MIRROR[w[::-1, ::-1].T]``, that keys each mirror pair
+    {w, M(w)} once: ``pairs`` holds min(w, M(w)) of each pair with w !=
+    M(w), and ``selfmirror`` each window w == M(w), as n*n-byte tile-id
+    rows.  Its length is the set's size.  Iterating it yields every
+    window of the set once: the self-mirror windows, then the pair keys
+    a band of about ``_GATHER_BYTES`` at a time, each band's keys and
+    then their mirror images, made by one ``bytes.translate`` of the
+    band reversed and transposed."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs, self.selfmirror = set(), set()
+
+    def __len__(self) -> int:
+        return 2 * len(self.pairs) + len(self.selfmirror)
+
+    def __iter__(self):
+        n = self.n
+        yield from self.selfmirror
+        keys = iter(self.pairs)
+        while band := list(itertools.islice(keys, max(1, _GATHER_BYTES // (n * n)))):
+            yield from band
+            ids = np.frombuffer(b"".join(band), dtype=np.uint8).reshape(len(band), n, n)
+            images = ids[:, ::-1, ::-1].transpose(0, 2, 1).tobytes().translate(_MIRROR_BYTES)
+            yield from np.frombuffer(images, np.dtype((np.void, n * n))).tolist()
+
+
+def _add_classes(keys: np.ndarray, n: int, windows: _MirrorPairs, slabs: set) -> np.ndarray:
     """Add to ``windows`` the windows of each slab class, named by a
     column slab of the 1-D void array ``keys``, that ``slabs`` lacks, and
     return those column slabs as ``_new_blocks`` does."""
@@ -239,10 +274,10 @@ def _new_blocks(keys: np.ndarray, n: int, met: set) -> np.ndarray:
     return np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(len(fresh), n, keys.itemsize // n)
 
 
-def _key_blocks(blocks: np.ndarray, windows: set) -> None:
-    """Add to ``windows`` the n-by-n windows of the slab classes whose
-    column slabs are ``blocks``, an array of shape ``(slabs, n, cells)``
-    holding each slab's n columns.
+def _key_blocks(blocks: np.ndarray, windows: _MirrorPairs) -> None:
+    """Add to the index ``windows`` the n-by-n windows of the slab
+    classes whose column slabs are ``blocks``, an array of shape
+    ``(slabs, n, cells)`` holding each slab's n columns.
 
     This is the one window-dedup kernel: set membership compares the
     row bytes (a window's tile ids in row-major order) for equality, so
@@ -253,17 +288,21 @@ def _key_blocks(blocks: np.ndarray, windows: set) -> None:
     j its row at L - 1 - j (L the array's width), so it makes c a row
     slab M(c): ``c[::-1, ::-1]`` translated by ``_MIRROR_BYTES``, its
     lines and each line's cells reversed and every tile mirrored.  c and
-    M(c) are one slab class, and both are keyed here: c's windows, then
-    M(c)'s.
+    M(c) are one slab class, and both are keyed here, one mirror pair of
+    windows at a time: c's window at offset r and M(c)'s at ``per_slab -
+    1 - r`` are a window w and its mirror image M(w), and min(w, M(w))
+    is the pair's key, or w is a self-mirror window if w == M(w).
 
     The slabs are copied out in bands whose windows hold about
-    ``_GATHER_BYTES``, and each band's windows are added to the set by
+    ``_GATHER_BYTES``, and each band's keys are added to the index by
     one ``tolist``.  A column slab is copied row-major, n bytes per row,
     so its window at row r is the n*n contiguous bytes starting at byte
-    r*n, and a strided void view hands those bytes to ``tolist`` without
-    copying each window.  A row slab's windows are copied out whole, one
-    after another, each as its n rows of n bytes: the copy moves n-byte
-    void items, not single cells.
+    r*n; a row slab's windows are copied out whole, one after another,
+    each as its n rows of n bytes: the copy moves n-byte void items, not
+    single cells.  So both slabs' windows are strided views of n*n-byte
+    strings, which numpy compares as bytes, lexicographically, and
+    ``np.where`` picks each pair's key from them without copying each
+    window on its own.
     """
     count, n, cells = blocks.shape
     per_slab = cells - n + 1
@@ -271,14 +310,21 @@ def _key_blocks(blocks: np.ndarray, windows: set) -> None:
     shape, strides = (count, per_slab, n), (n * cells, 1, cells)
     rows = np.ndarray(shape, np.dtype((np.void, n)), mirrored, 0, strides)
     step = max(1, _GATHER_BYTES // (per_slab * n * n))
-    # ``view[i]`` is slab i as it is copied out: (cells, n) cells for c,
-    # its ``per_slab`` windows of n n-byte rows for M(c).
-    for view, stride in ((blocks.transpose(0, 2, 1), n), (rows, n * n)):
-        for i in range(0, count, step):
-            band = np.ascontiguousarray(view[i : i + step]).view(np.uint8)
-            shape, strides = (len(band), per_slab), (band.strides[0], stride)
-            keys = np.ndarray(shape, np.dtype((np.void, n * n)), band, 0, strides)
-            windows.update(*keys.tolist())
+    strings, keys = np.dtype(("S", n * n)), np.dtype((np.void, n * n))
+    for i in range(0, count, step):
+        band = np.ascontiguousarray(blocks[i : i + step].transpose(0, 2, 1))
+        images = np.ascontiguousarray(rows[i : i + step]).view(np.uint8)
+        # c's windows, and M(c)'s last first: item (s, r) of the two is a pair.
+        shape = (len(band), per_slab)
+        w = np.ndarray(shape, strings, band, 0, (band.strides[0], n))
+        m = np.ndarray(shape, strings, images, (per_slab - 1) * n * n, (images.strides[0], -n * n))
+        pairs = np.where(w < m, w, m).view(keys).reshape(-1)
+        windows.pairs.update(pairs.tolist())
+        same = (w == m).reshape(-1)
+        if same.any():
+            selfmirror = pairs[same].tolist()
+            windows.pairs.difference_update(selfmirror)
+            windows.selfmirror.update(selfmirror)
 
 
 def _turned_keys(blocks: np.ndarray) -> np.ndarray:
@@ -305,7 +351,7 @@ def _turned_keys(blocks: np.ndarray) -> np.ndarray:
 
 def _bands(windows, n: int, row_bytes: int):
     """A collection of n*n-byte id rows, an array of them from a cache
-    file or an iterable of ``bytes`` (a scan's set, a sorted list), as
+    file or an iterable of ``bytes`` (a scan's index, a sorted list), as
     uint8 arrays of consecutive rows, ``_GATHER_BYTES // row_bytes`` of
     them (at least one) a band: a reader that makes ``row_bytes`` bytes
     of each row holds about ``_GATHER_BYTES`` at a time."""
@@ -320,7 +366,7 @@ def _bands(windows, n: int, row_bytes: int):
 
 
 def _pattern_set(n: int, windows) -> PatternSet:
-    """The Patterns of a window set from ``_window_scan`` or a cache file,
+    """The Patterns of a window index from ``_window_scan`` or a cache file,
     made a band at a time.  One bytes object per row, which keeps the one
     member of an n = 0 set."""
     size = 3 * n * n
@@ -381,8 +427,8 @@ def _ranks(n: int, k_max: int, facing: Pose) -> tuple:
 
 def _window_scan(n: int, ranks: range):
     """Yield ``(rank, windows)`` for each of ``ranks``, where ``windows``
-    is the set of distinct n-by-n windows of the NE supertile, as tile-id
-    row bytes.
+    is a ``_MirrorPairs`` index of the distinct n-by-n windows of the NE
+    supertile, as tile-id row bytes.
 
     Only windows that touch the central row or column are extracted, from
     the two strips of lines that hold them.  A rank-(k+1) window either
@@ -436,16 +482,18 @@ def _window_scan(n: int, ranks: range):
     t's set is this set turned, and the readers of cells turn what they
     read.
 
-    The scan keeps three things: ``windows``, the set of windows keyed;
-    ``slabs``, the keys of the classes met; and ``new``, the column slabs
-    of the classes the last cut met first.  The yielded set is the
-    scan's own, live: it is valid until the scan is resumed, which adds
-    to it.  Rank k is yielded as soon as its strip's classes are keyed;
-    the turned classes of rank k belong to rank k+1's set and are keyed
-    only when the scan is resumed, so a scan that stops at its plateau
-    never turns the classes of its last rank.
+    The scan keeps three things: ``windows``, the index of the windows
+    keyed, which keys each mirror pair of them once, as ``_key_blocks``
+    meets both windows of a pair together; ``slabs``, the keys of the
+    classes met; and ``new``, the column slabs of the classes the last
+    cut met first.  The yielded index is the scan's own, live: it is
+    valid until the scan is resumed, which adds to it.  Rank k is
+    yielded as soon as its strip's classes are keyed; the turned classes
+    of rank k belong to rank k+1's set and are keyed only when the scan
+    is resumed, so a scan that stops at its plateau never turns the
+    classes of its last rank.
     """
-    windows, slabs = set(), set()
+    windows, slabs = _MirrorPairs(n), set()
     new = np.empty((0, n, n), dtype=np.uint8)  # no class is met before the first cut
     for k in ranks:
         _add_classes(_turned_keys(new), n, windows, slabs)
@@ -459,7 +507,7 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
     """Yield ``(rank, windows)`` for each of ``ranks``, as the NE-facing
     window ``scan`` over them does.  A rank is read from its ``.rbps``
     file in ``cache`` where that exists, and yielded as its array of id
-    rows, which ``len`` and ``_scan_value`` take as they take a set;
+    rows, which ``len`` and ``_scan_value`` take as they take an index;
     otherwise ``scan`` runs as far as that rank and its set is saved
     there."""
     cache.mkdir(parents=True, exist_ok=True)
@@ -476,8 +524,8 @@ def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
         del windows  # a rank read from its file goes before the next is read
 
 
-def _windows_at(n: int, ranks: range) -> set:
-    """The NE window set a scan over ``ranks`` yields at its last rank.
+def _windows_at(n: int, ranks: range) -> _MirrorPairs:
+    """The NE window index a scan over ``ranks`` yields at its last rank.
     The scan is never resumed past it, so the slabs of that rank are
     never turned."""
     return next(w for k, w in _window_scan(n, ranks) if k == ranks[-1])
@@ -502,7 +550,7 @@ def count_stabilized(
     there (see ``restricted_count``).  ``cache`` is a directory of one
     ``.rbps`` file per rank, read where present and written otherwise;
     a file holds the rank's NE set, which serves every facing, as the
-    scan's own set does.  Every argument is checked before anything is
+    scan's own index does.  Every argument is checked before anything is
     built or written.
 
     The stop rule is a heuristic plateau, not a proven bound.
@@ -529,9 +577,12 @@ def _scan_value(n: int, corner_pos, facing: Pose):
     in 1..2) how many of its windows have their bumpy-corner lattice
     start exactly there.  ``TURN`` keeps bumpy corners bumpy, so that
     mask is turned back, ``np.rot90(mask, -f)``, not the windows.  The
-    windows are read a band at a time, each cell through a 0/1 bumpy
-    table.  A bad ``corner_pos`` raises here, before any window set is
-    made."""
+    mirror keeps them bumpy too, ``BUMPY_IDS[_MIRROR] == BUMPY_IDS``, so
+    a scan's pair key w is read once for both windows of its pair: M(w)
+    has the mask's corners where w has them mirrored, ``mask[::-1,
+    ::-1].T``, and no mirror image is made.  The windows are read a band
+    at a time, each cell through a 0/1 bumpy table.  A bad
+    ``corner_pos`` raises here, before any window set is made."""
     if corner_pos is None:
         return len
     try:
@@ -543,15 +594,24 @@ def _scan_value(n: int, corner_pos, facing: Pose):
         raise ValueError(f"corner_pos must lie in the leading 2x2, got {corner_pos}")
     parity = np.arange(n) % 2
     want = (parity == r - 1)[:, None] & (parity == c - 1)[None, :]
-    want = np.rot90(want, -facing.rotation).reshape(-1)
+    want = np.rot90(want, -facing.rotation)
+    want, mirrored = want.reshape(-1), want[::-1, ::-1].T.reshape(-1)
     bumpy = BUMPY_IDS.tobytes().ljust(256, b"\0")
 
-    def hits(windows) -> int:
+    def hits(rows, *masks) -> int:
         # A band's rows are read, looked up and compared: three bytes a cell.
-        bands = _bands(windows, n, 3 * n * n)
-        return sum(int((_lookup(band, bumpy) == want).all(axis=1).sum()) for band in bands)
+        total = 0
+        for band in _bands(rows, n, 3 * n * n):
+            bumps = _lookup(band, bumpy)
+            total += sum(int((bumps == mask).all(axis=1).sum()) for mask in masks)
+        return total
 
-    return hits
+    def value(windows) -> int:
+        if isinstance(windows, _MirrorPairs):
+            return hits(windows.selfmirror, want) + hits(windows.pairs, want, mirrored)
+        return hits(windows, want)
+
+    return value
 
 
 def restricted_count(m: int, corner_pos, rank: int, facing: Pose = IDENTITY) -> int:

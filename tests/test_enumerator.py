@@ -41,6 +41,7 @@ from robinsonblocks import enumerator
 from robinsonblocks.enumerator import (
     _BODY,
     _GATHER_BYTES,
+    _MirrorPairs,
     _add_classes,
     _column_slabs,
     _pattern_set,
@@ -122,13 +123,22 @@ def _mirror(ids):
     return supertile._MIRROR[ids[::-1, ::-1].T]
 
 
+def _index_windows(index):
+    """The windows a ``_MirrorPairs`` index yields, as a set, once it is
+    checked that it yields no window twice and that its length counts
+    each window once."""
+    windows = list(index)
+    assert len(windows) == len(set(windows)) == len(index)
+    return set(windows)
+
+
 def _kernel(ids, n, windows=None, slabs=None):
     """Key the slab classes of the column slabs of ``ids`` as the scan
-    keys a cut strip's, into ``windows`` and ``slabs`` (fresh sets by
-    default), and return ``windows``."""
-    windows = set() if windows is None else windows
+    keys a cut strip's, into the index ``windows`` and the set ``slabs``
+    (fresh ones by default), and return the windows the index yields."""
+    windows = _MirrorPairs(n) if windows is None else windows
     _add_classes(_column_slabs(ids, n), n, windows, set() if slabs is None else slabs)
-    return windows
+    return _index_windows(windows)
 
 
 def _kernel_reference(ids, n):
@@ -152,10 +162,9 @@ def _count_keyed_slabs(monkeypatch):
 
 
 def _gather_bands(shape):
-    """The gather bands ``_key_blocks`` cuts each of its two passes over
-    a block of slab classes of that shape into, the column slabs' and
-    their mirror images': each band holds as many slabs as fit their
-    windows in ``_GATHER_BYTES``."""
+    """The gather bands ``_key_blocks`` cuts a block of slab classes of
+    that shape into, the column slabs with their mirror images: each
+    band holds as many slabs as fit their windows in ``_GATHER_BYTES``."""
     slabs, n, cells = shape
     return -(-slabs // max(1, _GATHER_BYTES // ((cells - n + 1) * n * n)))
 
@@ -168,12 +177,13 @@ def test_dedup_kernel_matches_a_sort_over_all_windows(monkeypatch):
     for n in (2, 3):
         shapes = _count_keyed_slabs(monkeypatch)
         rows = _reference_rows(ids, n)
-        windows = _kernel(ids, n)
+        index = _MirrorPairs(n)
+        windows = _kernel(ids, n, index)
         # The NE supertile is its own mirror image: its windows alone.
         assert windows == {row.tobytes() for row in rows} == _kernel_reference(ids, n)
         assert sum(map(_gather_bands, shapes)) > 1  # a gather band boundary is crossed
         expected = sorted(triples[row].tobytes() for row in rows)
-        assert _pattern_set(n, windows).members() == expected
+        assert _pattern_set(n, index).members() == expected
     # Nearly every window of random ids is distinct, so a window lost at
     # any band boundary, or at either edge of the array or its mirror
     # image, shows.  Every array, wide, tall, square or a strided view,
@@ -218,17 +228,17 @@ def test_slab_set_keys_a_class_by_its_whole_column_slab():
     for shape in ((3, 40), (40, 3), (12, 12), (5, 6)):
         a = rng.integers(0, 3, shape, dtype=np.uint8)  # few values, many repeated slabs
         for n in (1, 2, 3):
-            windows, slabs = set(), set()
+            windows, slabs = _MirrorPairs(n), set()
             _kernel(a, n, windows, slabs)
-            assert windows == _kernel_reference(a, n)
+            assert _index_windows(windows) == _kernel_reference(a, n)
             _kernel(a.T, n, windows, slabs)
-            assert windows == _kernel_reference(a, n) | _kernel_reference(a.T, n)
+            assert _index_windows(windows) == _kernel_reference(a, n) | _kernel_reference(a.T, n)
     # Every column of the 2x8 array is a prefix of a column of the 3x9
     # one, so only keys of whole lines keep the 3x9 array's slabs apart.
     short = np.zeros((2, 8), dtype=np.uint8)
     long = np.zeros((3, 9), dtype=np.uint8)
     long[-1] = 1
-    windows, slabs = set(), set()
+    windows, slabs = _MirrorPairs(2), set()
     _kernel(short, 2, windows, slabs)
     expected = {bytes(4), bytes([0, 0, 1, 1])} | _kernel_reference(long, 2)
     assert _kernel(long, 2, windows, slabs) == expected
@@ -239,7 +249,7 @@ def test_slab_set_keys_a_strip_once(monkeypatch):
     c = (ids.shape[0] - 1) // 2
     for n in (2, 5):
         for strip in (ids[c - n + 1 : c + n, :], ids[:, c - n + 1 : c + n]):
-            windows, slabs = set(), set()
+            windows, slabs = _MirrorPairs(n), set()
             first = set(_kernel(strip, n, windows, slabs))
             assert first == _kernel_reference(strip, n)
             shapes = _count_keyed_slabs(monkeypatch)
@@ -312,12 +322,12 @@ def test_slab_set_on_full_grids():
     # NE and SW facings and swaps the NW and SE ones, so the union of
     # the four is the union of their own sets.
     for n in (2, 4):
-        windows, slabs, expected = set(), set(), set()
+        windows, slabs, expected = _MirrorPairs(n), set(), set()
         for f in range(4):
             ids = supertile._facing_ids(6, f)
             expected |= _kernel_reference(ids, n)
             _kernel(ids, n, windows, slabs)
-            assert windows == expected
+            assert _index_windows(windows) == expected
         own = [_plain_windows(supertile._facing_ids(6, f), n) for f in range(4)]
         assert expected == set().union(*own)
 

@@ -16,10 +16,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from test_cross_turn import _turn_table
+from test_enumerator import _index_windows
 from robinsonblocks import enumerator, supertile
 from robinsonblocks.complexity import closed_form_A
 from robinsonblocks.enumerator import (
     _CLASS_TURNS,
+    _MirrorPairs,
     _add_classes,
     _column_slabs,
     _key_blocks,
@@ -62,6 +64,19 @@ def _reference_cross_band(ids, n):
     c = (s - 1) // 2
     lo, hi = max(0, c - n + 1), min(c, s - n)
     return _plain_windows(ids[lo : hi + n, :], n) | _plain_windows(ids[:, lo : hi + n], n)
+
+
+def _index_of(windows, n):
+    """A ``_MirrorPairs`` index of the set ``windows`` and its mirror
+    images, filled by hand: each window is looked at alone."""
+    index = _MirrorPairs(n)
+    for w in windows:
+        m = _mirror(np.frombuffer(w, dtype=np.uint8).reshape(n, n)).tobytes()
+        if w == m:
+            index.selfmirror.add(w)
+        else:
+            index.pairs.add(min(w, m))
+    return index
 
 
 def _four_facing_scan(n, ranks, facing, memo=None):
@@ -119,7 +134,36 @@ def test_each_rank_yields_the_four_facing_set(facing, facing_windows):
         pairs = zip(_window_scan(n, ranks), _four_facing_scan(n, ranks, facing, facing_windows))
         for (k, windows), (k_ref, reference) in pairs:
             assert k == k_ref
-            assert _turned_set(windows, n, facing.rotation) == reference, (n, k)
+            # Each mirror pair is keyed once, and yielded as both of its
+            # windows: no window twice, and ``len`` the set's size.
+            assert not windows.pairs & windows.selfmirror, (n, k)
+            assert _turned_set(_index_windows(windows), n, facing.rotation) == reference, (n, k)
+
+
+def test_a_self_mirror_window_is_keyed_once():
+    # A window equal to its mirror image is its own pair: it is yielded
+    # and counted once, however often it is keyed.  Its NE-SW diagonal
+    # holds tiles the mirror keeps, and each other cell (i, j) the
+    # mirror of cell (n - 1 - j, n - 1 - i).
+    fixed = np.flatnonzero(_MIRROR[: len(ALL_TILES)] == np.arange(len(ALL_TILES)))
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        w = rng.integers(0, len(ALL_TILES), (n, n)).astype(np.uint8)
+        w[np.arange(n), n - 1 - np.arange(n)] = rng.choice(fixed, n)
+        below = np.add.outer(np.arange(n), np.arange(n)) > n - 1
+        w[below] = _mirror(w)[below]
+        assert np.array_equal(_mirror(w), w)
+        index = _MirrorPairs(n)
+        for _ in range(2):
+            _key_blocks(w.T[None], index)  # the one column slab of w
+            assert index.selfmirror == {w.tobytes()} and not index.pairs
+            assert list(index) == [w.tobytes()] and len(index) == 1
+        # A window that is not its own mirror image is a pair: two windows.
+        v = w.copy()
+        other = (t for t in range(len(ALL_TILES)) if _MIRROR[t] not in (t, v[n - 1, n - 1]))
+        v[0, 0] = next(other)
+        _key_blocks(v.T[None], index)
+        assert _index_windows(index) == {w.tobytes(), v.tobytes(), _mirror(v).tobytes()}
 
 
 @pytest.mark.parametrize("facing", FACINGS)
@@ -164,13 +208,18 @@ def test_scan_value_turns_its_mask_back(gather_bytes):
                 w = np.where(mask, rng.choice(bumpy, (n, n)), rng.choice(plain, (n, n)))
                 windows.add(w.astype(np.uint8).tobytes())
         rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(-1, n * n)
+        # The windows and their mirror images, keyed one pair at a time.
+        index = _index_of(windows, n)
         for facing in FACINGS:
             turned = _turned_set(windows, n, facing.rotation)
+            closed = _turned_set(_index_windows(index), n, facing.rotation)
             for pos in POSITIONS:
                 with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):
                     value = _scan_value(n, pos, facing)
                     got = value(windows), value(rows)  # a scan's set, a cache file's rows
+                    paired = value(index)  # a pair key read for both of its windows
                 assert got == (_hits(turned, n, pos),) * 2, (n, pos)
+                assert paired == _hits(closed, n, pos), (n, pos)
 
 
 def test_turn_tables_have_order_four():
@@ -337,13 +386,14 @@ def test_key_blocks_keys_what_sliding_window_view_gathers(case, gather_bytes, la
         blocks = np.frombuffer(blocks.tobytes(), dtype=np.uint8).reshape(blocks.shape)
     elif layout == "reversed":  # a strided view: the same slabs, last first
         blocks = blocks[::-1]
-    windows = set()
+    windows = _MirrorPairs(n)
     with mock.patch.object(enumerator, "_GATHER_BYTES", gather_bytes):  # one slab a band, or more
         _key_blocks(blocks, windows)
+        keyed = _index_windows(windows)  # the mirror images made a band at a time
     a = ids if by_columns else ids.T
     mirrored = [a.shape[1] - n - j for j in starts]
     columns = _gathered_by_sliding_window_view(a, n, starts, True)
-    assert windows == columns | _gathered_by_sliding_window_view(_mirror(a), n, mirrored, False)
+    assert keyed == columns | _gathered_by_sliding_window_view(_mirror(a), n, mirrored, False)
 
 
 def _slab_windows(ids, n, by_columns, starts):
@@ -372,11 +422,11 @@ def test_add_classes_keys_each_slab_and_its_mirror_image(case):
     ids, n, starts = case
     slabs = np.ascontiguousarray(_blocks(ids, n, True, starts))
     keys = slabs.reshape(len(starts), -1).view(np.dtype((np.void, slabs[0].size))).reshape(-1)
-    windows, slabs = set(), set()
+    windows, slabs = _MirrorPairs(n), set()
     blocks = _add_classes(keys, n, windows, slabs)
     assert sorted(b.tobytes() for b in blocks) == sorted(set(keys.tolist())) == sorted(slabs)
-    assert windows == _class_windows(ids, n, starts, (0,))
-    again = set()
+    assert _index_windows(windows) == _class_windows(ids, n, starts, (0,))
+    again = _MirrorPairs(n)
     assert len(_add_classes(keys, n, again, set(slabs))) == 0 and not again
 
 
@@ -389,16 +439,17 @@ def test_turned_class_keys_are_the_turned_arrays_class_keys(case):
     # the three turns of a and of its mirror image.
     ids, n, _ = case
     slabs = set()
-    blocks = _add_classes(_column_slabs(ids, n), n, set(), slabs)  # every class, once
+    blocks = _add_classes(_column_slabs(ids, n), n, _MirrorPairs(n), slabs)  # every class, once
     assert len(blocks) == len(slabs)
-    windows, turned = set(), set()
+    windows, turned = _MirrorPairs(n), set()
     _add_classes(_turned_keys(blocks), n, windows, turned)
-    reference, reference_slabs = set(), set()
+    reference, reference_slabs = _MirrorPairs(n), set()
     for image in (_turn(ids, 2), _mirror(_turn(ids, 1)), _mirror(_turn(ids, 3))):
         _add_classes(_column_slabs(image, n), n, reference, reference_slabs)
     assert turned == reference_slabs
     every = range(ids.shape[1] - n + 1)
-    assert windows == reference == _class_windows(ids, n, every, (1, 2, 3))
+    expected = _class_windows(ids, n, every, (1, 2, 3))
+    assert _index_windows(windows) == _index_windows(reference) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,9 +459,9 @@ def test_turned_keys_add_the_turned_windows(case):
     # classes a cut met first, each skipped if its key was met (another
     # turn of one of them), and keyed otherwise.
     ids, n, starts = case
-    windows = set()
+    windows = _MirrorPairs(n)
     _add_classes(_turned_keys(_blocks(ids, n, True, starts)), n, windows, set())
-    assert windows == _class_windows(ids, n, starts, (1, 2, 3))
+    assert _index_windows(windows) == _class_windows(ids, n, starts, (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", (1, 2, 5, 16))
@@ -451,3 +502,14 @@ def test_the_plateau_holds_through_rank_13(monkeypatch):
         counts = {k: len(w) for k, w in _window_scan(n, _ranks(n, 13, IDENTITY)[1])}
         plateau = count_stabilized(n, 13).rank_used - 1
         assert all(counts[k] == closed_form_A(n) for k in range(plateau, 14)), (n, counts)
+
+
+@pytest.mark.slow
+def test_the_oracle_meets_the_formula_at_n_48(monkeypatch):
+    # Each mirror pair of windows is keyed once, so the n = 48 scan
+    # through rank 12 holds half its windows' bytes (about 220 MB peak
+    # in a fresh process).  The memo is the test's own, so the rank-12
+    # grid is let go afterwards.
+    monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
+    report = count_stabilized(48, 12)
+    assert report.stabilized and report.count == closed_form_A(48)
