@@ -42,8 +42,8 @@ def closed_form_A(n: int) -> int:
     quantity is not a block count."""
     if type(n) is not int or n < 2:
         n = _domain("closed_form_A", n, 2)
-    p = 1 << (n.bit_length() - 1)
-    return 32 * n * n + 72 * n * p - 48 * p * p
+    e = n.bit_length() - 1
+    return (32 * n + (72 << e)) * n - (48 << 2 * e)
 
 
 def _climb(n: int, depth: int, a: int, b: int, c: int, memo_A=None, memo_B=None) -> tuple:
@@ -97,6 +97,14 @@ class RecurrenceTable(Record, frozen=False):
     A miss walks down n's halving chain to the first level m whose
     triple A(m), B(m), A(m+1) is memoised (else to the n = 1 bases),
     then climbs back up, memoising the triple of every level on the way.
+    A table whose memo_B holds only its base, as a fresh one does, has
+    nothing to find on the way down, so it skips the walk and climbs
+    from the bases at once; what it memoises is the same.
+
+    The closed forms (``closed_form_A``, ``coeff_a``, ``coeff_b``,
+    ``paperfolding_P``) take the band exponent e = floor(log2 n) as shift
+    counts, 2^e and 4^e times a constant being that constant shifted by
+    e and 2e, so each costs one multiply by n.
     """
 
     __match_args__ = ("memo_A", "memo_B")
@@ -125,6 +133,8 @@ class RecurrenceTable(Record, frozen=False):
         """(A(n), B(n), A(n+1)), memoising each level climbed."""
         memo_A, memo_B = self.memo_A, self.memo_B
         m, depth = n, 0
+        if len(memo_B) == 1 and 1 in memo_B:  # only the base: the walk finds it at m = 1
+            m, depth = 1, n.bit_length() - 1
         while m > 1:
             m >>= 1
             depth += 1
@@ -138,7 +148,9 @@ class RecurrenceTable(Record, frozen=False):
             for name, base in (("memo_A", a), ("memo_B", b)):
                 if base is None:
                     raise DomainError(f"the table has no base entry {name}[1]")
-            c = 4 * a  # A(2)
+            c = memo_A.get(2)  # A(2), read where the walk reads it at m = 1
+            if c is None:
+                c = 4 * a
         return _climb(n, depth, a, b, c, memo_A, memo_B)
 
     def check(self) -> None:
@@ -170,16 +182,16 @@ def coeff_a(n: int) -> int:
     """Multiplier of the A_1 base in the recurrence solution."""
     if type(n) is not int or n < 1:
         n = _domain("coeff_a", n, 1)
-    p = 1 << (n.bit_length() - 1)
-    return 5 * n * n - 12 * n * p + 8 * p * p
+    e = n.bit_length() - 1
+    return (5 * n - (12 << e)) * n + (8 << 2 * e)
 
 
 def coeff_b(n: int) -> int:
     """Multiplier of the B_1 base in the recurrence solution."""
     if type(n) is not int or n < 1:
         n = _domain("coeff_b", n, 1)
-    p = 1 << (n.bit_length() - 1)
-    return -2 * n * n + 6 * n * p - 4 * p * p
+    e = n.bit_length() - 1
+    return ((6 << e) - 2 * n) * n - (4 << 2 * e)
 
 
 class DecompositionTrace(Record):
@@ -249,8 +261,8 @@ def paperfolding_P(n: int) -> int:
     formula is a conjecture in its source."""
     if type(n) is not int or n < 3:
         n = _domain("paperfolding_P", n, 3)
-    p = 1 << (n.bit_length() - 1)
-    return 12 * n * n + 24 * n * p - 16 * p * p - 4
+    e = n.bit_length() - 1
+    return (12 * n + (24 << e)) * n - (16 << 2 * e) - 4
 
 
 VERIFY_CSV_HEADER = "n,closed_form,recurrence,oracle,match"

@@ -503,18 +503,21 @@ def _window_scan(n: int, ranks: range):
         yield k, windows
 
 
-def _cached_window_scan(n: int, ranks: range, scan, cache: Path):
+def _cached_window_scan(n: int, ranks: range, scan, cache: Path, keep: bool = True):
     """Yield ``(rank, windows)`` for each of ``ranks``, as the NE-facing
     window ``scan`` over them does.  A rank is read from its ``.rbps``
     file in ``cache`` where that exists, and yielded as its array of id
     rows, which ``len`` and ``_scan_value`` take as they take an index;
-    otherwise ``scan`` runs as far as that rank and its set is saved
-    there."""
+    or, if not ``keep``, after the same checks, as ``range(count)``,
+    which serves ``len`` alone and holds no row.  Otherwise ``scan``
+    runs as far as that rank and its set is saved there."""
     cache.mkdir(parents=True, exist_ok=True)
     for rank in ranks:
         path = cache / f"patterns_n{n}_rank{rank}.rbps"
         if path.exists():
-            found, windows = _read_pattern_file(path)
+            found, windows = _read_pattern_file(path, keep)
+            if not keep:
+                windows = range(windows)
             if found != n:  # n is the header field after the magic and version
                 raise CorruptPatternFile(len(MAGIC) + 2, f"holds n={found} blocks, not n={n}")
         else:
@@ -560,7 +563,7 @@ def count_stabilized(
     value = _scan_value(n, corner_pos, facing)
     scan = _window_scan(n, ranks)
     if cache is not None:
-        scan = _cached_window_scan(n, ranks, scan, Path(cache))
+        scan = _cached_window_scan(n, ranks, scan, Path(cache), keep=corner_pos is not None)
     counts = []
     for k, windows in scan:
         counts.append((k, value(windows)))

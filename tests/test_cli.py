@@ -222,6 +222,56 @@ def test_cache_file_for_another_n_exit_1(capsys, tmp_path):
     assert err == "error: corrupt pattern-set file at byte 10: holds n=2 blocks, not n=3\n"
 
 
+def test_warm_plain_count_keeps_no_id_row(capsys, tmp_path, monkeypatch):
+    # A plain count reads each cached rank's header count after every
+    # check, as cache --inspect does; a --restrict count keeps its rows.
+    read_file = enumerator._read_pattern_file
+    keeps = []
+    monkeypatch.setattr(
+        enumerator, "_read_pattern_file", lambda path, keep=True: keeps.append(keep) or read_file(path, keep)
+    )
+    for n in ("2", "3", "4"):
+        for extra in ((), ("--restrict", "2,1")):
+            cache = tmp_path / f"cache{n}{len(extra)}"
+            argv = ("count", "--n", n, *extra, "--csv")
+            plain = run_cli(capsys, *argv, str(tmp_path / "plain.csv"))
+            rows = (tmp_path / "plain.csv").read_text().splitlines()[1:]
+            for run, want in (("cold", []), ("warm", [bool(extra)] * len(rows))):
+                keeps.clear()
+                got = run_cli(capsys, *argv, str(tmp_path / f"{run}.csv"), "--cache", str(cache))
+                assert got[:2] == plain[:2]
+                assert got[2].replace(f"{run}.csv", "plain.csv") == plain[2]
+                assert (tmp_path / f"{run}.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+                assert keeps == want
+
+
+@pytest.mark.parametrize("restrict", [(), ("--restrict", "1,2")])
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        (lambda blob: blob[:-7], "error: corrupt pattern-set file at byte 4335: truncated record"),
+        (lambda blob: blob + b"\0", "error: corrupt pattern-set file at byte 4362: trailing bytes"),
+        (
+            lambda blob: blob[:22] + blob[53:84] + blob[22:53] + blob[84:],
+            "error: corrupt pattern-set file at byte 53: records not in strictly increasing order",
+        ),
+        (
+            lambda blob: blob[:-3] + bytes((0, 1, 0)),
+            "error: corrupt pattern-set file at byte 4331: triple names no canonical tile",
+        ),
+    ],
+    ids=["truncated", "trailing", "order", "stray"],
+)
+def test_warm_count_on_a_corrupt_rank_file_exit_1(capsys, tmp_path, restrict, corrupt, expected):
+    cache = tmp_path / "cache"
+    argv = ("count", "--n", "3", *restrict, "--cache", str(cache))
+    assert run_cli(capsys, *argv)[0] == 0
+    path = cache / "patterns_n3_rank4.rbps"
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert run_cli(capsys, *argv) == (1, "", expected + "\n")
+    assert run_cli(capsys, "cache", "--inspect", str(path)) == (1, "", expected + "\n")
+
+
 def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     atomic_open = enumerator._atomic_open
