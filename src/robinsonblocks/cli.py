@@ -40,12 +40,12 @@ from .supertile import FACING_ROTATIONS, TileGrid, build
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
 # The largest rank a flag accepts.  A fresh ``supertile --rank 14`` peaks
-# at about 372 MB in the NE facing and 628 MB in the others (rank 13: 116
-# and 180 MB), the build's own peak: the NE grid of each rank is kept and
-# handed out without a copy, the quadrants of the next rank are written
-# into its grid in place, any other facing is one copy of it, and writing
-# its document adds one band of output, not a multiple of the grid.  Each
-# rank needs 4x the cells.
+# at about 371 MB in every facing (rank 13: 115 MB), the build's own peak:
+# the NE grid of each rank is kept and handed out without a copy, the
+# quadrants of the next rank are written into its grid in place, any other
+# facing's document is read from it a band at a time, and writing a
+# document adds one band of constant size, not a multiple of the grid.
+# Each rank needs 4x the cells.
 MAX_RANK = 14
 
 
@@ -206,17 +206,19 @@ def _write_chunks(chunks, path: Path | None) -> None:
 
 
 def _cmd_supertile(args) -> int:
-    grid = build(args.rank, args.facing)
+    # The memoised NE build itself: every writer reads a facing from it a
+    # band at a time (``supertile._bands``), so no facing's grid is made.
+    grid, facing = build(args.rank), FACING_ROTATIONS[args.facing]
     if args.out == "ascii":
         from .render import _ascii_chunks
 
-        chunks = _ascii_chunks(grid)
+        chunks = _ascii_chunks(grid, facing)
     elif args.out == "json":
-        chunks = itertools.chain(grid._json_chunks(), ["\n"])
+        chunks = itertools.chain(grid._json_chunks(facing), ["\n"])
     else:
         from .render import RenderStyle, _svg_chunks
 
-        chunks = _svg_chunks(grid, RenderStyle())
+        chunks = _svg_chunks(grid, RenderStyle(), facing)
     _write_chunks(chunks, args.output)
     return 0
 

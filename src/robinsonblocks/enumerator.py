@@ -41,6 +41,7 @@ lookup over a window set is a ``bytes.translate`` of a band.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import io
 import itertools
 import os
@@ -244,9 +245,46 @@ class _MirrorPairs:
         keys = iter(self.pairs)
         while band := list(itertools.islice(keys, max(1, _GATHER_BYTES // (n * n)))):
             yield from band
-            ids = np.frombuffer(b"".join(band), dtype=np.uint8).reshape(len(band), n, n)
-            images = ids[:, ::-1, ::-1].transpose(0, 2, 1).tobytes().translate(_MIRROR_BYTES)
-            yield from np.frombuffer(images, np.dtype((np.void, n * n))).tolist()
+            yield from _mirror_images(band, n)
+
+    def ordered(self):
+        """Yield every window of the set once, in the order ``sorted``
+        gives their bytes, as a merge of three sorted runs: the self-mirror
+        windows, the pair keys, and the keys' mirror images.  No window is
+        copied but the images, and those a band at a time: they are
+        ordered by their first rows, one array of n bytes a key, and each
+        band, closed under equal first rows, is made and sorted whole."""
+        n, size = self.n, self.n * self.n
+        keys = sorted(self.pairs)
+        # An image's first row is its key's last column read upward, each
+        # tile mirrored: M(w)[0, j] = _MIRROR[w[n - 1 - j, n - 1]].
+        firsts = np.frombuffer(
+            b"".join(key[size - 1 :: -n] for key in keys).translate(_MIRROR_BYTES), dtype=np.uint8
+        ).reshape(len(keys), n)
+        order = np.lexsort(firsts.T[::-1])  # by first row, its cells in turn
+        firsts = firsts[order]
+        # Where each run of equal first rows starts, and the end.
+        starts = np.flatnonzero(np.r_[True, (firsts[1:] != firsts[:-1]).any(axis=1), True])
+        step = max(1, _GATHER_BYTES // size)
+
+        def images():
+            i = 0
+            while i < len(keys):
+                # A band of about ``step`` images, ending where a run ends.
+                j = starts[np.searchsorted(starts, min(i + step, len(keys)))]
+                yield from sorted(_mirror_images([keys[k] for k in order[i:j].tolist()], n))
+                i = j
+
+        return heapq.merge(sorted(self.selfmirror), keys, images())
+
+
+def _mirror_images(windows: list, n: int) -> list:
+    """The mirror images of a list of n*n-byte windows, as ``bytes``,
+    made by one ``bytes.translate`` of them all reversed and
+    transposed."""
+    ids = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(len(windows), n, n)
+    images = ids[:, ::-1, ::-1].transpose(0, 2, 1).tobytes().translate(_MIRROR_BYTES)
+    return np.frombuffer(images, np.dtype((np.void, n * n))).tolist()
 
 
 def _add_classes(keys: np.ndarray, n: int, windows: _MirrorPairs, slabs: set) -> np.ndarray:
@@ -703,19 +741,24 @@ def _atomic_open(path, mode: str):
 
 def _write_records(path, n: int, windows) -> None:
     """Write an ``.rbps`` file whose members are given by ``windows``,
-    distinct n*n-byte rows of tile ids as ``bytes``.
+    distinct n*n-byte rows of tile ids as ``bytes``: a scan's
+    ``_MirrorPairs`` index, or any iterable of rows.
 
     The rows are taken in the order Python's ``sorted`` gives their
-    bytes; id rows sort as their members do, because tile ids sort as
-    their triples.  The header is written first, then the records a band
-    of about ``_GATHER_BYTES`` at a time, each band filled into one byte
-    matrix of one record per row: the big-endian length field in columns
-    0-3, the member after it."""
-    rows = sorted(windows)
+    bytes (an index's by ``_MirrorPairs.ordered``); id rows sort as their
+    members do, because tile ids sort as their triples.  The header is
+    written first, then the records a band of about ``_GATHER_BYTES`` at
+    a time, each band filled into one byte matrix of one record per row:
+    the big-endian length field in columns 0-3, the member after it."""
+    if isinstance(windows, _MirrorPairs):
+        rows, count = windows.ordered(), len(windows)
+    else:
+        rows = sorted(windows)
+        count = len(rows)
     size = 3 * n * n
     records = np.empty((0, 4 + size), dtype=np.uint8)  # one band's, made at the first band
     with _atomic_open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, len(rows)))
+        fh.write(MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, count))
         for ids in _bands(rows, n, 4 + size):
             if len(records) < len(ids):
                 records = np.empty((len(ids), 4 + size), dtype=np.uint8)

@@ -14,11 +14,12 @@ ASCII grammar:
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 import numpy as np
 
 from ._record import Record
-from .supertile import _BAND_CELLS, EMPTY, TileGrid, _band_rows
+from .supertile import _BAND_CELLS, EMPTY, TileGrid, _bands
 from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
@@ -47,18 +48,21 @@ class RenderStyle(Record):
         self._set(cell_size, stroke_width, emphasize_principal, rank_overlay)
 
 
-def _ascii_chunks(grid: TileGrid):
-    """Yield ``render_ascii``'s text a band of whole rows at a time."""
+def _ascii_chunks(grid: TileGrid, facing: int = 0):
+    """Yield ``render_ascii``'s text a band of at most ``_BAND_CELLS``
+    cells at a time, each row's newline with the band that ends it.  A
+    ``facing`` is read as ``supertile._bands`` reads it: the text is that
+    of the supertile ``facing`` quarter turns from the NE one ``grid``
+    holds."""
     if grid.height == 0:
         yield "\n"  # the final newline after no lines
         return
-    w = grid.width
-    step = _band_rows(w)
-    for r0 in range(0, grid.height, step):
-        band = grid.ids[r0 : r0 + step]
-        lines = np.empty((band.shape[0], w + 1), dtype=np.uint8)
-        lines[:, :w] = band
-        lines[:, w] = _NEWLINE
+    for _, c, band in _bands(grid.ids, _BAND_CELLS, facing):
+        height, width = band.shape
+        ends = int(c + width == grid.width)  # the band holds its rows' last cells
+        lines = np.empty((height, width + ends), dtype=np.uint8)
+        lines[:, :width] = band
+        lines[:, width:] = _NEWLINE
         yield lines.tobytes().translate(_ID_TO_CHAR).decode("ascii")
 
 
@@ -87,7 +91,14 @@ def parse_ascii(text: str) -> TileGrid:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    return "%.2f" % v
+
+
+def _fmt_all(values: np.ndarray) -> list:
+    """``_fmt`` of each float of ``values``, in row-major order, by one
+    ``%`` over them all."""
+    flat = values.ravel().tolist()
+    return ("%.2f\n" * len(flat) % tuple(flat)).split("\n")[:-1]
 
 
 # Slot positions along each edge in traversal order (interior on the
@@ -102,30 +113,35 @@ _SLOT_POINTS = {
 _INWARD = {Side.N: (0.0, 1.0), Side.E: (-1.0, 0.0), Side.S: (0.0, -1.0), Side.W: (1.0, 0.0)}
 
 
-def _arrow_axis(o, s, wing, p, d, u, l, out, length):
-    """The five coordinates one arrow's marks write along one axis, in
-    the order they appear: the shaft's two ends, then the head's three
-    points.  ``o`` is the cell's origin on the axis; ``p`` (the slot),
-    ``d`` (inward), ``u`` (where the head points) and ``l`` (the head's
-    left normal) are components on the axis.  The x coordinates depend
-    only on a cell's column and the y coordinates only on its row."""
+def _arrow_axis(o, s, wing, p, d, u, l, out, length) -> np.ndarray:
+    """The five coordinates each arrow's marks write along one axis, in
+    the order they appear, along a new last axis: the shaft's two ends,
+    then the head's three points.  ``o`` holds cells' origins on the
+    axis; ``p`` (the slot), ``d`` (inward), ``u`` (where the head
+    points) and ``l`` (the head's left normal) are components on the
+    axis, and with ``out`` and ``length`` make up arrows' recipes.  All
+    are numpy arrays, broadcast together, and each coordinate is one
+    chain of float64 operations, the same for every arrow.  The x
+    coordinates depend only on a cell's column and the y coordinates only
+    on its row."""
     a = o + p * s
     b = a + d * length
-    h = a if out else b
+    h = np.where(out, a, b)
     base = h - u * wing
-    return a, b, base + l * wing, h, base - l * wing
+    return np.stack((a, b, base + l * wing, h, base - l * wing), axis=-1)
 
 
 def _cell_template(tile, style: RenderStyle):
-    """A tile's cell group as a ``str.format`` template, with its y and
-    x recipes.
+    """A tile's cell group as a template, with its x and y recipes.
 
-    The template's fields are numbered in the order ``_svg_rows`` passes
-    them: the row label, the y coordinates, the column label, then the x
-    coordinates.  Each recipe holds the ``_arrow_axis`` arguments of one
-    arrow.  The shaft is drawn inward from the slot; the arrowhead sits
-    at the edge for heads pointing out, at the inner end for tails
-    entering the tile.
+    The template is a ``str.format`` template of the row label and then
+    the y coordinates, numbered in that order, in which the column label
+    is a ``%d`` and each x coordinate a ``%s``: formatted with a row's y
+    coordinates it is a ``%`` template of a column's label and formatted
+    x coordinates.  Each
+    recipe holds the ``_arrow_axis`` arguments of one arrow.  The shaft is
+    drawn inward from the slot; the arrowhead sits at the edge for heads
+    pointing out, at the inner end for tails entering the tile.
     """
     s = style.cell_size
     xs, ys, widths = [], [], []
@@ -142,53 +158,107 @@ def _cell_template(tile, style: RenderStyle):
             widths.append(
                 style.stroke_width * (1.8 if arrow.principal and style.emphasize_principal else 1.0)
             )
-    col = 1 + 5 * len(ys)  # the column label's field; the x fields follow it
-    parts = [f'<g class="cell" data-pos="{{0}},{{{col}}}">']
+    parts = ['<g class="cell" data-pos="{0},%d">']
     for i, width in enumerate(widths):
         y = [f"{{{1 + 5 * i + j}}}" for j in range(5)]
-        x = [f"{{{col + 1 + 5 * i + j}}}" for j in range(5)]
         parts.append(
-            f'<line x1="{x[0]}" y1="{y[0]}" x2="{x[1]}" y2="{y[1]}" '
+            f'<line x1="%s" y1="{y[0]}" x2="%s" y2="{y[1]}" '
             f'stroke="#222" stroke-width="{_fmt(width)}"/>'
         )
         parts.append(
-            f'<path d="M {x[2]} {y[2]} L {x[3]} {y[3]} L {x[4]} {y[4]}" '
+            f'<path d="M %s {y[2]} L %s {y[3]} L %s {y[4]}" '
             f'fill="none" stroke="#222" stroke-width="{_fmt(style.stroke_width)}"/>'
         )
     parts.append("</g>\n")
     return "\n".join(parts), xs, ys
 
 
-def _svg_rows(grid: TileGrid, style: RenderStyle):
-    """Yield each row's cell groups as one string.  A tile's formatted
-    y coordinates are memoised for the row, and its x coordinates for a
-    column within a band of about ``_BAND_CELLS`` cells, so the memo
-    holds at most one band."""
+def _svg_rows(grid: TileGrid, style: RenderStyle, cells: int, facing: int = 0):
+    """Yield the cell groups a band of at most ``cells`` cells at a time
+    (``supertile._bands``, which also reads a ``facing``).
+
+    A row formats each of its tiles' templates once, with its y
+    coordinates, and each cell fills its tile's row template with its x
+    coordinates.  Coordinates are computed by ``_arrow_axis`` and
+    formatted by ``_fmt_all``, many at a time.  The 32 tiles' arrows have
+    20 distinct recipes on each axis, against about 6 per tile: a row's y
+    coordinates are formatted for every y recipe once.  In a grid at most
+    ``cells`` wide every band spans all columns, and the x coordinates of
+    every column and x recipe are formatted once and read by every row.
+    A wider grid is written a piece of a row a band, and its templates
+    take each x coordinate as a float, ``%.2f`` (``_fmt``): each band
+    computes the x coordinates of its own cells' arrows, and each cell
+    formats its own.  So the writer holds at most ``cells`` columns'
+    coordinates, and one band's."""
     s = style.cell_size
     wing = 0.12 * s
-    templates = [_cell_template(tile, style) for tile in ALL_TILES]
-    step = _band_rows(grid.width)
+    narrow = grid.width <= cells
+    x_recipes, y_recipes, tiles = {}, {}, []
+    for tile in ALL_TILES:
+        text, xs, ys = _cell_template(tile, style)
+        tiles.append(
+            (
+                text if narrow else text.replace("%s", "%.2f"),
+                [x_recipes.setdefault(recipe, len(x_recipes)) for recipe in xs],
+                [y_recipes.setdefault(recipe, len(y_recipes)) for recipe in ys],
+            )
+        )
+    # Each recipe field as one array over the recipes of an axis.
+    x_fields = np.array(list(x_recipes), dtype=float).T
+    y_fields = np.array(list(y_recipes), dtype=float).T
 
-    def coords(label, recipes, o):
-        return (label, *[_fmt(v) for recipe in recipes for v in _arrow_axis(o, s, wing, *recipe)])
+    def coordinates(lines, fields):
+        """Per line (row or column): its 1-based label, then every
+        recipe's five formatted coordinates."""
+        text = _fmt_all(_arrow_axis(lines[:, None] * s, s, wing, *fields))
+        step = 5 * fields.shape[1]
+        return [[i + 1, *text[j * step : (j + 1) * step]] for j, i in enumerate(lines.tolist())]
 
-    for r in range(grid.height):
-        if r % step == 0:
-            by_column = {}  # (tile id, column) -> column label and x coordinates
-        by_tile = {}  # tile id -> this row's label and y coordinates
-        cells = []
-        for c, t in enumerate(grid.ids[r].tolist()):
-            if t == EMPTY:
-                continue
-            text, xs, ys = templates[t]
-            y = by_tile.get(t)
-            if y is None:
-                y = by_tile[t] = coords(r + 1, ys, r * s)
-            x = by_column.get((t, c))
-            if x is None:
-                x = by_column[t, c] = coords(c + 1, xs, c * s)
-            cells.append(text.format(*y, *x))
-        yield "".join(cells)
+    def picker(numbers):
+        """The label and the coordinates of the recipes ``numbers`` from a
+        list made by ``coordinates``, in template order."""
+        return itemgetter(0, *[1 + 5 * i + j for i in numbers for j in range(5)])
+
+    y_picks = [picker(ys) for _, _, ys in tiles]
+    x_picks = [picker(xs) for _, xs, _ in tiles]
+    # Each tile's x recipe numbers, padded to one length, and which are
+    # its own; EMPTY and the ids past the tiles have none.
+    most = max(len(xs) for _, xs, _ in tiles)
+    slots = np.zeros((256, most), dtype=np.intp)
+    own = np.zeros((256, most, 5), dtype=bool)
+    for t, (_, xs, _) in enumerate(tiles):
+        slots[t, : len(xs)] = xs
+        own[t, : len(xs)] = True
+
+    columns = [None] * grid.width if narrow else None  # each made at its first cell
+    row = first = None
+    for r0, c0, band in _bands(grid.ids, cells, facing):
+        if r0 != first:
+            first = r0
+            rows = coordinates(np.arange(r0, r0 + len(band)), y_fields)
+        if not narrow:  # one piece of one row: its own cells' x coordinates
+            arrows = slots[band[0]]
+            xs = _arrow_axis(np.arange(c0, c0 + band.shape[1])[:, None] * s, s, wing, *x_fields[:, arrows])
+            xs, p = xs[own[band[0]]].ravel().tolist(), 0
+        for r, line in enumerate(band.tolist(), r0):
+            if r != row:
+                row, by_tile = r, {}  # tile id -> this row's template
+            groups = []
+            for c, t in enumerate(line, c0):
+                if t == EMPTY:
+                    continue
+                text = by_tile.get(t)
+                if text is None:
+                    text = by_tile[t] = tiles[t][0].format(*y_picks[t](rows[r - r0]))
+                if narrow:
+                    column = columns[c] or coordinates(np.array([c]), x_fields)[0]
+                    groups.append(text % x_picks[t](column))
+                    columns[c] = column
+                else:
+                    q = p + 5 * len(tiles[t][1])
+                    groups.append(text % (c + 1, *xs[p:q]))
+                    p = q
+            yield "".join(groups)
 
 
 def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
@@ -228,10 +298,12 @@ def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
         yield from recurse(0, 0, rank)
 
 
-def _svg_chunks(grid: TileGrid, style: RenderStyle):
+def _svg_chunks(grid: TileGrid, style: RenderStyle, facing: int = 0):
     """Yield ``render_svg``'s document a band at a time: the header and
-    grid lines in bands of ``_BAND_CELLS`` lines, then one row of cells
-    per band, then the overlay."""
+    grid lines, then the cells, each in bands of a sixteenth of
+    ``_BAND_CELLS`` lines or cells (about 170 KB of cells), then the
+    overlay.  A ``facing`` is read as ``supertile._bands`` reads it."""
+    cells = _BAND_CELLS >> 4
     s = style.cell_size
     w, h = grid.width * s, grid.height * s
     head = [
@@ -252,9 +324,9 @@ def _svg_chunks(grid: TileGrid, style: RenderStyle):
             yield f'<line x1="{x}" y1="0" x2="{x}" y2="{_fmt(h)}" {stroke}'
 
     lines = itertools.chain(head, grid_lines())
-    while band := list(itertools.islice(lines, _BAND_CELLS)):
+    while band := list(itertools.islice(lines, cells)):
         yield "\n".join(band) + "\n"
-    yield from _svg_rows(grid, style)
+    yield from _svg_rows(grid, style, cells, facing)
     if style.rank_overlay and grid.width == grid.height:
         yield from _overlay_squares(grid.width, s, style)
     yield "</svg>\n"

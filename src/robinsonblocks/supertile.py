@@ -42,14 +42,12 @@ from .tileset import (
 )
 
 EMPTY = 255
-# Cells per band of a streamed JSON or ASCII document, so writing one
-# holds a band in memory and not the whole grid.
-_BAND_CELLS = 1 << 14
-
-
-def _band_rows(width: int) -> int:
-    """Rows per band of about ``_BAND_CELLS`` cells, at least one."""
-    return max(1, _BAND_CELLS // max(width, 1))
+# Cells per band of a streamed document (``_bands``), so writing one
+# holds a band in memory and not the whole grid.  A JSON band's text and
+# lists stay below 128 KB, glibc's default mmap threshold, so each is
+# taken from the heap and not mapped afresh; the SVG writer, about 1.3 KB
+# a cell, takes bands of a sixteenth of it.
+_BAND_CELLS = 1 << 11
 
 
 # Facing = the diagonal the corner decoration points at, as a rotation of
@@ -128,9 +126,7 @@ class TileGrid:
             raise ValueError(bad)
         # Checked a band of rows at a time, so the check's temporaries
         # are one band, not the size of the grid.
-        step = _band_rows(ids.shape[1])
-        for r in range(0, ids.shape[0], step):
-            band = ids[r : r + step]
+        for _, _, band in _bands(ids, _BAND_CELLS):
             named = (0 <= band) & (band < len(ALL_TILES)) | (band == EMPTY)
             if ids.dtype.kind == "f":  # a float names a tile only if it is whole
                 named &= band == np.trunc(band)
@@ -194,17 +190,18 @@ class TileGrid:
     def __repr__(self):
         return f"TileGrid({self.height}x{self.width})"
 
-    def _json_chunks(self):
-        """Yield ``to_json``'s document a band of whole rows, about
-        ``_BAND_CELLS`` cells, at a time.  The comma between two bands is
-        a chunk of its own, so no band is copied to put it in front."""
+    def _json_chunks(self, facing: int = 0):
+        """Yield ``to_json``'s document a band of at most ``_BAND_CELLS``
+        cells at a time.  The comma between two bands is a chunk of its
+        own, so no band is copied to put it in front.  A ``facing`` is
+        read as ``_bands`` reads it: the document is that of the
+        supertile ``facing`` quarter turns from this NE one."""
         yield f'{{"width":{self.width},"height":{self.height},"cells":['
-        step = _band_rows(self.width)
-        for r in range(0, self.height if self.width else 0, step):
-            band = self._ids[r : r + step].reshape(-1).tolist()
-            if r:
+        bands = _bands(self._ids, _BAND_CELLS, facing) if self.width else ()  # no cells, no bands
+        for r, c, band in bands:
+            if r or c:
                 yield ","
-            yield ",".join(map(_JSON_CELLS.__getitem__, band))
+            yield ",".join(map(_JSON_CELLS.__getitem__, band.reshape(-1).tolist()))
         yield "]}"
 
     def to_json(self) -> str:
@@ -442,13 +439,48 @@ def _solve_arm(padded: np.ndarray, t: int) -> None:
     view[m - 1 : 0 : -1, m] = tiles
 
 
+def _turned_cross(ne: np.ndarray, facing: int) -> tuple:
+    """The centre row and column of the supertile ``facing`` quarter
+    turns from ``ne``, an NE supertile: ``ne``'s own, turned."""
+    c = ne.shape[0] // 2
+    turned = _rot90(ne, facing)
+    return _TURNS[facing][turned[c]], _TURNS[facing][turned[:, c]]
+
+
 def _turn_cross(ids: np.ndarray, ne: np.ndarray, facing: int):
     """Write over ``ids``, a copy of ``ne``, the centre row and column of
     ``ne`` turned ``facing`` quarter turns."""
     c = ne.shape[0] // 2
-    turned = _rot90(ne, facing)
-    ids[c] = _TURNS[facing][turned[c]]
-    ids[:, c] = _TURNS[facing][turned[:, c]]
+    ids[c], ids[:, c] = _turned_cross(ne, facing)
+
+
+def _bands(ids: np.ndarray, cells: int, facing: int = 0):
+    """Yield ``(row, column, band)``: ``ids`` in bands of at most
+    ``cells`` cells, whole rows where a row fits and each row in pieces
+    where it does not, in row-major order.  ``row`` and ``column`` are
+    the 0-based cell a band starts at; a grid with no columns still
+    yields its rows, in bands of ``cells`` rows.
+
+    A band is a view of ``ids``, or with a ``facing`` a copy: ``ids`` is
+    then an NE supertile, and each band gets the centre row and column of
+    the supertile ``facing`` quarter turns from it, as ``_turn_cross``
+    writes them.  So a document of any facing is written from the NE
+    build a band at a time, and no facing's grid is made."""
+    height, width = ids.shape
+    rows = max(1, cells // max(width, 1))
+    if facing:
+        centre = height // 2
+        cross_row, cross_column = _turned_cross(ids, facing)
+    for r in range(0, height, rows):
+        for c in range(0, max(width, 1), cells):
+            band = ids[r : r + rows, c : c + cells]
+            if facing:
+                band = band.copy()
+                if c <= centre < c + cells:
+                    band[:, centre - c] = cross_column[r : r + rows]
+                if r <= centre < r + rows:
+                    band[centre - r] = cross_row[c : c + cells]
+            yield r, c, band
 
 
 def _facing_ids(rank: int, facing: int) -> np.ndarray:
