@@ -136,12 +136,12 @@ def _cell_template(tile, style: RenderStyle):
 
     The template is a ``str.format`` template of the row label and then
     the y coordinates, numbered in that order, in which the column label
-    is a ``%d`` and each x coordinate a ``%s``: formatted with a row's y
-    coordinates it is a ``%`` template of a column's label and formatted
-    x coordinates.  Each
-    recipe holds the ``_arrow_axis`` arguments of one arrow.  The shaft is
-    drawn inward from the slot; the arrowhead sits at the edge for heads
-    pointing out, at the inner end for tails entering the tile.
+    is a ``%d`` and each x coordinate a ``%.2f`` (``_fmt``): formatted
+    with a row's y coordinates it is a ``%`` template of a column's label
+    and x coordinates.  Each recipe holds the ``_arrow_axis`` arguments
+    of one arrow.  The shaft is drawn inward from the slot; the arrowhead
+    sits at the edge for heads pointing out, at the inner end for tails
+    entering the tile.
     """
     s = style.cell_size
     xs, ys, widths = [], [], []
@@ -162,11 +162,11 @@ def _cell_template(tile, style: RenderStyle):
     for i, width in enumerate(widths):
         y = [f"{{{1 + 5 * i + j}}}" for j in range(5)]
         parts.append(
-            f'<line x1="%s" y1="{y[0]}" x2="%s" y2="{y[1]}" '
+            f'<line x1="%.2f" y1="{y[0]}" x2="%.2f" y2="{y[1]}" '
             f'stroke="#222" stroke-width="{_fmt(width)}"/>'
         )
         parts.append(
-            f'<path d="M %s {y[2]} L %s {y[3]} L %s {y[4]}" '
+            f'<path d="M %.2f {y[2]} L %.2f {y[3]} L %.2f {y[4]}" '
             f'fill="none" stroke="#222" stroke-width="{_fmt(style.stroke_width)}"/>'
         )
     parts.append("</g>\n")
@@ -175,30 +175,25 @@ def _cell_template(tile, style: RenderStyle):
 
 def _svg_rows(grid: TileGrid, style: RenderStyle, cells: int, facing: int = 0):
     """Yield the cell groups a band of at most ``cells`` cells at a time
-    (``supertile._bands``, which also reads a ``facing``).
+    (``supertile._bands``, which also reads a ``facing``), whole rows
+    where a row fits and pieces of a row where it does not.
 
-    A row formats each of its tiles' templates once, with its y
-    coordinates, and each cell fills its tile's row template with its x
-    coordinates.  Coordinates are computed by ``_arrow_axis`` and
-    formatted by ``_fmt_all``, many at a time.  The 32 tiles' arrows have
-    20 distinct recipes on each axis, against about 6 per tile: a row's y
-    coordinates are formatted for every y recipe once.  In a grid at most
-    ``cells`` wide every band spans all columns, and the x coordinates of
-    every column and x recipe are formatted once and read by every row.
-    A wider grid is written a piece of a row a band, and its templates
-    take each x coordinate as a float, ``%.2f`` (``_fmt``): each band
-    computes the x coordinates of its own cells' arrows, and each cell
-    formats its own.  So the writer holds at most ``cells`` columns'
-    coordinates, and one band's."""
+    Coordinates are computed by ``_arrow_axis``, a band's at a time.  The
+    32 tiles' arrows have 20 distinct recipes on each axis, against about
+    6 per tile: a band's rows format their y coordinates for every y
+    recipe with one ``_fmt_all``, and a row formats each of its tiles'
+    templates once with them.  Each cell fills its tile's row template
+    with its own x coordinates, computed for the band's cells and
+    formatted by the template.  So the writer holds one band's
+    coordinates, whatever the grid's width."""
     s = style.cell_size
     wing = 0.12 * s
-    narrow = grid.width <= cells
     x_recipes, y_recipes, tiles = {}, {}, []
     for tile in ALL_TILES:
         text, xs, ys = _cell_template(tile, style)
         tiles.append(
             (
-                text if narrow else text.replace("%s", "%.2f"),
+                text,
                 [x_recipes.setdefault(recipe, len(x_recipes)) for recipe in xs],
                 [y_recipes.setdefault(recipe, len(y_recipes)) for recipe in ys],
             )
@@ -206,21 +201,9 @@ def _svg_rows(grid: TileGrid, style: RenderStyle, cells: int, facing: int = 0):
     # Each recipe field as one array over the recipes of an axis.
     x_fields = np.array(list(x_recipes), dtype=float).T
     y_fields = np.array(list(y_recipes), dtype=float).T
-
-    def coordinates(lines, fields):
-        """Per line (row or column): its 1-based label, then every
-        recipe's five formatted coordinates."""
-        text = _fmt_all(_arrow_axis(lines[:, None] * s, s, wing, *fields))
-        step = 5 * fields.shape[1]
-        return [[i + 1, *text[j * step : (j + 1) * step]] for j, i in enumerate(lines.tolist())]
-
-    def picker(numbers):
-        """The label and the coordinates of the recipes ``numbers`` from a
-        list made by ``coordinates``, in template order."""
-        return itemgetter(0, *[1 + 5 * i + j for i in numbers for j in range(5)])
-
-    y_picks = [picker(ys) for _, _, ys in tiles]
-    x_picks = [picker(xs) for _, xs, _ in tiles]
+    # A tile's row template takes, from a list of a row's 1-based label
+    # and every y recipe's five formatted coordinates, its own, in order.
+    y_picks = [itemgetter(0, *[1 + 5 * i + j for i in ys for j in range(5)]) for _, _, ys in tiles]
     # Each tile's x recipe numbers, padded to one length, and which are
     # its own; EMPTY and the ids past the tiles have none.
     most = max(len(xs) for _, xs, _ in tiles)
@@ -229,36 +212,33 @@ def _svg_rows(grid: TileGrid, style: RenderStyle, cells: int, facing: int = 0):
     for t, (_, xs, _) in enumerate(tiles):
         slots[t, : len(xs)] = xs
         own[t, : len(xs)] = True
+    arity = [5 * len(xs) for _, xs, _ in tiles]
 
-    columns = [None] * grid.width if narrow else None  # each made at its first cell
     row = first = None
     for r0, c0, band in _bands(grid.ids, cells, facing):
-        if r0 != first:
+        if r0 != first:  # new rows, not the next piece of a row
             first = r0
-            rows = coordinates(np.arange(r0, r0 + len(band)), y_fields)
-        if not narrow:  # one piece of one row: its own cells' x coordinates
-            arrows = slots[band[0]]
-            xs = _arrow_axis(np.arange(c0, c0 + band.shape[1])[:, None] * s, s, wing, *x_fields[:, arrows])
-            xs, p = xs[own[band[0]]].ravel().tolist(), 0
+            ys = _fmt_all(_arrow_axis(np.arange(r0, r0 + len(band))[:, None] * s, s, wing, *y_fields))
+            step = 5 * y_fields.shape[1]
+            rows = [[r + 1, *ys[j * step : (j + 1) * step]] for j, r in enumerate(range(r0, r0 + len(band)))]
+        # The band's cells' own x coordinates, cell by cell in row-major order.
+        o = np.arange(c0, c0 + band.shape[1])[:, None] * s
+        xs = _arrow_axis(o, s, wing, *x_fields[:, slots[band]])[own[band]].tolist()
+        p = 0
+        groups = []
         for r, line in enumerate(band.tolist(), r0):
             if r != row:
                 row, by_tile = r, {}  # tile id -> this row's template
-            groups = []
             for c, t in enumerate(line, c0):
                 if t == EMPTY:
                     continue
                 text = by_tile.get(t)
                 if text is None:
-                    text = by_tile[t] = tiles[t][0].format(*y_picks[t](rows[r - r0]))
-                if narrow:
-                    column = columns[c] or coordinates(np.array([c]), x_fields)[0]
-                    groups.append(text % x_picks[t](column))
-                    columns[c] = column
-                else:
-                    q = p + 5 * len(tiles[t][1])
-                    groups.append(text % (c + 1, *xs[p:q]))
-                    p = q
-            yield "".join(groups)
+                    text = by_tile[t] = tiles[t][0].format(*y_picks[t](rows[r - first]))
+                q = p + arity[t]
+                groups.append(text % (c + 1, *xs[p:q]))
+                p = q
+        yield "".join(groups)
 
 
 def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
@@ -300,10 +280,10 @@ def _overlay_squares(side_cells: int, s: float, style: RenderStyle):
 
 def _svg_chunks(grid: TileGrid, style: RenderStyle, facing: int = 0):
     """Yield ``render_svg``'s document a band at a time: the header and
-    grid lines, then the cells, each in bands of a sixteenth of
-    ``_BAND_CELLS`` lines or cells (about 170 KB of cells), then the
-    overlay.  A ``facing`` is read as ``supertile._bands`` reads it."""
-    cells = _BAND_CELLS >> 4
+    grid lines, then the cells, each in bands of a thirty-second of
+    ``_BAND_CELLS`` lines or cells (at most about 100 KB of cells), then
+    the overlay.  A ``facing`` is read as ``supertile._bands`` reads it."""
+    cells = _BAND_CELLS >> 5
     s = style.cell_size
     w, h = grid.width * s, grid.height * s
     head = [

@@ -45,8 +45,8 @@ EMPTY = 255
 # Cells per band of a streamed document (``_bands``), so writing one
 # holds a band in memory and not the whole grid.  A JSON band's text and
 # lists stay below 128 KB, glibc's default mmap threshold, so each is
-# taken from the heap and not mapped afresh; the SVG writer, about 1.3 KB
-# a cell, takes bands of a sixteenth of it.
+# taken from the heap and not mapped afresh; the SVG writer, at most about
+# 1.5 KB a cell, takes bands of a thirty-second of it.
 _BAND_CELLS = 1 << 11
 
 

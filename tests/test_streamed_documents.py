@@ -15,7 +15,14 @@ import pytest
 from robinsonblocks import enumerator, supertile
 from robinsonblocks.cli import main
 from robinsonblocks.enumerator import _windows_at
-from robinsonblocks.render import RenderStyle, _ascii_chunks, _svg_chunks, render_ascii, render_svg
+from robinsonblocks.render import (
+    RenderStyle,
+    _ascii_chunks,
+    _svg_chunks,
+    _svg_rows,
+    render_ascii,
+    render_svg,
+)
 from robinsonblocks.supertile import (
     _BAND_CELLS,
     EMPTY,
@@ -114,8 +121,8 @@ def _grids():
     holes = ids[100:104, : _BAND_CELLS >> 3].copy()
     holes[:, ::7] = EMPTY
     yield build(5, "NE")
-    yield TileGrid(ids[:5, : _BAND_CELLS >> 4])
-    yield TileGrid(ids[:5, : (_BAND_CELLS >> 4) + 1])
+    yield TileGrid(ids[:5, : _BAND_CELLS >> 5])
+    yield TileGrid(ids[:5, : (_BAND_CELLS >> 5) + 1])
     yield TileGrid(holes)
     yield TileGrid(np.tile(ids[:1, :7], (1, 3 * _BAND_CELLS // 7)))
     yield TileGrid(np.tile(ids[:7, :1], (3 * _BAND_CELLS // 7, 1)))
@@ -123,7 +130,7 @@ def _grids():
 
 def test_every_writer_writes_chunks_of_at_most_a_band():
     # Each chunk of every writer holds at most a band: at most 128 bytes a
-    # cell of ``_BAND_CELLS``, and a JSON or ASCII chunk less than 128 KB.
+    # cell of ``_BAND_CELLS``, and less than 128 KB.
     bound = 128 * _BAND_CELLS
     for grid in _grids():
         svg = list(_svg_chunks(grid, RenderStyle(rank_overlay=True)))
@@ -132,13 +139,13 @@ def test_every_writer_writes_chunks_of_at_most_a_band():
         assert "".join(svg) == render_svg(grid, RenderStyle(rank_overlay=True))
         assert "".join(text) == render_ascii(grid) and "".join(json) == grid.to_json()
         assert max(map(len, svg + text + json)) <= bound, grid
-        assert max(map(len, text + json)) < 128 * 1024, grid
+        assert max(map(len, svg + text + json)) < 128 * 1024, grid
 
 
 def test_the_svg_writer_holds_as_much_at_rank_10_as_at_rank_6():
-    # A narrow grid's x coordinates are kept per column for every row, and
-    # a wide one is written a piece of a row at a time: the writer's
-    # traced peak stays about the same, whatever the width.  Keeping them
+    # Each band computes and formats its own cells' coordinates, and a
+    # wide row is written a piece at a time: the writer's traced peak
+    # stays about the same, whatever the width.  Keeping x coordinates
     # per (tile, column) for a band of 16k cells peaked at 1.6, 6.1 and
     # 20 MB on these grids.
     peaks = {}
@@ -147,6 +154,21 @@ def test_the_svg_writer_holds_as_much_at_rank_10_as_at_rank_6():
         _, peaks[rank] = _allocated(lambda: sum(map(len, _svg_chunks(grid, RenderStyle()))))
     assert max(peaks.values()) < 1.5e6, peaks
     assert max(peaks[8], peaks[10]) < 1.25 * peaks[6], peaks
+
+
+@pytest.mark.parametrize("facing", FACINGS)
+def test_svg_rows_in_pieces_equal_whole_rows(facing):
+    # A rank-6 grid is 63 cells wide: bands of 128 cells hold two whole
+    # rows, the cells of the document the golden SVG hashes pin, and
+    # narrower bands write each row in pieces.  Both read the library's
+    # turned grid and the NE build streamed with the facing.
+    style = RenderStyle()
+    grid, turns = build(6, facing), FACING_ROTATIONS[facing]
+    whole = "".join(_svg_rows(grid, style, 128))
+    assert whole.count('<g class="cell"') == 63 * 63 and whole in render_svg(grid)
+    for cells in (1, 5, 16, 62, 63):
+        assert "".join(_svg_rows(grid, style, cells)) == whole, cells
+        assert "".join(_svg_rows(build(6), style, cells, turns)) == whole, cells
 
 
 def test_a_turned_json_document_makes_no_grid(tmp_path):
