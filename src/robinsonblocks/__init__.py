@@ -2,34 +2,17 @@
 supertile: a tile-level brute-force oracle cross-checked against the
 closed-form/recurrence machinery.
 
-The names of ``complexity`` and ``render`` are bound on their first
-read, by ``__getattr__`` below, so that a process that counts never
-loads those modules (README, "What one CLI call costs").
+``import robinsonblocks`` loads the scan layer alone: ``tileset``,
+``supertile`` (the builder core) and ``enumerator`` (the window scan and
+``count_stabilized``).  The names of ``complexity``, ``render``,
+``patterns`` (Patterns and the ``.rbps`` file) and ``grid`` (``TileGrid``,
+its documents and ``validate``) are bound on their first read, by
+``__getattr__`` below, so that a process that counts never loads those
+modules (README, "What one CLI call costs").
 """
 
-from .enumerator import (
-    BlockTooLarge,
-    CountReport,
-    Pattern,
-    PatternSet,
-    canonical_encode,
-    count_stabilized,
-    distinct_patterns,
-    load_pattern_set,
-    restricted_count,
-    save_pattern_set,
-)
-from .supertile import (
-    CrossAmbiguous,
-    CrossUnsolvable,
-    SupertileSpec,
-    TileGrid,
-    ValidationReport,
-    build,
-    build_supertile,
-    solve_cross_cell,
-    validate,
-)
+from .enumerator import BlockTooLarge, CountReport, count_stabilized, restricted_count
+from .supertile import CrossAmbiguous, CrossUnsolvable, SupertileSpec, build, build_supertile
 from .tileset import (
     Adjacency,
     Arrow,
@@ -94,12 +77,12 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_LAZY = ("complexity", "render")
+_LAZY = ("complexity", "render", "patterns", "grid")
 
 
 def __getattr__(name):
-    """Load ``complexity`` and ``render`` on the first read of one of
-    their names in ``__all__``, bind all of those here, and delete this
+    """Load the modules of ``_LAZY`` on the first read of one of their
+    names in ``__all__``, bind all of those here, and delete this
     hook: while a module has a ``__getattr__``, CPython 3.11 does not
     specialise reads of its attributes, so every
     ``robinsonblocks.closed_form_A`` would stay slower.  A second thread

@@ -11,15 +11,27 @@ one plateau scan; ``--restrict`` and ``--cache`` are its arguments.
 
 An output path naming one of this process's open descriptors
 (``/dev/stdout``, ``/dev/fd/3``) is written through that descriptor;
-any other file, the cache's included, by ``enumerator._atomic_open``,
-the package's one rule for symlinks, temporaries and SIGTERM.
+any other file, the cache's included, by ``_atomic._atomic_open``, the
+package's one rule for symlinks, temporaries and SIGTERM.
 
 A process that calls ``main`` freezes the collector's heap at exit, so
 its interpreter skips the full collections of finalisation (about 20 ms
-of a ~220 ms call; README, "What one CLI call costs").  ``complexity``
-and ``render`` are imported by the commands that use them (``formula``,
-``verify``, ``supertile`` and ``render``), so ``count`` and ``cache``
-never load them.
+of a ~220 ms call; README, "What one CLI call costs").
+
+Importing this module loads the scan layer (``_record``, ``tileset``,
+``supertile`` and ``enumerator``) and nothing else of the package.  Each
+command imports the rest it uses as the first thing it does, or through
+the library call it makes first:
+
+- ``formula`` and ``verify`` load ``complexity``;
+- ``supertile`` loads ``grid`` (``build`` imports it), and with ``--out
+  ascii`` or ``--out svg`` also ``render``; ``render`` loads both;
+- ``count --cache`` and ``cache`` load ``patterns``;
+- a file written by name, not through a descriptor, loads ``_atomic``,
+  and so does ``patterns``.
+
+So a plain ``count``, ``--restrict`` or ``formula`` loads neither
+``grid`` nor ``patterns``.
 """
 
 from __future__ import annotations
@@ -34,8 +46,8 @@ import sys
 from pathlib import Path
 
 from . import enumerator
-from .enumerator import _atomic_open, count_report_csv, inspect_pattern_file
-from .supertile import FACING_ROTATIONS, TileGrid, build
+from .enumerator import count_report_csv
+from .supertile import FACING_ROTATIONS, build
 
 CACHE_ENV = "ROBINSONBLOCKS_CACHE"
 DEFAULT_MAX_RANK = 11
@@ -180,10 +192,12 @@ def _write_chunks(chunks, path: Path | None) -> None:
     path naming the file a descriptor is open on for writing is written
     through that descriptor (``sys.stdout`` and ``sys.stderr`` for fd 1
     and fd 2), at its current position and without truncating the file;
-    any other path through ``enumerator._atomic_open``.  A reader that
+    any other path through ``_atomic._atomic_open``.  A reader that
     closes the stream early (``| head``) ends the write quietly."""
     fd = 1 if path is None else _output_fd(path)
     if fd is None:
+        from ._atomic import _atomic_open
+
         with _atomic_open(path, "w") as fh:
             fh.writelines(chunks)
         _note(f"wrote {path}")
@@ -207,7 +221,7 @@ def _write_chunks(chunks, path: Path | None) -> None:
 
 def _cmd_supertile(args) -> int:
     # The memoised NE build itself: every writer reads a facing from it a
-    # band at a time (``supertile._bands``), so no facing's grid is made.
+    # band at a time (``grid._bands``), so no facing's grid is made.
     grid, facing = build(args.rank), FACING_ROTATIONS[args.facing]
     if args.out == "ascii":
         from .render import _ascii_chunks
@@ -299,6 +313,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .grid import TileGrid
     from .render import RenderStyle, _svg_chunks
 
     grid = TileGrid.from_json(args.input.read_text())
@@ -310,9 +325,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .patterns import FORMAT_VERSION, inspect_pattern_file
+
     n, count = inspect_pattern_file(args.inspect)
     print("n,count,version")
-    print(f"{n},{count},{enumerator.FORMAT_VERSION}")
+    print(f"{n},{count},{FORMAT_VERSION}")
     return 0
 
 

@@ -19,7 +19,8 @@ from operator import itemgetter
 import numpy as np
 
 from ._record import Record
-from .supertile import _BAND_CELLS, EMPTY, TileGrid, _bands
+from .grid import _BAND_CELLS, TileGrid, _bands
+from .supertile import EMPTY
 from .tileset import ALL_TILES, Side, edge_label
 
 ASCII_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUV"
@@ -51,7 +52,7 @@ class RenderStyle(Record):
 def _ascii_chunks(grid: TileGrid, facing: int = 0):
     """Yield ``render_ascii``'s text a band of at most ``_BAND_CELLS``
     cells at a time, each row's newline with the band that ends it.  A
-    ``facing`` is read as ``supertile._bands`` reads it: the text is that
+    ``facing`` is read as ``_bands`` reads it: the text is that
     of the supertile ``facing`` quarter turns from the NE one ``grid``
     holds."""
     if grid.height == 0:
@@ -175,7 +176,7 @@ def _cell_template(tile, style: RenderStyle):
 
 def _svg_rows(grid: TileGrid, style: RenderStyle, cells: int, facing: int = 0):
     """Yield the cell groups a band of at most ``cells`` cells at a time
-    (``supertile._bands``, which also reads a ``facing``), whole rows
+    (``_bands``, which also reads a ``facing``), whole rows
     where a row fits and pieces of a row where it does not.
 
     Coordinates are computed by ``_arrow_axis``, a band's at a time.  The
@@ -282,7 +283,7 @@ def _svg_chunks(grid: TileGrid, style: RenderStyle, facing: int = 0):
     """Yield ``render_svg``'s document a band at a time: the header and
     grid lines, then the cells, each in bands of a thirty-second of
     ``_BAND_CELLS`` lines or cells (at most about 100 KB of cells), then
-    the overlay.  A ``facing`` is read as ``supertile._bands`` reads it."""
+    the overlay.  A ``facing`` is read as ``_bands`` reads it."""
     cells = _BAND_CELLS >> 5
     s = style.cell_size
     w, h = grid.width * s, grid.height * s

@@ -20,7 +20,8 @@ from robinsonblocks.enumerator import (
     count_stabilized,
     restricted_count,
 )
-from robinsonblocks.supertile import Pose, TileGrid, build, validate
+from robinsonblocks.grid import TileGrid, validate
+from robinsonblocks.supertile import Pose, build
 from robinsonblocks.tileset import BUMPY_IDS, OrientedTile, Prototile
 from test_supertile import grid_from_literals
 

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from robinsonblocks import cli, enumerator, render
+from robinsonblocks import cli, patterns, render
 from robinsonblocks.cli import MAX_RANK, main
 from robinsonblocks.complexity import closed_form_A, paperfolding_P
+from robinsonblocks.grid import TileGrid
 from robinsonblocks.render import parse_ascii, render_ascii
 from robinsonblocks.supertile import build
 
@@ -225,10 +226,10 @@ def test_cache_file_for_another_n_exit_1(capsys, tmp_path):
 def test_warm_plain_count_keeps_no_id_row(capsys, tmp_path, monkeypatch):
     # A plain count reads each cached rank's header count after every
     # check, as cache --inspect does; a --restrict count keeps its rows.
-    read_file = enumerator._read_pattern_file
+    read_file = patterns._read_pattern_file
     keeps = []
     monkeypatch.setattr(
-        enumerator, "_read_pattern_file", lambda path, keep=True: keeps.append(keep) or read_file(path, keep)
+        patterns, "_read_pattern_file", lambda path, keep=True: keeps.append(keep) or read_file(path, keep)
     )
     for n in ("2", "3", "4"):
         for extra in ((), ("--restrict", "2,1")):
@@ -274,7 +275,7 @@ def test_warm_count_on_a_corrupt_rank_file_exit_1(capsys, tmp_path, restrict, co
 
 def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    atomic_open = enumerator._atomic_open
+    atomic_open = patterns._atomic_open
     writes = []
 
     @contextlib.contextmanager
@@ -288,7 +289,7 @@ def test_interrupted_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
 
             yield SimpleNamespace(write=write)
 
-    monkeypatch.setattr(enumerator, "_atomic_open", half_then_fail)
+    monkeypatch.setattr(patterns, "_atomic_open", half_then_fail)
     code, out, err = run_cli(capsys, "count", "--n", "2", "--cache", str(cache))
     assert (code, out) == (1, "")
     assert "disk full" in err
@@ -369,7 +370,7 @@ def test_supertile_out_of_memory_is_one_error_line(capsys, monkeypatch, out):
 
     monkeypatch.setattr(render, "_ascii_chunks", exhausted)
     monkeypatch.setattr(render, "_svg_chunks", exhausted)
-    monkeypatch.setattr(cli.TileGrid, "_json_chunks", exhausted)
+    monkeypatch.setattr(TileGrid, "_json_chunks", exhausted)
     code, stdout, err = run_cli(capsys, "supertile", "--rank", "2", "--out", out)
     assert (code, stdout) == (1, "")
     assert err == "error: supertile: out of memory\n"
@@ -390,7 +391,7 @@ def test_failed_output_file_leaves_no_file(capsys, monkeypatch, tmp_path, out):
     for name in ("_ascii_chunks", "_svg_chunks"):
         monkeypatch.setattr(render, name, _first_chunk_then_out_of_memory(getattr(render, name)))
     monkeypatch.setattr(
-        cli.TileGrid, "_json_chunks", _first_chunk_then_out_of_memory(cli.TileGrid._json_chunks)
+        TileGrid, "_json_chunks", _first_chunk_then_out_of_memory(TileGrid._json_chunks)
     )
     target = tmp_path / "doc.out"
     if out == "render":
@@ -778,27 +779,67 @@ def test_cli_process_freezes_once_at_exit(launch):
     assert proc.stdout == "528\n" * 3 + "freezes at [0], frozen True\n"
 
 
-# One child runs three commands through ``main`` and reports, after each,
-# which of the modules loaded only on demand it has loaded; then it reads
-# one deferred package name, and calls the package's hook a second time,
-# as a thread that entered it before the first read deleted it would;
-# last, it reads every name of ``__all__``, and one unknown name both
-# directly and through the saved hook.
+# One child imports the CLI and runs commands through ``main``, and
+# reports which of the modules loaded only on demand each one reaches:
+# those it loads, and those a command loaded before that it imports
+# again (every deferred module is reached by a ``from ... import`` or an
+# ``import`` statement, so a wrapper of ``builtins.__import__`` sees the
+# second import).  So the order of the commands hides nothing.  Then it
+# reads one deferred package name, and calls the package's hook a second
+# time, as a thread that entered it before the first read deleted it
+# would; last, it reads every name of ``__all__``, checks that the
+# package's ``TileGrid`` is the class ``build`` returns, and reads one
+# unknown name both directly and through the saved hook.
 MODULES_AFTER_EACH_COMMAND = """
-import contextlib, io, sys
+import builtins, contextlib, io, os, sys
 import robinsonblocks
 from robinsonblocks.cli import main
 
-for argv in (["count", "--n", "2"], ["formula", "--n", "5"], ["supertile", "--rank", "2", "--out", "svg"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+deferred = (
+    "robinsonblocks.complexity",
+    "robinsonblocks.render",
+    "robinsonblocks.grid",
+    "robinsonblocks.patterns",
+    "robinsonblocks._atomic",
+    "json",
+)
+print("import", *[name for name in deferred if name in sys.modules])
+imported = set()
+real_import = builtins.__import__
+
+
+def recording_import(name, globals=None, locals=None, fromlist=(), level=0):
+    module = real_import(name, globals, locals, fromlist, level)
+    imported.add(module.__name__)
+    return module
+
+
+builtins.__import__ = recording_import
+tmp = sys.argv[1]
+rbps = os.path.join(tmp, "cache", "patterns_n2_rank2.rbps")
+for label, argv in (
+    ("count", ["count", "--n", "2"]),
+    ("count --restrict", ["count", "--n", "2", "--restrict", "1,2"]),
+    ("formula", ["formula", "--n", "5"]),
+    ("count --cache", ["count", "--n", "2", "--cache", os.path.join(tmp, "cache")]),
+    ("cache --inspect", ["cache", "--inspect", rbps]),
+    ("supertile --out json", ["supertile", "--rank", "2", "--out", "json"]),
+    ("render --out", ["render", "--input", os.path.join(tmp, "g.json"), "--out", os.path.join(tmp, "g.svg")]),
+    ("supertile --out svg", ["supertile", "--rank", "2", "--out", "svg"]),
+):
+    before = set(sys.modules)
+    imported.clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    deferred = ("robinsonblocks.complexity", "robinsonblocks.render", "json")
-    print(argv[0], code, *[name for name in deferred if name in sys.modules])
+    reached = imported | (set(sys.modules) - before)
+    print(label, code, *[name for name in deferred if name in reached])
+builtins.__import__ = real_import
 hook = vars(robinsonblocks)["__getattr__"]
 closed_form_A = robinsonblocks.closed_form_A
 print("hook kept", "__getattr__" in vars(robinsonblocks))
 print("second read", hook("closed_form_A") is closed_form_A, closed_form_A(5))
 print("all names", all(hasattr(robinsonblocks, name) for name in robinsonblocks.__all__))
+print("TileGrid", robinsonblocks.TileGrid is type(robinsonblocks.build(2)))
 for read in (lambda: robinsonblocks.no_such_name, lambda: hook("no_such_name")):
     try:
         read()
@@ -807,19 +848,30 @@ for read in (lambda: robinsonblocks.no_such_name, lambda: hook("no_such_name")):
 """
 
 
-def test_commands_load_only_the_modules_they_use():
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    (tmp_path / "g.json").write_text(build(2).to_json())
     env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
     proc = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER_EACH_COMMAND], capture_output=True, text=True, env=env
+        [sys.executable, "-c", MODULES_AFTER_EACH_COMMAND, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "import",
         "count 0",
+        "count --restrict 0",
         "formula 0 robinsonblocks.complexity",
-        "supertile 0 robinsonblocks.complexity robinsonblocks.render",
+        "count --cache 0 robinsonblocks.patterns robinsonblocks._atomic",
+        "cache --inspect 0 robinsonblocks.patterns",
+        "supertile --out json 0 robinsonblocks.grid",
+        "render --out 0 robinsonblocks.render robinsonblocks.grid robinsonblocks._atomic json",
+        "supertile --out svg 0 robinsonblocks.render robinsonblocks.grid",
         "hook kept False",
         "second read True 1472",
         "all names True",
+        "TileGrid True",
         "unknown name module 'robinsonblocks' has no attribute 'no_such_name'",
         "unknown name module 'robinsonblocks' has no attribute 'no_such_name'",
     ]
@@ -852,9 +904,9 @@ def test_sigterm_while_writing_a_file_leaves_no_temporary_file(tmp_path):
 # file is open.
 SIGTERM_INSIDE_A_CACHE_WRITE = """
 import contextlib, os, signal, sys
-from robinsonblocks import cli, enumerator
+from robinsonblocks import cli, patterns
 
-atomic_open = enumerator._atomic_open
+atomic_open = patterns._atomic_open
 
 @contextlib.contextmanager
 def terminated_inside(path, mode):
@@ -862,7 +914,7 @@ def terminated_inside(path, mode):
         os.kill(os.getpid(), signal.SIGTERM)
         yield fh
 
-enumerator._atomic_open = terminated_inside
+patterns._atomic_open = terminated_inside
 sys.exit(cli.main(sys.argv[1:]))
 """
 

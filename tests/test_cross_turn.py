@@ -14,13 +14,13 @@ import pytest
 import reference_layouts
 from test_supertile import grid_from_literals
 from robinsonblocks import supertile
+from robinsonblocks.grid import _facing_ids
 from robinsonblocks.supertile import (
     EMPTY,
     CrossUnsolvable,
     FACING_ROTATIONS,
     _build_ids,
     _candidates,
-    _facing_ids,
     build,
 )
 from robinsonblocks.tileset import (

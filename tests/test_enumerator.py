@@ -21,6 +21,11 @@ from robinsonblocks.cli import main
 from robinsonblocks.complexity import RecurrenceTable, closed_form_A
 from robinsonblocks.enumerator import (
     BlockTooLarge,
+    count_report_csv,
+    count_stabilized,
+    restricted_count,
+)
+from robinsonblocks.patterns import (
     CorruptPatternFile,
     FORMAT_VERSION,
     MAGIC,
@@ -28,26 +33,23 @@ from robinsonblocks.enumerator import (
     PatternSet,
     PatternVersionMismatch,
     canonical_encode,
-    count_report_csv,
-    count_stabilized,
     distinct_patterns,
     inspect_pattern_file,
     load_pattern_set,
-    restricted_count,
     save_pattern_set,
 )
-from robinsonblocks import supertile
-from robinsonblocks import enumerator
+from robinsonblocks import grid, supertile
+from robinsonblocks import enumerator, patterns
 from robinsonblocks.enumerator import (
-    _BODY,
     _GATHER_BYTES,
     _MirrorPairs,
     _add_classes,
     _column_slabs,
-    _pattern_set,
     _scan_value,
 )
-from robinsonblocks.supertile import Pose, TileGrid, build
+from robinsonblocks.grid import TileGrid
+from robinsonblocks.patterns import _BODY, _pattern_set
+from robinsonblocks.supertile import Pose, build
 from robinsonblocks.tileset import ALL_TILES, BUMPY_IDS, IDENTITY, OrientedTile, Prototile
 
 FACINGS = [Pose(r, False) for r in range(4)]
@@ -95,7 +97,7 @@ def test_incremental_counts_equal_plain_extraction():
             full = {}
             rep = count_stabilized(n, 8, facing)
             for rank, count in rep.counts_by_rank:
-                full[rank] = _plain_windows(supertile._facing_ids(rank, facing.rotation), n)
+                full[rank] = _plain_windows(grid._facing_ids(rank, facing.rotation), n)
                 assert count == len(full[rank])
                 assert distinct_patterns(n, rank, facing) == _pattern_set(n, full[rank])
             for pos in POSITIONS:
@@ -324,11 +326,11 @@ def test_slab_set_on_full_grids():
     for n in (2, 4):
         windows, slabs, expected = _MirrorPairs(n), set(), set()
         for f in range(4):
-            ids = supertile._facing_ids(6, f)
+            ids = grid._facing_ids(6, f)
             expected |= _kernel_reference(ids, n)
             _kernel(ids, n, windows, slabs)
             assert _index_windows(windows) == expected
-        own = [_plain_windows(supertile._facing_ids(6, f), n) for f in range(4)]
+        own = [_plain_windows(grid._facing_ids(6, f), n) for f in range(4)]
         assert expected == set().union(*own)
 
 
@@ -351,7 +353,7 @@ def test_scan_never_builds_the_other_facings_of_its_last_rank(facing, pos, monke
         raise AssertionError(f"the rank-{rank} grid of facing {f} was made")
 
     monkeypatch.setattr(enumerator, "_build_ids", spy)
-    for module in (supertile, enumerator):
+    for module in (grid, enumerator):
         monkeypatch.setattr(module, "_facing_ids", facing_spy, raising=False)
     monkeypatch.setattr(supertile, "_BUILD_MEMO", {})
     rep = count_stabilized(8, 11, facing, corner_pos=pos)
@@ -846,7 +848,7 @@ def test_a_block_side_is_a_non_negative_integer(tmp_path, make):
 def test_largest_header_n_whose_records_fit_is_read(tmp_path, capsys):
     n = 37837  # 3n^2 = 4,294,915,707 < 2^32
     blob = MAGIC + struct.pack(">HIQ", FORMAT_VERSION, n, 0)
-    found, ids = enumerator._parse_pattern_file(io.BytesIO(blob))
+    found, ids = patterns._parse_pattern_file(io.BytesIO(blob))
     assert (found, ids.shape) == (n, (0, n * n))
     # An empty set of such an n is saved as that 22-byte header, also
     # from n = 26755, where a 4 + 3n^2-byte record passes 2^31 bytes.
@@ -880,7 +882,7 @@ def test_save_rejects_a_non_canonical_member(tmp_path):
 def half_then_fail(monkeypatch):
     """Make the ``.rbps`` writer's one ``write`` put down half the file,
     then fail."""
-    atomic_open = enumerator._atomic_open
+    atomic_open = patterns._atomic_open
 
     @contextlib.contextmanager
     def opened(path, mode):
@@ -891,7 +893,7 @@ def half_then_fail(monkeypatch):
 
             yield SimpleNamespace(write=write)
 
-    monkeypatch.setattr(enumerator, "_atomic_open", opened)
+    monkeypatch.setattr(patterns, "_atomic_open", opened)
 
 
 def test_failed_save_through_a_symlink_leaves_its_file_alone(tmp_path, half_then_fail):
@@ -918,9 +920,9 @@ def test_failed_save_through_a_dangling_symlink_creates_no_file(tmp_path, half_t
 # its one ``write`` has put down half the file.
 SIGTERM_INSIDE_A_SAVE = """
 import contextlib, os, signal, sys
-from robinsonblocks import enumerator
+from robinsonblocks import patterns
 
-atomic_open = enumerator._atomic_open
+atomic_open = patterns._atomic_open
 
 class HalfThenTerminated:
     def __init__(self, fh):
@@ -936,8 +938,8 @@ def terminated_inside(path, mode):
     with atomic_open(path, mode) as fh:
         yield HalfThenTerminated(fh)
 
-enumerator._atomic_open = terminated_inside
-enumerator.save_pattern_set(enumerator.distinct_patterns(2, 7), sys.argv[1])
+patterns._atomic_open = terminated_inside
+patterns.save_pattern_set(patterns.distinct_patterns(2, 7), sys.argv[1])
 """
 
 
@@ -960,7 +962,7 @@ def test_sigterm_inside_a_save_leaves_the_old_file(tmp_path, through):
 def test_tile_ids_sort_as_their_triples():
     # The .rbps reader checks member order on tile-id rows, and the
     # writer sorts id rows: both rely on this.
-    triples = list(zip(*enumerator._TRIPLE_BYTES))[: len(ALL_TILES)]
+    triples = list(zip(*patterns._TRIPLE_BYTES))[: len(ALL_TILES)]
     assert triples == sorted(set(triples))
     assert len(triples) == len(ALL_TILES)
 
@@ -969,13 +971,13 @@ def test_cached_window_set_is_read_and_mapped_once(tmp_path, monkeypatch):
     count_stabilized(3, 11, cache=tmp_path)
     path = max(tmp_path.glob("*.rbps"))
     calls = []
-    tile_ids = enumerator._tile_ids
-    monkeypatch.setattr(enumerator, "_tile_ids", lambda data: calls.append(data.nbytes) or tile_ids(data))
+    tile_ids = patterns._tile_ids
+    monkeypatch.setattr(patterns, "_tile_ids", lambda data: calls.append(data.nbytes) or tile_ids(data))
     rank = int(path.stem.rsplit("rank", 1)[1])
-    ((_, got),) = enumerator._cached_window_scan(3, range(rank, rank + 1), iter(()), tmp_path)
+    ((_, got),) = patterns._cached_window_scan(3, range(rank, rank + 1), iter(()), tmp_path)
     header = len(MAGIC) + struct.calcsize(">HIQ")
     assert calls == [path.stat().st_size - header - 4 * len(got)]
-    assert enumerator._pattern_set(3, got) == load_pattern_set(path)
+    assert _pattern_set(3, got) == load_pattern_set(path)
 
 
 def _allocated(call):
@@ -1005,8 +1007,8 @@ def test_rbps_io_and_the_corner_mask_hold_a_few_bands(tmp_path):
     windows = set(map(bytes, rows))
     path = tmp_path / "w.rbps"
 
-    _, written = _allocated(lambda: enumerator._write_records(path, n, windows))
-    (found, ids), read = _allocated(lambda: enumerator._read_pattern_file(path))
+    _, written = _allocated(lambda: patterns._write_records(path, n, windows))
+    (found, ids), read = _allocated(lambda: patterns._read_pattern_file(path))
     inspected, inspecting = _allocated(lambda: inspect_pattern_file(path))
     value = _scan_value(n, (1, 2), IDENTITY)
     from_set, counting_set = _allocated(lambda: value(windows))

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from robinsonblocks import enumerator
-from robinsonblocks.enumerator import (
+from robinsonblocks.grid import TileGrid, validate
+from robinsonblocks.patterns import (
     _BODY,
     FORMAT_VERSION,
     MAGIC,
@@ -32,7 +33,7 @@ from robinsonblocks.enumerator import (
     save_pattern_set,
 )
 from robinsonblocks.render import ASCII_ALPHABET, parse_ascii, render_ascii
-from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, TileGrid, build, validate
+from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, build
 from robinsonblocks.tileset import ALL_TILES
 
 pytest.importorskip("hypothesis")

@@ -11,9 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 from robinsonblocks.complexity import DecompositionTrace, RecurrenceTable, VacantShape
-from robinsonblocks.enumerator import CountReport, Pattern
+from robinsonblocks.enumerator import CountReport
+from robinsonblocks.grid import ValidationReport, Violation
+from robinsonblocks.patterns import Pattern
 from robinsonblocks.render import RenderStyle
-from robinsonblocks.supertile import SupertileSpec, ValidationReport, Violation
+from robinsonblocks.supertile import SupertileSpec
 from robinsonblocks.tileset import Arrow, OrientedTile, Pose, Prototile
 
 EAST = Violation("adjacency", 1, 1, "east")

@@ -9,7 +9,8 @@ from robinsonblocks.render import (
     render_ascii,
     render_svg,
 )
-from robinsonblocks.supertile import _BAND_CELLS, TileGrid, build
+from robinsonblocks.grid import _BAND_CELLS, TileGrid
+from robinsonblocks.supertile import build
 from robinsonblocks.tileset import OrientedTile, Pose, Prototile
 
 

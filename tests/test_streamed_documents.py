@@ -1,7 +1,7 @@
 """Documents streamed from the NE build, in bands of bounded size.
 
 ``supertile`` writes every facing's document from the memoised NE grid
-a band at a time (``supertile._bands``), with each band's centre row and
+a band at a time (``grid._bands``), with each band's centre row and
 column turned; the library's ``build(rank, facing)`` still makes the
 facing's grid whole.  These tests hold the two to the same bytes, and
 hold the writers, the cross turn and the ``.rbps`` writer to memory that
@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robinsonblocks import enumerator, supertile
+from robinsonblocks import enumerator, grid, patterns, supertile
 from robinsonblocks.cli import main
 from robinsonblocks.enumerator import _windows_at
+from robinsonblocks.grid import _BAND_CELLS, TileGrid, _bands, _facing_ids
 from robinsonblocks.render import (
     RenderStyle,
     _ascii_chunks,
@@ -23,16 +24,7 @@ from robinsonblocks.render import (
     render_ascii,
     render_svg,
 )
-from robinsonblocks.supertile import (
-    _BAND_CELLS,
-    EMPTY,
-    FACING_ROTATIONS,
-    TileGrid,
-    _bands,
-    _build_ids,
-    _facing_ids,
-    build,
-)
+from robinsonblocks.supertile import EMPTY, FACING_ROTATIONS, _build_ids, build
 
 FACINGS = tuple(FACING_ROTATIONS)
 
@@ -78,7 +70,8 @@ def test_supertile_turns_no_whole_cross(capsys, monkeypatch):
     def whole_grid_turn(*args):
         raise AssertionError("a facing's grid was made")
 
-    monkeypatch.setattr(supertile, "_turn_cross", whole_grid_turn)
+    for module in (supertile, grid):
+        monkeypatch.setattr(module, "_turn_cross", whole_grid_turn)
     for out in ("ascii", "json", "svg"):
         for facing in FACINGS:
             assert main(["supertile", "--rank", "5", "--facing", facing, "--out", out]) == 0
@@ -191,7 +184,7 @@ def test_ordered_windows_are_the_sorted_set(monkeypatch, gather):
         if gather is not None:
             monkeypatch.setattr(enumerator, "_GATHER_BYTES", gather * n * n)
         windows = _windows_at(n, range(n.bit_length(), 7))
-        ordered = list(windows.ordered())
+        ordered = list(patterns._sorted_windows(windows))
         assert ordered == sorted(windows) and len(ordered) == len(windows), n
 
 
@@ -204,8 +197,8 @@ def test_the_rbps_writer_makes_a_band_of_mirror_images_at_a_time(tmp_path):
     n = 24
     windows = _windows_at(n, range(5, 11))
     path = tmp_path / "w.rbps"
-    _, written = _allocated(lambda: enumerator._write_records(path, n, windows))
+    _, written = _allocated(lambda: patterns._write_records(path, n, windows))
     images = len(windows.pairs) * n * n
     assert written < images / 2, (written, images)
-    found, rows = enumerator._read_pattern_file(path)
+    found, rows = patterns._read_pattern_file(path)
     assert found == n and list(map(bytes, rows)) == sorted(windows)

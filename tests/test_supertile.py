@@ -8,7 +8,15 @@ import pytest
 
 import reference_layouts
 from robinsonblocks import supertile
-from robinsonblocks.enumerator import distinct_patterns
+from robinsonblocks.grid import (
+    _JSON_CELLS,
+    TileGrid,
+    ValidationReport,
+    Violation,
+    solve_cross_cell,
+    validate,
+)
+from robinsonblocks.patterns import distinct_patterns
 from robinsonblocks.supertile import (
     EMPTY,
     CrossAmbiguous,
@@ -16,14 +24,9 @@ from robinsonblocks.supertile import (
     FACING_ROTATIONS,
     Pose,
     SupertileSpec,
-    TileGrid,
-    ValidationReport,
-    Violation,
     _candidates,
     build,
     build_supertile,
-    solve_cross_cell,
-    validate,
 )
 from robinsonblocks.tileset import (
     ALL_TILES,
@@ -326,7 +329,7 @@ def test_json_cells_are_the_compact_json_of_each_tile():
         json.dumps([t.prototile.key, t.pose.rotation, t.pose.mirror], separators=(",", ":"))
         for t in ALL_TILES
     ]
-    assert supertile._JSON_CELLS == want + ["null"] * (256 - len(ALL_TILES))
+    assert _JSON_CELLS == want + ["null"] * (256 - len(ALL_TILES))
 
 
 @pytest.mark.parametrize("bad", [32, 40, 254, 256, -1, 1.5, "3"])

@@ -25,16 +25,16 @@ from robinsonblocks.enumerator import (
     _add_classes,
     _column_slabs,
     _key_blocks,
-    _pattern_set,
     _ranks,
     _scan_value,
     _turned_keys,
     _window_scan,
     count_stabilized,
-    distinct_patterns,
     restricted_count,
 )
-from robinsonblocks.supertile import _MIRROR, _TURNS, _build_ids, _facing_ids
+from robinsonblocks.grid import _facing_ids
+from robinsonblocks.patterns import _pattern_set, distinct_patterns
+from robinsonblocks.supertile import _MIRROR, _TURNS, _build_ids
 from robinsonblocks.tileset import ALL_TILES, BUMPY_IDS, IDENTITY, TURN, Pose
 
 FACINGS = [Pose(r, False) for r in range(4)]
